@@ -39,14 +39,9 @@ from .geom import (
     CartanA1n,
     act_e,
     act_e0_via_sigma,
-    act_ebar,
     dval,
     epsilon,
-    epsilonbar,
     gamma,
-    gammabar,
-    sigma_bar,
-    sigma_bar_inv,
     verify_axioms,
     weyl_s,
     weyl_s_def,
@@ -61,9 +56,6 @@ from .lattice import (
     point_from_json,
     point_to_json,
     sample_point,
-    trop_get,
-    x_get,
-    y_get,
 )
 from .paths import (
     Path,

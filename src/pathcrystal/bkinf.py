@@ -14,25 +14,28 @@ faults loudly if the convention were ever wrong.
 """
 
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import CrystalFault, ValidationError
-from .lattice import SplitMix64, _mix_tag
+from .lattice import SplitMix64, _is_int, _mix_tag
 
 
 class BElement:
-    """Integer array with zero row sums."""
+    """Integer array with zero row sums; ``entries`` is a read-only view."""
+
+    kind = "b"
 
     def __init__(self, shape, entries):
         self.shape = shape
-        self.entries = dict(entries)
+        self._entries = dict(entries)
         domain = set(self.domain(shape))
-        if set(self.entries) != domain:
+        if set(self._entries) != domain:
             raise ValidationError("entries must cover exactly rows 1..k, columns j..j+k'")
-        for value in self.entries.values():
-            if not isinstance(value, int):
+        for value in self._entries.values():
+            if not _is_int(value):
                 raise ValidationError("entries must be integers")
         for j in range(1, shape.k + 1):
-            row_sum = sum(self.entries[(j, i)] for i in range(j, j + shape.kprime + 1))
+            row_sum = sum(self._entries[(j, i)] for i in range(j, j + shape.kprime + 1))
             if row_sum != 0:
                 raise ValidationError("row %d sums to %d, expected 0" % (j, row_sum))
 
@@ -44,23 +47,27 @@ class BElement:
             for i in range(j, j + shape.kprime + 1)
         )
 
+    @property
+    def entries(self):
+        return MappingProxyType(self._entries)
+
     def get(self, j, i):
-        return self.entries.get((j, i), 0)
+        return self._entries.get((j, i), 0)
 
     def __eq__(self, other):
         return (
             isinstance(other, BElement)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._entries == other._entries
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(sorted(self.entries.items()))))
+        return hash((self.shape, tuple(sorted(self._entries.items()))))
 
     def __repr__(self):
         rows = []
         for j in range(1, self.shape.k + 1):
-            rows.append([self.entries[(j, i)] for i in range(j, j + self.shape.kprime + 1)])
+            rows.append([self._entries[(j, i)] for i in range(j, j + self.shape.kprime + 1)])
         return "BElement(%r, %r)" % (self.shape, rows)
 
 
@@ -146,10 +153,7 @@ def eps_phi(b, i):
     if not 1 <= i <= b.shape.n:
         raise ValidationError("index i must be in 1..n, got %r" % (i,))
     beta, gamma_row = _col_range(b.shape, i)
-    profile = _gamma_profile(b, i)
-    lowest = min(profile.values())
-    argmin = [c for c, v in profile.items() if v == lowest]
-    c0, c1 = min(argmin), max(argmin)
+    c0, c1 = _argmin_rows(b, i)
     eps = sum(b.get(j + 1, i + 1) - b.get(j, i) for j in range(beta, c0))
     phi = sum(b.get(j, i) - b.get(j + 1, i + 1) for j in range(c1, gamma_row + 1))
     return eps, phi
@@ -270,16 +274,6 @@ def bk_e(b, i, d):
     return out
 
 
-def _min_opt(values):
-    best = None
-    for v in values:
-        if v is None:
-            continue
-        if best is None or v < best:
-            best = v
-    return best
-
-
 def bk_e_closed(b, i, d):
     """Closed form of the d-fold operator; must agree with iteration."""
     shape = b.shape
@@ -291,11 +285,8 @@ def bk_e_closed(b, i, d):
         values = {c: delta(b, c) for c in family}
 
         def peak(j, col):
-            hi = _min_opt([values[c] for c in family if c[j] > col])
-            lo = _min_opt([values[c] for c in family if c[j] <= col])
-            return -_min_opt(
-                [hi, None if lo is None else lo - d]
-            )
+            # -min(min over c[j] > col, (min over c[j] <= col) - d)
+            return -min(values[c] - d if c[j] <= col else values[c] for c in family)
 
         for (j, col) in BElement.domain(shape):
             entries[(j, col)] = (
@@ -309,21 +300,12 @@ def bk_e_closed(b, i, d):
         beta, gamma_row = _col_range(shape, i)
         profile = _gamma_profile(b, i)
 
-        def coef(l):
-            t_hi = _min_opt(
-                [profile[p] for p in range(l + 1, gamma_row + 1)]
-                + [None if v is None else v - d
-                   for v in [_min_opt([profile[p] for p in range(beta + 1, l + 1)])]]
-            )
-            t_lo = _min_opt(
-                [profile[p] for p in range(l, gamma_row + 1)]
-                + [None if v is None else v - d
-                   for v in [_min_opt([profile[p] for p in range(beta + 1, l)])]]
-            )
-            return t_hi - t_lo
+        def cut_min(cut):
+            # min(min over rows >= cut, (min over rows < cut) - d)
+            return min(v - d if p < cut else v for p, v in profile.items())
 
         for l in range(beta + 1, gamma_row + 1):
-            shift = coef(l)
+            shift = cut_min(l + 1) - cut_min(l)
             entries[(l, i)] -= shift
             entries[(l, i + 1)] += shift
     return BElement(shape, entries)
@@ -380,21 +362,4 @@ def crystal_graph_dot(center, radius):
 
 def to_json(b):
     entries = {"%d,%d" % key: value for key, value in sorted(b.entries.items())}
-    return {"n": b.shape.n, "k": b.shape.k, "kind": "b", "entries": entries}
-
-
-def from_json(data, shape_factory):
-    try:
-        n, k, kind, raw = data["n"], data["k"], data["kind"], data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("element object must carry n, k, kind, entries: %s" % exc)
-    if kind != "b":
-        raise ValidationError("expected kind 'b', got %r" % (kind,))
-    shape = shape_factory(n, k)
-    entries = {}
-    for key, value in raw.items():
-        j_s, i_s = key.split(",")
-        if not isinstance(value, int):
-            raise ValidationError("entry %r must be an integer" % (key,))
-        entries[(int(j_s), int(i_s))] = value
-    return BElement(shape, entries)
+    return {"n": b.shape.n, "k": b.shape.k, "kind": b.kind, "entries": entries}

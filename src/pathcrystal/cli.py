@@ -90,8 +90,6 @@ def _load_point(path):
         raise ValidationError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ValidationError("malformed JSON in %s: %s" % (path, exc))
-    if isinstance(data, dict) and data.get("kind") == "b":
-        return bkinf.from_json(data, make_shape)
     return point_from_json(data)
 
 
@@ -155,7 +153,7 @@ def cmd_act(args):
             raise ValidationError("side trop supports ops e and s")
         _emit(point_to_json(result), args.json)
     elif args.side == "bkinf":
-        if not isinstance(point, bkinf.BElement):
+        if point.kind != "b":
             raise ValidationError("side bkinf expects an element of kind 'b'")
         if args.op == "e":
             result = bkinf.bk_e(point, args.i, args.d)
@@ -186,7 +184,7 @@ def cmd_map(args):
             raise ValidationError("map omega expects kind 'trop'")
         _emit(bkinf.to_json(omega(point)), args.json)
     elif args.map == "omega-inv":
-        if not isinstance(point, bkinf.BElement):
+        if point.kind != "b":
             raise ValidationError("map omega-inv expects kind 'b'")
         _emit(point_to_json(omega_inv(point)), args.json)
     elif args.map == "ud-probe":
@@ -259,7 +257,7 @@ def cmd_graph(args):
         center = bkinf.b_infinity(shape)
     else:
         center = _load_point(args.center)
-        if not isinstance(center, bkinf.BElement):
+        if center.kind != "b":
             raise ValidationError("graph center must be 'b_inf' or a kind-'b' file")
         if center.shape != shape:
             raise ValidationError("center shape does not match --n/--k")

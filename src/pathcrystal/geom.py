@@ -4,7 +4,11 @@ The chart carrying x-coordinates has actions indexed by 1..n plus an
 induced 0-action; the chart carrying y-coordinates has actions indexed by
 0..n-1.  Together they assemble the full affine family, and
 :func:`verify_axioms` machine-checks every defining relation at random
-points.
+points.  :func:`dval`, :func:`gamma`, :func:`epsilon` and :func:`act_e`
+take a point of either chart: both use the same diagonal-product formulas
+and differ only in the rows an index moves (:func:`bounds_row1` or
+:func:`bounds_row2`, chosen by the point's ``side``); only the x-chart's
+0-action has formulas of its own.
 
 Everything indexed by 1..n is written against the generic semiring of the
 point, so the same code yields the exact rational action on an
@@ -62,6 +66,21 @@ def _check_index(shape, i):
         raise ValidationError("index i must be in 0..n, got %r" % (i,))
 
 
+def _bounds(x, i):
+    """Row range of the entries moved by the i-th action on the chart of x."""
+    if x.side == 1:
+        return bounds_row1(x.shape, i)
+    return bounds_row2(x.shape, i)
+
+
+def _x_zero(x, i):
+    """True for the induced 0-action of the x-chart; checks i on that chart."""
+    if x.side == 2:
+        return False
+    _check_index(x.shape, i)
+    return i == 0
+
+
 def _prod(sr, factors):
     out = sr.one
     for f in factors:
@@ -71,8 +90,8 @@ def _prod(sr, factors):
 
 def dval(x, l, i):
     """Diagonal product at row l in column i (off-lattice factors read as 1)."""
-    shape, sr = x.shape, x.semiring
-    a, b = bounds_row1(shape, i)
+    sr = x.semiring
+    a, b = _bounds(x, i)
     if not a <= l <= b:
         raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, a, b, i))
     num = _prod(sr, [x.get(j, i) for j in range(l + 1, b + 1)])
@@ -87,10 +106,9 @@ def dval(x, l, i):
 def gamma(x, i):
     """Multiplier character of the i-th action."""
     shape, sr = x.shape, x.semiring
-    _check_index(shape, i)
-    if i == 0:
+    if _x_zero(x, i):
         return sr.inv(sr.mul(x.get(1, shape.n), x.get(shape.k, 1)))
-    a, b = bounds_row1(shape, i)
+    a, b = _bounds(x, i)
     num = _prod(sr, [x.get(j, i) for j in range(a, b + 1)])
     num = sr.mul(num, num)
     den = sr.mul(
@@ -102,10 +120,9 @@ def gamma(x, i):
 
 def epsilon(x, i):
     shape, sr = x.shape, x.semiring
-    _check_index(shape, i)
-    if i == 0:
+    if _x_zero(x, i):
         return sr.mul(x.get(1, shape.n), epsilon_total(x))
-    a, b = bounds_row1(shape, i)
+    a, b = _bounds(x, i)
     return sr.add_all(sr.inv(dval(x, l, i)) for l in range(a, b + 1))
 
 
@@ -118,15 +135,15 @@ def _alpha(x, l, m, c):
 
 
 def act_e(x, i, c):
-    """The i-th one-parameter action on the x-chart (rational or tropical)."""
+    """The i-th one-parameter action on either chart (rational or tropical)."""
     shape, sr = x.shape, x.semiring
-    _check_index(shape, i)
+    zero = _x_zero(x, i)
     if sr.name == "rational":
         c = Fraction(c)
         if c <= 0:
             raise ValidationError("the action parameter must be positive")
     entries = dict(x.entries)
-    if i == 0:
+    if zero:
         for (l, m) in shape.l1_indices:
             if (l, m) == (1, shape.n):
                 entries[(l, m)] = sr.ratio(x.get(l, m), c)
@@ -134,7 +151,7 @@ def act_e(x, i, c):
                 ratio = sr.ratio(_alpha(x, l, m, c), _alpha(x, l + 1, m, c))
                 entries[(l, m)] = sr.mul(x.get(l, m), ratio)
     else:
-        a, b = bounds_row1(shape, i)
+        a, b = _bounds(x, i)
         terms = {p: sr.inv(dval(x, p, i)) for p in range(a, b + 1)}
         for l in range(a, b + 1):
             num = sr.add_all(
@@ -149,77 +166,9 @@ def act_e(x, i, c):
     return type(x)(shape, entries)
 
 
-# ---------------------------------------------------------------------------
-# the y-chart mirror
-
-
-def dval2(y, l, i):
-    shape, sr = y.shape, y.semiring
-    c, d = bounds_row2(shape, i)
-    if not c <= l <= d:
-        raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, c, d, i))
-    num = _prod(sr, [y.get(j, i) for j in range(l + 1, d + 1)])
-    num = sr.mul(y.get(l, i), sr.mul(num, num))
-    den = sr.mul(
-        _prod(sr, [y.get(j, i - 1) for j in range(l + 1, d + 2)]),
-        _prod(sr, [y.get(j, i + 1) for j in range(l, d + 1)]),
-    )
-    return sr.ratio(num, den)
-
-
-def gammabar(y, i):
-    shape, sr = y.shape, y.semiring
-    c, d = bounds_row2(shape, i)
-    num = _prod(sr, [y.get(j, i) for j in range(c, d + 1)])
-    num = sr.mul(num, num)
-    den = sr.mul(
-        _prod(sr, [y.get(j, i - 1) for j in range(c, d + 2)]),
-        _prod(sr, [y.get(j, i + 1) for j in range(c - 1, d + 1)]),
-    )
-    return sr.ratio(num, den)
-
-
-def epsilonbar(y, i):
-    shape, sr = y.shape, y.semiring
-    c, d = bounds_row2(shape, i)
-    return sr.add_all(sr.inv(dval2(y, l, i)) for l in range(c, d + 1))
-
-
-def act_ebar(y, i, cval):
-    """The i-th action on the y-chart, i in 0..n-1."""
-    shape, sr = y.shape, y.semiring
-    c, d = bounds_row2(shape, i)
-    if sr.name == "rational":
-        cval = Fraction(cval)
-        if cval <= 0:
-            raise ValidationError("the action parameter must be positive")
-    terms = {p: sr.inv(dval2(y, p, i)) for p in range(c, d + 1)}
-    entries = dict(y.entries)
-    for l in range(c, d + 1):
-        num = sr.add_all(
-            [terms[p] for p in range(c, l)]
-            + [sr.mul(cval, terms[p]) for p in range(l, d + 1)]
-        )
-        den = sr.add_all(
-            [terms[p] for p in range(c, l + 1)]
-            + [sr.mul(cval, terms[p]) for p in range(l + 1, d + 1)]
-        )
-        entries[(l, i)] = sr.mul(y.get(l, i), sr.ratio(num, den))
-    return type(y)(shape, entries)
-
-
-def sigma_bar(x):
-    """Chart change x -> y; intertwines the two families of actions."""
-    return sigma_map(x)
-
-
-def sigma_bar_inv(y):
-    return xi_map(y)
-
-
 def act_e0_via_sigma(x, c):
     """0-action routed through the chart change; must match act_e(x, 0, c)."""
-    return xi_map(act_ebar(sigma_map(x), 0, c))
+    return xi_map(act_e(sigma_map(x), 0, c))
 
 
 # ---------------------------------------------------------------------------

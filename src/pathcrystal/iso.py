@@ -20,7 +20,7 @@ from .bkinf import (
     wt,
 )
 from .errors import ValidationError
-from .lattice import TropPoint, point_to_json, trop_get
+from .lattice import TropPoint, point_to_json, sample_point
 from .paths import Path, path_weight
 from .reporting import RelationCheck
 from .tropical import trop_e, trop_eps, trop_weyl, trop_wt
@@ -34,7 +34,7 @@ def omega(x):
     entries = {}
     for (j, i) in BElement.domain(shape):
         row = shape.k - j + 1
-        entries[(j, i)] = trop_get(x, row, i) - trop_get(x, row, i - 1)
+        entries[(j, i)] = x.get(row, i) - x.get(row, i - 1)
     return BElement(shape, entries)
 
 
@@ -75,7 +75,7 @@ def verify_iso(shape, trials, seed, bound=10, dvals=range(-3, 4)):
     checks = {name: RelationCheck(name) for name in names}
     family = all_ctuples(shape)
     for t in range(trials):
-        x = _sample_trop(shape, seed + t, bound)
+        x = sample_point(shape, seed + t, bound, kind="trop")
         b = omega(x)
         checks["round-trip"].record(
             omega_inv(b) == x and omega(omega_inv(b)) == b,
@@ -106,9 +106,3 @@ def verify_iso(shape, trials, seed, bound=10, dvals=range(-3, 4)):
                 {"point": point_to_json(x), "i": i},
             )
     return list(checks.values())
-
-
-def _sample_trop(shape, seed, bound):
-    from .lattice import sample_point
-
-    return sample_point(shape, seed, bound, kind="trop")

@@ -13,6 +13,7 @@ here.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ValidationError
 from .semiring import MAXPLUS, RATIONAL
@@ -60,7 +61,7 @@ class LatticeShape:
     """The pair (n, k) together with both derived index sets."""
 
     def __init__(self, n, k):
-        if not isinstance(n, int) or not isinstance(k, int):
+        if not _is_int(n) or not _is_int(k):
             raise ValidationError("n and k must be integers")
         if n < 2:
             raise ValidationError("n must be at least 2, got %r" % (n,))
@@ -75,6 +76,10 @@ class LatticeShape:
         self.l2_indices = tuple(
             (l, m) for l in range(1, k + 1) for m in range(k - l, n + 1 - l)
         )
+
+    def indices(self, side):
+        """Index set of the first (side 1) or second (side 2) lattice."""
+        return self.l1_indices if side == 1 else self.l2_indices
 
     def in_l1(self, l, m):
         return 1 <= l <= self.k and self.k < l + m <= self.n + 1
@@ -92,26 +97,39 @@ class LatticeShape:
         return "LatticeShape(n=%d, k=%d)" % (self.n, self.k)
 
 
+def _is_int(value):
+    """True for a Python integer; JSON ``true``/``false`` decode to bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def make_shape(n, k):
     return LatticeShape(n, k)
 
 
 class _BasePoint:
+    """A point on one lattice; ``side`` names the lattice (1 or 2).
+
+    ``entries`` is a read-only view: path tables are memoized per point, so
+    a point must not change after construction.
+    """
+
     kind = None
+    side = None
     semiring = None
 
     def __init__(self, shape, entries):
         self.shape = shape
-        self.entries = dict(entries)
+        self._entries = dict(entries)
         self._tables = {}
         self._validate()
 
-    def _domain(self):
-        raise NotImplementedError
+    @property
+    def entries(self):
+        return MappingProxyType(self._entries)
 
     def _validate(self):
-        domain = set(self._domain())
-        found = set(self.entries)
+        domain = set(self.shape.indices(self.side))
+        found = set(self._entries)
         if domain != found:
             missing = sorted(domain - found)
             extra = sorted(found - domain)
@@ -122,83 +140,60 @@ class _BasePoint:
 
     def get(self, l, m):
         """Entry at (l, m); the semiring unit when (l, m) is off the lattice."""
-        return self.entries.get((l, m), self.semiring.one)
+        return self._entries.get((l, m), self.semiring.one)
 
     def __eq__(self, other):
         return (
             type(self) is type(other)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._entries == other._entries
         )
 
     def __repr__(self):
-        body = ", ".join("(%d,%d): %s" % (l, m, v) for (l, m), v in sorted(self.entries.items()))
+        body = ", ".join("(%d,%d): %s" % (l, m, v) for (l, m), v in sorted(self._entries.items()))
         return "%s(%r, {%s})" % (type(self).__name__, self.shape, body)
 
 
-class XPoint(_BasePoint):
+class _RationalPoint(_BasePoint):
+    """Positive rational coordinates."""
+
+    semiring = RATIONAL
+
+    def __init__(self, shape, entries):
+        entries = {key: Fraction(value) for key, value in dict(entries).items()}
+        super().__init__(shape, entries)
+        for key, value in self._entries.items():
+            if value <= 0:
+                raise ValidationError("entry at %r must be positive, got %s" % (key, value))
+
+
+class XPoint(_RationalPoint):
     """Positive rational coordinates on the first lattice."""
 
     kind = "x"
-    semiring = RATIONAL
-
-    def __init__(self, shape, entries):
-        entries = {key: Fraction(value) for key, value in dict(entries).items()}
-        super().__init__(shape, entries)
-        for key, value in self.entries.items():
-            if value <= 0:
-                raise ValidationError("entry at %r must be positive, got %s" % (key, value))
-
-    def _domain(self):
-        return self.shape.l1_indices
+    side = 1
 
 
-class YPoint(_BasePoint):
+class YPoint(_RationalPoint):
     """Positive rational coordinates on the second lattice."""
 
     kind = "y"
-    semiring = RATIONAL
-
-    def __init__(self, shape, entries):
-        entries = {key: Fraction(value) for key, value in dict(entries).items()}
-        super().__init__(shape, entries)
-        for key, value in self.entries.items():
-            if value <= 0:
-                raise ValidationError("entry at %r must be positive, got %s" % (key, value))
-
-    def _domain(self):
-        return self.shape.l2_indices
+    side = 2
 
 
 class TropPoint(_BasePoint):
     """Integer coordinates on the first lattice (the ultra-discretized chart)."""
 
     kind = "trop"
+    side = 1
     semiring = MAXPLUS
 
     def __init__(self, shape, entries):
         entries = dict(entries)
         for key, value in entries.items():
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ValidationError("tropical entry at %r must be an integer" % (key,))
         super().__init__(shape, entries)
-
-    def _domain(self):
-        return self.shape.l1_indices
-
-
-def x_get(x, l, m):
-    """x entry at (l, m), reading 1 off the lattice."""
-    return x.get(l, m)
-
-
-def y_get(y, l, m):
-    return y.get(l, m)
-
-
-def trop_get(x, l, m):
-    """Tropical entry at (l, m), reading 0 off the lattice."""
-    return x.get(l, m)
 
 
 _KIND_CLASSES = {"x": XPoint, "y": YPoint, "trop": TropPoint}
@@ -217,9 +212,8 @@ def sample_point(shape, seed, bound, kind="x"):
     tag = _mix_tag(seed, shape.n, shape.k, bound, sum(ord(ch) for ch in kind))
     rng = SplitMix64(tag)
     cls = _KIND_CLASSES[kind]
-    domain = shape.l2_indices if kind == "y" else shape.l1_indices
     entries = {}
-    for key in sorted(domain):
+    for key in sorted(shape.indices(cls.side)):
         if kind == "trop":
             entries[key] = rng.randint(-bound, bound)
         else:
@@ -250,7 +244,7 @@ def format_rational(q):
 
 
 def parse_rational(text):
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     s = str(text).strip()
     if "/" in s:
@@ -275,15 +269,21 @@ def point_to_json(point):
 
 
 def point_from_json(data):
+    """Decode a point of any kind: ``x``, ``y``, ``trop`` or the array kind ``b``."""
     try:
-        n = data["n"]
-        k = data["k"]
-        kind = data["kind"]
-        raw = data["entries"]
+        n, k, kind, raw = data["n"], data["k"], data["kind"], data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("point object must carry n, k, kind, entries: %s" % exc)
-    if kind not in _KIND_CLASSES:
+    if kind == "b":
+        from .bkinf import BElement  # bkinf imports this module
+
+        cls = BElement
+    elif isinstance(kind, str) and kind in _KIND_CLASSES:
+        cls = _KIND_CLASSES[kind]
+    else:
         raise ValidationError("unknown point kind %r" % (kind,))
+    if not isinstance(raw, dict):
+        raise ValidationError("entries must be an object with 'l,m' keys")
     shape = make_shape(n, k)
     entries = {}
     for key, value in raw.items():
@@ -292,10 +292,6 @@ def point_from_json(data):
             lm = (int(l_s), int(m_s))
         except ValueError:
             raise ValidationError("bad entry key %r, expected 'l,m'" % (key,))
-        if kind == "trop":
-            if not isinstance(value, int):
-                raise ValidationError("tropical entry %r must be an integer" % (key,))
-            entries[lm] = value
-        else:
-            entries[lm] = parse_rational(value)
-    return _KIND_CLASSES[kind](shape, entries)
+        # integer kinds are checked by their own constructors
+        entries[lm] = parse_rational(value) if kind in ("x", "y") else value
+    return cls(shape, entries)

@@ -25,7 +25,6 @@ round trip is the identity exactly when that read is 1.
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .lattice import TropPoint, XPoint, YPoint
 
 PATH_CAP = 100_000
 
@@ -111,11 +110,10 @@ def full_path_endpoints(shape, side):
 
 
 def _point_side(point):
-    if isinstance(point, (XPoint, TropPoint)):
-        return 1
-    if isinstance(point, YPoint):
-        return 2
-    raise ValidationError("not a lattice point: %r" % (point,))
+    side = getattr(point, "side", None)
+    if side is None:
+        raise ValidationError("not a lattice point: %r" % (point,))
+    return side
 
 
 def path_weight(point, path):

@@ -124,17 +124,17 @@ def suite_intertwine(shape, trials, seed, bound=16, params=5):
         y = sigma_map(x)
         for i in range(1, shape.n):
             checks["gamma-transport"].record(
-                geom.gamma(x, i) == geom.gammabar(y, i),
+                geom.gamma(x, i) == geom.gamma(y, i),
                 {"point": point_to_json(x), "i": i},
             )
             checks["epsilon-transport"].record(
-                geom.epsilon(x, i) == geom.epsilonbar(y, i),
+                geom.epsilon(x, i) == geom.epsilon(y, i),
                 {"point": point_to_json(x), "i": i},
             )
             for _ in range(params):
                 c = sample_rational(rng, bound, avoid_one=True)
                 checks["action-intertwine"].record(
-                    sigma_map(geom.act_e(x, i, c)) == geom.act_ebar(y, i, c),
+                    sigma_map(geom.act_e(x, i, c)) == geom.act_e(y, i, c),
                     {"point": point_to_json(x), "i": i, "c": format_rational(c)},
                 )
     return list(checks.values())
@@ -155,10 +155,10 @@ def suite_e0route(shape, trials, seed, bound=16, params=5):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sigma_map(x)
         checks["gamma0-route"].record(
-            geom.gamma(x, 0) == geom.gammabar(y, 0), {"point": point_to_json(x)}
+            geom.gamma(x, 0) == geom.gamma(y, 0), {"point": point_to_json(x)}
         )
         checks["epsilon0-route"].record(
-            geom.epsilon(x, 0) == geom.epsilonbar(y, 0), {"point": point_to_json(x)}
+            geom.epsilon(x, 0) == geom.epsilon(y, 0), {"point": point_to_json(x)}
         )
         for _ in range(params):
             c = sample_rational(rng, bound, avoid_one=True)
@@ -328,8 +328,15 @@ def suite_fundrep(shape, trials, seed, bound=16):
     return list(checks.values())
 
 
+def _require_trials(trials):
+    # a run over zero trials checks nothing and must not pass
+    if trials < 1:
+        raise ValidationError("trials must be >= 1, got %r" % (trials,))
+
+
 def conjecture_outcomes(shape, trials, seed, bound=16):
     """Raw probe outcomes for the proportionality experiment."""
+    _require_trials(trials)
     outcomes = []
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
@@ -389,4 +396,5 @@ def run_suite(name, shape, trials, seed, bound=None):
         raise ValidationError(
             "unknown suite %r (known: %s)" % (name, ", ".join(sorted(SUITES)))
         )
+    _require_trials(trials)
     return SUITES[name](shape, trials, seed, suite_bound(name, bound))

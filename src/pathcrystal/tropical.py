@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CrystalFault, ValidationError
-from .lattice import TropPoint, XPoint, trop_get
+from .lattice import TropPoint, XPoint
 from .paths import epsilon_total, region_sums
 from . import geom
 
@@ -35,41 +35,31 @@ def trop_dbar(x, l, i):
     if not a <= l <= b:
         raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, a, b, i))
     return (
-        -trop_get(x, l, i)
-        - 2 * sum(trop_get(x, j, i) for j in range(l + 1, b + 1))
-        + sum(trop_get(x, j, i - 1) for j in range(l + 1, b + 2))
-        + sum(trop_get(x, j, i + 1) for j in range(l, b + 1))
+        -x.get(l, i)
+        - 2 * sum(x.get(j, i) for j in range(l + 1, b + 1))
+        + sum(x.get(j, i - 1) for j in range(l + 1, b + 2))
+        + sum(x.get(j, i + 1) for j in range(l, b + 1))
     )
 
 
 def trop_wt(x, i):
     shape = x.shape
     if i == 0:
-        return -trop_get(x, 1, shape.n) - trop_get(x, shape.k, 1)
+        return -x.get(1, shape.n) - x.get(shape.k, 1)
     a, b = geom.bounds_row1(shape, i)
     return (
-        2 * sum(trop_get(x, j, i) for j in range(a, b + 1))
-        - sum(trop_get(x, j, i - 1) for j in range(a, b + 2))
-        - sum(trop_get(x, j, i + 1) for j in range(a - 1, b + 1))
+        2 * sum(x.get(j, i) for j in range(a, b + 1))
+        - sum(x.get(j, i - 1) for j in range(a, b + 2))
+        - sum(x.get(j, i + 1) for j in range(a - 1, b + 1))
     )
 
 
 def trop_eps(x, i):
     shape = x.shape
     if i == 0:
-        return trop_get(x, 1, shape.n) + epsilon_total(x)
+        return x.get(1, shape.n) + epsilon_total(x)
     a, b = geom.bounds_row1(shape, i)
     return max(trop_dbar(x, l, i) for l in range(a, b + 1))
-
-
-def _max_opt(values):
-    best = None
-    for v in values:
-        if v is None:
-            continue
-        if best is None or v > best:
-            best = v
-    return best
 
 
 def trop_e(x, i, d):
@@ -87,17 +77,18 @@ def trop_e(x, i, d):
             _, lo_hi, _ = region_sums(x, l, m)
             up_lo, _, _ = region_sums(x, l, m)
             _, lo_lo, _ = region_sums(x, l + 1, m)
-            num = _max_opt([up_hi, None if lo_hi is None else d + lo_hi])
-            den = _max_opt([up_lo, None if lo_lo is None else d + lo_lo])
+            # region maxima are None (minus infinity) when the region is empty
+            num = max(v for v in (up_hi, None if lo_hi is None else d + lo_hi) if v is not None)
+            den = max(v for v in (up_lo, None if lo_lo is None else d + lo_lo) if v is not None)
             entries[(l, m)] = x.get(l, m) + num - den
     else:
         a, b = geom.bounds_row1(shape, i)
         dbar = {p: trop_dbar(x, p, i) for p in range(a, b + 1)}
         for l in range(a, b + 1):
-            num = _max_opt(
+            num = max(
                 [dbar[p] for p in range(a, l)] + [d + dbar[p] for p in range(l, b + 1)]
             )
-            den = _max_opt(
+            den = max(
                 [dbar[p] for p in range(a, l + 1)] + [d + dbar[p] for p in range(l + 1, b + 1)]
             )
             entries[(l, i)] = x.get(l, i) + num - den

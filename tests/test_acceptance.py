@@ -10,6 +10,7 @@ exact under its stated operating bounds.
 
 from math import comb
 
+from conftest import SHAPES
 from pathcrystal import make_shape
 from pathcrystal.geom import verify_axioms
 from pathcrystal.iso import verify_iso
@@ -26,7 +27,6 @@ from pathcrystal.suites import (
     suite_weyl,
 )
 
-SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]
 SEED = 20260808
 
 

@@ -14,11 +14,12 @@ from pathcrystal import (
     extremal_c,
     kashiwara,
     make_shape,
+    point_from_json,
     weyl_s_tilde,
     zero_ops,
 )
 from pathcrystal import CartanA1n
-from pathcrystal.bkinf import crystal_graph_dot, from_json, sample_belement, to_json, wt
+from pathcrystal.bkinf import crystal_graph_dot, sample_belement, to_json, wt
 from math import comb
 
 S21 = make_shape(2, 1)
@@ -30,6 +31,8 @@ def test_element_validation():
         BElement(S21, {(1, 1): 1, (1, 2): 0, (1, 3): 0})  # row sum nonzero
     with pytest.raises(ValidationError):
         BElement(S21, {(1, 1): 0, (1, 2): 0})  # missing entry
+    with pytest.raises(ValidationError):
+        BElement(S21, {(1, 1): True, (1, 2): False, (1, 3): -1})  # bools are not integers
     assert B21.get(0, 1) == 0  # out-of-range reads are zero
     assert B21.get(1, 4) == 0
 
@@ -202,9 +205,9 @@ def test_weyl_involution_and_braid(shape):
 
 def test_json_round_trip(shape):
     b = sample_belement(shape, 90, 8)
-    assert from_json(to_json(b), make_shape) == b
+    assert point_from_json(to_json(b)) == b
     with pytest.raises(ValidationError):
-        from_json({"n": shape.n, "k": shape.k, "kind": "x", "entries": {}}, make_shape)
+        point_from_json({"n": shape.n, "k": shape.k, "kind": "x", "entries": {}})
 
 
 def test_graph_export_structure():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import MALFORMED_POINTS
 from pathcrystal.cli import main
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
@@ -52,6 +53,16 @@ def test_verify_rejects_bad_shape(capsys):
 
 def test_verify_rejects_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nope", "--n", "2", "--k", "1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_vacuous_runs_rejected(capsys, trials):
+    # zero trials check nothing, so they must not report ok
+    code, _ = run(capsys, "verify", "--suite", "birational", "--n", "3", "--k", "2",
+                  "--trials", trials)
+    assert code == 2
+    code, _ = run(capsys, "conjecture", "--n", "3", "--k", "1", "--trials", trials)
     assert code == 2
 
 
@@ -106,10 +117,13 @@ def test_act_trop_and_bkinf(capsys, point_file):
 
 
 def test_act_side_kind_mismatch(capsys, point_file):
-    code, _ = run(
-        capsys, "act", "--side", "geom", "--op", "e", "--i", "0",
-        "--c", "2/1", "--point", point_file(T21),
-    )
+    for data in (T21, B21):
+        code, _ = run(
+            capsys, "act", "--side", "geom", "--op", "e", "--i", "0",
+            "--c", "2/1", "--point", point_file(data),
+        )
+        assert code == 2
+    code, _ = run(capsys, "map", "--map", "sigma", "--point", point_file(B21))
     assert code == 2
 
 
@@ -136,11 +150,14 @@ def test_map_ud_probe(capsys, point_file):
     assert report["gamma"]["probe"] == report["gamma"]["tropical"] == -5
 
 
-def test_map_malformed_json(capsys, tmp_path):
+def test_map_malformed_json(capsys, tmp_path, point_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _ = run(capsys, "map", "--map", "sigma", "--point", str(bad))
     assert code == 2
+    for data in MALFORMED_POINTS:
+        code, _ = run(capsys, "map", "--map", "sigma", "--point", point_file(data))
+        assert code == 2, data
 
 
 def test_conjecture_report(capsys):

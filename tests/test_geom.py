@@ -8,12 +8,9 @@ from pathcrystal import (
     XPoint,
     act_e,
     act_e0_via_sigma,
-    act_ebar,
     dval,
     epsilon,
-    epsilonbar,
     gamma,
-    gammabar,
     make_shape,
     sample_point,
     sigma_map,
@@ -114,9 +111,9 @@ def test_epsilon_scaling(shape):
 
 def test_mirror_structure_smallest_shape():
     y = sigma_map(X21)
-    assert epsilonbar(y, 0) == y.get(1, 1) / y.get(1, 0)
-    assert act_ebar(y, 0, 1) == y
-    assert gammabar(y, 0) == gamma(X21, 0)
+    assert epsilon(y, 0) == y.get(1, 1) / y.get(1, 0)
+    assert act_e(y, 0, 1) == y
+    assert gamma(y, 0) == gamma(X21, 0)
 
 
 def test_intertwining_inner_indices(shape):
@@ -126,9 +123,9 @@ def test_intertwining_inner_indices(shape):
         y = sigma_map(x)
         c = sample_rational(rng, 9, avoid_one=True)
         for i in range(1, shape.n):
-            assert sigma_map(act_e(x, i, c)) == act_ebar(y, i, c)
-            assert gamma(x, i) == gammabar(y, i)
-            assert epsilon(x, i) == epsilonbar(y, i)
+            assert sigma_map(act_e(x, i, c)) == act_e(y, i, c)
+            assert gamma(x, i) == gamma(y, i)
+            assert epsilon(x, i) == epsilon(y, i)
 
 
 def test_zero_route_equality(shape):
@@ -138,8 +135,8 @@ def test_zero_route_equality(shape):
         c = sample_rational(rng, 9, avoid_one=True)
         assert act_e(x, 0, c) == act_e0_via_sigma(x, c)
         y = sigma_map(x)
-        assert gamma(x, 0) == gammabar(y, 0)
-        assert epsilon(x, 0) == epsilonbar(y, 0)
+        assert gamma(x, 0) == gamma(y, 0)
+        assert epsilon(x, 0) == epsilon(y, 0)
 
 
 def test_weyl_examples():

@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import MALFORMED_POINTS
 from pathcrystal import (
+    BElement,
     TropPoint,
     ValidationError,
     XPoint,
+    brute_epsilon,
+    epsilon_total,
     make_shape,
     point_from_json,
     point_to_json,
     sample_point,
-    trop_get,
-    x_get,
 )
 
 
@@ -28,7 +30,7 @@ def test_index_sets_enumerated_by_hand():
     assert set(shape.l2_indices) == {(1, 1), (1, 2), (2, 0), (2, 1)}
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (1, 1), (3, 0), (2, -1)])
+@pytest.mark.parametrize("n,k", [(2, 3), (1, 1), (3, 0), (2, -1), (3, True), (True, 1)])
 def test_bad_shapes_rejected(n, k):
     with pytest.raises(ValidationError):
         make_shape(n, k)
@@ -45,17 +47,17 @@ def test_cardinality_formula():
 def test_x_get_on_and_off_domain():
     shape = make_shape(2, 1)
     x = XPoint(shape, {(1, 1): 2, (1, 2): 3})
-    assert x_get(x, 1, 1) == 2
-    assert x_get(x, 2, 0) == 1
-    assert x_get(x, 0, 5) == 1
+    assert x.get(1, 1) == 2
+    assert x.get(2, 0) == 1
+    assert x.get(0, 5) == 1
 
 
 def test_trop_get_off_domain_is_zero():
     shape = make_shape(2, 1)
     x = TropPoint(shape, {(1, 1): 0, (1, 2): 5})
-    assert trop_get(x, 1, 2) == 5
-    assert trop_get(x, 2, 1) == 0
-    assert trop_get(x, 1, 0) == 0
+    assert x.get(1, 2) == 5
+    assert x.get(2, 1) == 0
+    assert x.get(1, 0) == 0
 
 
 def test_point_validation():
@@ -68,6 +70,20 @@ def test_point_validation():
         XPoint(shape, {(1, 1): 2, (1, 2): 3, (9, 9): 1})  # extra key
     with pytest.raises(ValidationError):
         TropPoint(shape, {(1, 1): 0, (1, 2): "5"})  # non-integer
+    with pytest.raises(ValidationError):
+        TropPoint(shape, {(1, 1): 0, (1, 2): True})  # bool is not an integer entry
+
+
+def test_points_are_frozen():
+    # path tables are memoized per point; a mutated entry would make them stale
+    x = sample_point(make_shape(4, 2), 3, 16, kind="x")
+    assert epsilon_total(x) == brute_epsilon(x)
+    with pytest.raises(TypeError):
+        x.entries[(2, 1)] = 7
+    assert epsilon_total(x) == brute_epsilon(x)
+    b = BElement(make_shape(2, 1), {(1, 1): 0, (1, 2): 5, (1, 3): -5})
+    with pytest.raises(TypeError):
+        b.entries[(1, 1)] = 1
 
 
 def test_sampling_is_deterministic(shape):
@@ -118,3 +134,6 @@ def test_json_schema_violations():
         point_from_json({"n": 2, "k": 1, "kind": "x", "entries": {"bad": "1/1"}})
     with pytest.raises(ValidationError):
         point_from_json({"n": 2, "k": 1, "kind": "trop", "entries": {"1,1": "5", "1,2": 0}})
+    for data in MALFORMED_POINTS:
+        with pytest.raises(ValidationError):
+            point_from_json(data)
