@@ -42,11 +42,10 @@ from .geom import (
     dval,
     epsilon,
     gamma,
-    verify_axioms,
     weyl_s,
     weyl_s_def,
 )
-from .iso import omega, omega_inv, pi_correspondence, verify_iso
+from .iso import omega, omega_inv, pi_correspondence
 from .lattice import (
     LatticeShape,
     TropPoint,

@@ -29,7 +29,7 @@ from .lattice import (
     point_to_json,
 )
 from .reporting import all_ok
-from .suites import SUITES, conjecture_outcomes, run_suite, suite_bound
+from .suites import SUITES, conjecture_outcomes, k1_ratio_holds, run_suite, suite_bound
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -200,43 +200,25 @@ def _probe_report(exponents, args):
     i = args.i
     if i is None:
         raise ValidationError("ud-probe needs --i")
-    moved = tropical.trop_e(exponents, i, args.d)
-    report = {
-        "i": i,
-        "d": args.d,
-        "gamma": {
-            "probe": tropical.ud_degree_probe("gamma", exponents, i),
-            "tropical": tropical.trop_wt(exponents, i),
-        },
-        "epsilon": {
-            "probe": tropical.ud_degree_probe("epsilon", exponents, i),
-            "tropical": tropical.trop_eps(exponents, i),
-        },
-        "action": {},
+    pairs = tropical.probe_pairs(exponents, i, args.d)
+    report = {"i": i, "d": args.d}
+    for quantity in ("gamma", "epsilon"):
+        probe, form = pairs[quantity]
+        report[quantity] = {"probe": probe, "tropical": form}
+    probe, form = pairs["action"]
+    report["action"] = {
+        "%d,%d" % lm: {"probe": probe.get(*lm), "tropical": form.get(*lm)}
+        for lm in exponents.shape.l1_indices
     }
-    for (l, m) in exponents.shape.l1_indices:
-        report["action"]["%d,%d" % (l, m)] = {
-            "probe": tropical.ud_degree_probe("e", exponents, i, d=args.d, coord=(l, m)),
-            "tropical": moved.get(l, m),
-        }
-    matches = (
-        report["gamma"]["probe"] == report["gamma"]["tropical"]
-        and report["epsilon"]["probe"] == report["epsilon"]["tropical"]
-        and all(v["probe"] == v["tropical"] for v in report["action"].values())
-    )
-    report["match"] = matches
+    report["match"] = all(p == f for p, f in pairs.values())
     _emit(report, args.json)
-    return EXIT_OK if matches else EXIT_FAIL
+    return EXIT_OK if report["match"] else EXIT_FAIL
 
 
 def cmd_conjecture(args):
     shape = make_shape(args.n, args.k)
-    outcomes = conjecture_outcomes(shape, args.trials, args.seed, args.bound or 16)
-    ratio_ok = None
-    if shape.k == 1:
-        ratio_ok = all(
-            o["proportional"] and o["ratio"] == o["expected_k1_ratio"] for o in outcomes
-        )
+    outcomes = conjecture_outcomes(shape, args.trials, args.seed, args.bound)
+    ratio_ok = all(map(k1_ratio_holds, outcomes)) if shape.k == 1 else None
     report = {
         "n": shape.n,
         "k": shape.k,

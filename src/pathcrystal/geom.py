@@ -2,9 +2,9 @@
 
 The chart carrying x-coordinates has actions indexed by 1..n plus an
 induced 0-action; the chart carrying y-coordinates has actions indexed by
-0..n-1.  Together they assemble the full affine family, and
-:func:`verify_axioms` machine-checks every defining relation at random
-points.  :func:`dval`, :func:`gamma`, :func:`epsilon` and :func:`act_e`
+0..n-1.  Together they assemble the full affine family, whose defining
+relations :func:`pathcrystal.suites.suite_axioms` checks at random points.
+:func:`dval`, :func:`gamma`, :func:`epsilon` and :func:`act_e`
 take a point of either chart: both use the same diagonal-product formulas
 and differ only in the rows an index moves (:func:`bounds_row1` or
 :func:`bounds_row2`, chosen by the point's ``side``); only the x-chart's
@@ -21,9 +21,7 @@ from fractions import Fraction
 
 from .birational import sigma_map, xi_map
 from .errors import ValidationError
-from .lattice import SplitMix64, point_to_json, sample_point, sample_rational
 from .paths import epsilon_total, region_sums
-from .reporting import RelationCheck
 
 
 class CartanA1n:
@@ -223,83 +221,3 @@ def weyl_s(x, i):
 def weyl_s_def(x, i):
     """Definitional route for the reflection: the action at parameter 1/gamma."""
     return act_e(x, i, x.semiring.inv(gamma(x, i)))
-
-
-# ---------------------------------------------------------------------------
-# randomized axiom verification
-
-
-def _witness(shape, x, extra):
-    data = {"point": point_to_json(x)}
-    data.update(extra)
-    return data
-
-
-def verify_axioms(shape, trials, seed, bound=16, params=1):
-    """Randomized check of every defining relation of the affine structure.
-
-    Each of ``trials`` points is tested with ``params`` draws of the
-    parameter pair.  Returns a list of :class:`RelationCheck`; failures
-    carry reproducing witnesses instead of raising.
-    """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    cartan = CartanA1n(shape.n)
-    index_set = range(shape.n + 1)
-    checks = {
-        name: RelationCheck(name)
-        for name in (
-            "identity-at-1",
-            "parameter-group-law",
-            "gamma-scaling",
-            "epsilon-scaling",
-            "epsilon-invariance",
-            "commutation",
-            "verma",
-        )
-    }
-    rng = SplitMix64(seed ^ 0xA1F1)
-    for t, p in ((t, p) for t in range(trials) for p in range(params)):
-        x = sample_point(shape, seed + t, bound, kind="x")
-        c = sample_rational(rng, bound, avoid_one=(p % 2 == 0))
-        d = sample_rational(rng, bound, avoid_one=(p % 2 == 1))
-        for i in index_set:
-            xi = act_e(x, i, c)
-            checks["identity-at-1"].record(
-                act_e(x, i, Fraction(1)) == x,
-                _witness(shape, x, {"i": i}),
-            )
-            checks["parameter-group-law"].record(
-                act_e(xi, i, d) == act_e(x, i, c * d),
-                _witness(shape, x, {"i": i, "c": str(c), "d": str(d)}),
-            )
-            checks["epsilon-scaling"].record(
-                epsilon(xi, i) == epsilon(x, i) / c,
-                _witness(shape, x, {"i": i, "c": str(c)}),
-            )
-            for j in index_set:
-                checks["gamma-scaling"].record(
-                    gamma(xi, j) == c ** cartan.a(i, j) * gamma(x, j),
-                    _witness(shape, x, {"i": i, "j": j, "c": str(c)}),
-                )
-            for j in index_set:
-                if j <= i:
-                    continue
-                aij = cartan.a(i, j)
-                if aij == 0:
-                    checks["commutation"].record(
-                        act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d),
-                        _witness(shape, x, {"i": i, "j": j, "c": str(c), "d": str(d)}),
-                    )
-                    checks["epsilon-invariance"].record(
-                        epsilon(act_e(x, j, c), i) == epsilon(x, i),
-                        _witness(shape, x, {"i": i, "j": j, "c": str(c)}),
-                    )
-                else:
-                    lhs = act_e(act_e(act_e(x, i, d), j, c * d), i, c)
-                    rhs = act_e(act_e(act_e(x, j, c), i, c * d), j, d)
-                    checks["verma"].record(
-                        lhs == rhs,
-                        _witness(shape, x, {"i": i, "j": j, "c": str(c), "d": str(d)}),
-                    )
-    return list(checks.values())

@@ -1,6 +1,10 @@
 """Pass/fail bookkeeping shared by the verification suites."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from . import bkinf
+from .lattice import format_rational, point_to_json
 
 MAX_WITNESSES = 3
 
@@ -14,12 +18,26 @@ class RelationCheck:
     fails: int = 0
     witnesses: list = field(default_factory=list)
 
-    def record(self, ok, witness=None):
+    def record(self, ok, point=None, **extra):
+        """Count one trial; a kept failure encodes ``point`` and ``extra``.
+
+        The witness is ``{"point": <point file>, **extra}`` (no ``point``
+        key when none is given), with rational extras written as ``"p/q"``,
+        so the point replays through ``--point``.  Passing trials and
+        failures beyond :data:`MAX_WITNESSES` build nothing.
+        """
         if ok:
             self.passes += 1
         else:
             self.fails += 1
-            if witness is not None and len(self.witnesses) < MAX_WITNESSES:
+            if len(self.witnesses) < MAX_WITNESSES:
+                witness = {
+                    key: format_rational(value) if isinstance(value, Fraction) else value
+                    for key, value in extra.items()
+                }
+                if point is not None:
+                    encode = bkinf.to_json if point.kind == "b" else point_to_json
+                    witness["point"] = encode(point)
                 self.witnesses.append(witness)
         return ok
 

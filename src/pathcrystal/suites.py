@@ -25,17 +25,24 @@ from .paths import (
     brute_region_sums,
     epsilon_total,
     partial_sum,
+    path_weight,
     region_sums,
 )
 from .reporting import RelationCheck
 
+# parameter draws per sampled point in the one-parameter action suites
+PARAMS = 5
+# step counts checked by the array bijection's step intertwining
+DVALS = range(-3, 4)
 
-def suite_paths(shape, trials, seed, bound=16):
+
+def _checks(*names):
+    return {name: RelationCheck(name) for name in names}
+
+
+def suite_paths(shape, trials, seed, bound):
     """Dynamic programming against enumeration, all nodes, both semirings."""
-    checks = {
-        name: RelationCheck(name)
-        for name in ("partial-sums", "regions", "total-weight")
-    }
+    checks = _checks("partial-sums", "regions", "total-weight")
     for t in range(trials):
         points = [
             sample_point(shape, seed + t, bound, kind="x"),
@@ -43,273 +50,246 @@ def suite_paths(shape, trials, seed, bound=16):
         ]
         ypoint = sample_point(shape, seed + t, bound, kind="y")
         for point in points:
-            wit = {"point": point_to_json(point)}
             for kind in ("X", "Xstar"):
                 for (l, m) in shape.l1_indices:
                     checks["partial-sums"].record(
                         partial_sum(point, kind, l, m) == brute_partial_sum(point, kind, l, m),
-                        dict(wit, kind=kind, l=l, m=m),
+                        point, kind=kind, l=l, m=m,
                     )
             for l in range(0, shape.k + 2):
                 for m in range(1, shape.n + 1):
                     checks["regions"].record(
                         region_sums(point, l, m) == brute_region_sums(point, l, m),
-                        dict(wit, l=l, m=m),
+                        point, l=l, m=m,
                     )
-            checks["total-weight"].record(
-                epsilon_total(point) == brute_epsilon(point), wit
-            )
-        wit = {"point": point_to_json(ypoint)}
+            checks["total-weight"].record(epsilon_total(point) == brute_epsilon(point), point)
         for kind in ("Y", "Ystar"):
             for (l, m) in shape.l2_indices:
                 checks["partial-sums"].record(
                     partial_sum(ypoint, kind, l, m) == brute_partial_sum(ypoint, kind, l, m),
-                    dict(wit, kind=kind, l=l, m=m),
+                    ypoint, kind=kind, l=l, m=m,
                 )
     return list(checks.values())
 
 
-def suite_birational(shape, trials, seed, bound=16):
-    checks = {
-        name: RelationCheck(name) for name in ("inverse-on-x", "inverse-on-y", "positivity")
-    }
+def suite_birational(shape, trials, seed, bound):
+    checks = _checks("inverse-on-x", "inverse-on-y", "positivity")
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sample_point(shape, seed + 7919 + t, bound, kind="y")
         image = sigma_map(x)
-        checks["inverse-on-x"].record(xi_map(image) == x, {"point": point_to_json(x)})
-        checks["inverse-on-y"].record(
-            sigma_map(xi_map(y)) == y, {"point": point_to_json(y)}
-        )
+        checks["inverse-on-x"].record(xi_map(image) == x, x)
+        checks["inverse-on-y"].record(sigma_map(xi_map(y)) == y, y)
         checks["positivity"].record(
             all(v > 0 for v in image.entries.values())
             and all(v > 0 for v in xi_map(y).entries.values()),
-            {"point": point_to_json(x)},
+            x,
         )
     return list(checks.values())
 
 
-def suite_lemma44(shape, trials, seed, bound=16):
+def suite_lemma44(shape, trials, seed, bound):
     """Coordinates factor through the opposite chart's partial sums."""
-    checks = {name: RelationCheck(name) for name in ("factor-on-x", "factor-on-y")}
+    checks = _checks("factor-on-x", "factor-on-y")
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sigma_map(x)
         for (l, m) in shape.l1_indices:
             lhs = x.get(l, m)
             rhs = partial_sum(x, "X", l, m) * partial_sum(y, "Ystar", l - 1, m)
-            checks["factor-on-x"].record(
-                lhs == rhs, {"point": point_to_json(x), "l": l, "m": m}
-            )
+            checks["factor-on-x"].record(lhs == rhs, x, l=l, m=m)
         yr = sample_point(shape, seed + 104729 + t, bound, kind="y")
         xr = xi_map(yr)
         for (l, m) in shape.l2_indices:
             lhs = yr.get(l, m)
             rhs = partial_sum(yr, "Ystar", l, m) * partial_sum(xr, "X", l, m)
-            checks["factor-on-y"].record(
-                lhs == rhs, {"point": point_to_json(yr), "l": l, "m": m}
-            )
+            checks["factor-on-y"].record(lhs == rhs, yr, l=l, m=m)
     return list(checks.values())
 
 
-def suite_intertwine(shape, trials, seed, bound=16, params=5):
+def suite_intertwine(shape, trials, seed, bound):
     """The chart change commutes with the shared actions (indices 1..n-1)."""
-    checks = {
-        name: RelationCheck(name)
-        for name in ("action-intertwine", "gamma-transport", "epsilon-transport")
-    }
+    checks = _checks("action-intertwine", "gamma-transport", "epsilon-transport")
     rng = SplitMix64(_mix_tag(seed, 0x51))
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sigma_map(x)
         for i in range(1, shape.n):
-            checks["gamma-transport"].record(
-                geom.gamma(x, i) == geom.gamma(y, i),
-                {"point": point_to_json(x), "i": i},
-            )
-            checks["epsilon-transport"].record(
-                geom.epsilon(x, i) == geom.epsilon(y, i),
-                {"point": point_to_json(x), "i": i},
-            )
-            for _ in range(params):
+            checks["gamma-transport"].record(geom.gamma(x, i) == geom.gamma(y, i), x, i=i)
+            checks["epsilon-transport"].record(geom.epsilon(x, i) == geom.epsilon(y, i), x, i=i)
+            for _ in range(PARAMS):
                 c = sample_rational(rng, bound, avoid_one=True)
                 checks["action-intertwine"].record(
-                    sigma_map(geom.act_e(x, i, c)) == geom.act_e(y, i, c),
-                    {"point": point_to_json(x), "i": i, "c": format_rational(c)},
+                    sigma_map(geom.act_e(x, i, c)) == geom.act_e(y, i, c), x, i=i, c=c
                 )
     return list(checks.values())
 
 
-def suite_axioms(shape, trials, seed, bound=16, params=5):
-    return geom.verify_axioms(shape, trials, seed, bound, params=params)
+def suite_axioms(shape, trials, seed, bound):
+    """Every defining relation of the affine structure, incl. the 0-n Verma relation.
+
+    Each sampled point is tested with :data:`PARAMS` draws of the
+    parameter pair (c, d).
+    """
+    act_e, epsilon, gamma = geom.act_e, geom.epsilon, geom.gamma
+    cartan = geom.CartanA1n(shape.n)
+    index_set = range(shape.n + 1)
+    checks = _checks(
+        "identity-at-1", "parameter-group-law", "gamma-scaling", "epsilon-scaling",
+        "epsilon-invariance", "commutation", "verma",
+    )
+    rng = SplitMix64(seed ^ 0xA1F1)
+    for t in range(trials):
+        x = sample_point(shape, seed + t, bound, kind="x")
+        for p in range(PARAMS):
+            c = sample_rational(rng, bound, avoid_one=(p % 2 == 0))
+            d = sample_rational(rng, bound, avoid_one=(p % 2 == 1))
+            for i in index_set:
+                xi = act_e(x, i, c)
+                checks["identity-at-1"].record(act_e(x, i, Fraction(1)) == x, x, i=i)
+                checks["parameter-group-law"].record(
+                    act_e(xi, i, d) == act_e(x, i, c * d), x, i=i, c=c, d=d
+                )
+                checks["epsilon-scaling"].record(epsilon(xi, i) == epsilon(x, i) / c, x, i=i, c=c)
+                for j in index_set:
+                    checks["gamma-scaling"].record(
+                        gamma(xi, j) == c ** cartan.a(i, j) * gamma(x, j), x, i=i, j=j, c=c
+                    )
+                for j in range(i + 1, shape.n + 1):
+                    if cartan.a(i, j) == 0:
+                        checks["commutation"].record(
+                            act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d),
+                            x, i=i, j=j, c=c, d=d,
+                        )
+                        checks["epsilon-invariance"].record(
+                            epsilon(act_e(x, j, c), i) == epsilon(x, i), x, i=i, j=j, c=c
+                        )
+                    else:
+                        lhs = act_e(act_e(act_e(x, i, d), j, c * d), i, c)
+                        rhs = act_e(act_e(act_e(x, j, c), i, c * d), j, d)
+                        checks["verma"].record(lhs == rhs, x, i=i, j=j, c=c, d=d)
+    return list(checks.values())
 
 
-def suite_e0route(shape, trials, seed, bound=16, params=5):
+def suite_e0route(shape, trials, seed, bound):
     """Closed-form 0-action equals the chart-conjugated route."""
-    checks = {
-        name: RelationCheck(name)
-        for name in ("e0-route", "gamma0-route", "epsilon0-route")
-    }
+    checks = _checks("e0-route", "gamma0-route", "epsilon0-route")
     rng = SplitMix64(_mix_tag(seed, 0xE0))
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sigma_map(x)
-        checks["gamma0-route"].record(
-            geom.gamma(x, 0) == geom.gamma(y, 0), {"point": point_to_json(x)}
-        )
-        checks["epsilon0-route"].record(
-            geom.epsilon(x, 0) == geom.epsilon(y, 0), {"point": point_to_json(x)}
-        )
-        for _ in range(params):
+        checks["gamma0-route"].record(geom.gamma(x, 0) == geom.gamma(y, 0), x)
+        checks["epsilon0-route"].record(geom.epsilon(x, 0) == geom.epsilon(y, 0), x)
+        for _ in range(PARAMS):
             c = sample_rational(rng, bound, avoid_one=True)
-            checks["e0-route"].record(
-                geom.act_e(x, 0, c) == geom.act_e0_via_sigma(x, c),
-                {"point": point_to_json(x), "c": format_rational(c)},
+            checks["e0-route"].record(geom.act_e(x, 0, c) == geom.act_e0_via_sigma(x, c), x, c=c)
+    return list(checks.values())
+
+
+def suite_iso(shape, trials, seed, bound):
+    """The array bijection intertwines all crystal data."""
+    checks = _checks(
+        "round-trip", "weight-match", "eps-match", "step-intertwine",
+        "reflection-intertwine", "delta-path",
+    )
+    family = bkinf.all_ctuples(shape)
+    for t in range(trials):
+        x = sample_point(shape, seed + t, bound, kind="trop")
+        b = iso.omega(x)
+        checks["round-trip"].record(iso.omega_inv(b) == x and iso.omega(iso.omega_inv(b)) == b, x)
+        for c in family:
+            checks["delta-path"].record(
+                bkinf.delta(b, c) == -path_weight(x, iso.pi_correspondence(shape, c)),
+                x, c=c.values,
+            )
+        for i in range(shape.n + 1):
+            eps_b = bkinf.eps_phi_0(b)[0] if i == 0 else bkinf.eps_phi(b, i)[0]
+            checks["weight-match"].record(tropical.trop_wt(x, i) == bkinf.wt(b, i), x, i=i)
+            checks["eps-match"].record(tropical.trop_eps(x, i) == eps_b, x, i=i)
+            for d in DVALS:
+                checks["step-intertwine"].record(
+                    iso.omega(tropical.trop_e(x, i, d)) == bkinf.bk_e(b, i, d), x, i=i, d=d
+                )
+            checks["reflection-intertwine"].record(
+                iso.omega(tropical.trop_weyl(x, i)) == bkinf.weyl_s_tilde(b, i), x, i=i
             )
     return list(checks.values())
 
 
-def suite_iso(shape, trials, seed, bound=10):
-    return iso.verify_iso(shape, trials, seed, bound)
+def suite_udprobe(shape, trials, seed, bound):
+    """Degree probe of the rational quantities against the tropical forms.
 
-
-def suite_udprobe(shape, trials, seed, bound=8):
-    """Degree probe of the rational quantities against the tropical forms."""
-    checks = {
-        name: RelationCheck(name)
-        for name in ("probe-gamma", "probe-epsilon", "probe-action")
-    }
+    A witness names one probe call: replaying its point through
+    ``map --map ud-probe --i I --d D`` reports all three pairs.
+    """
+    checks = _checks("probe-gamma", "probe-epsilon", "probe-action")
     rng = SplitMix64(_mix_tag(seed, 0xDE))
-    bound = min(bound, tropical.PROBE_MAX_EXPONENT)
     for t in range(trials):
         exponents = sample_point(shape, seed + t, bound, kind="trop")
-        wit = {"point": point_to_json(exponents)}
         for i in range(shape.n + 1):
-            checks["probe-gamma"].record(
-                tropical.ud_degree_probe("gamma", exponents, i)
-                == tropical.trop_wt(exponents, i),
-                dict(wit, i=i),
-            )
-            checks["probe-epsilon"].record(
-                tropical.ud_degree_probe("epsilon", exponents, i)
-                == tropical.trop_eps(exponents, i),
-                dict(wit, i=i),
-            )
             d = rng.randint(-3, 3)
-            moved = tropical.trop_e(exponents, i, d)
-            checks["probe-action"].record(
-                all(
-                    tropical.ud_degree_probe("e", exponents, i, d=d, coord=lm)
-                    == moved.get(*lm)
-                    for lm in shape.l1_indices
-                ),
-                dict(wit, i=i, d=d),
-            )
+            for quantity, (probe, form) in tropical.probe_pairs(exponents, i, d).items():
+                checks["probe-" + quantity].record(probe == form, exponents, i=i, d=d)
     return list(checks.values())
 
 
-def suite_weyl(shape, trials, seed, bound=16):
+def suite_weyl(shape, trials, seed, bound):
     """Reflection relations on all three realizations, closed vs defining."""
     cartan = geom.CartanA1n(shape.n)
-    names = (
-        "geometric-closed-form",
-        "geometric-involution",
-        "geometric-braid",
-        "geometric-commute",
-        "tropical-involution",
-        "tropical-braid",
-        "tropical-commute",
-        "array-closed-form",
-        "array-involution",
-        "array-braid",
-        "array-commute",
+    checks = _checks(
+        "geometric-closed-form", "geometric-involution", "geometric-braid", "geometric-commute",
+        "tropical-involution", "tropical-braid", "tropical-commute",
+        "array-closed-form", "array-involution", "array-braid", "array-commute",
     )
-    checks = {name: RelationCheck(name) for name in names}
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         z = sample_point(shape, seed + t, bound, kind="trop")
         b = bkinf.sample_belement(shape, seed + t, bound)
-        wx = {"point": point_to_json(x)}
-        wz = {"point": point_to_json(z)}
-        wb = {"element": bkinf.to_json(b)}
+        realizations = (
+            ("geometric", geom.weyl_s, x),
+            ("tropical", tropical.trop_weyl, z),
+            ("array", bkinf.weyl_s_tilde, b),
+        )
         for i in range(shape.n + 1):
             checks["geometric-closed-form"].record(
-                geom.weyl_s(x, i) == geom.weyl_s_def(x, i), dict(wx, i=i)
-            )
-            checks["geometric-involution"].record(
-                geom.weyl_s(geom.weyl_s(x, i), i) == x, dict(wx, i=i)
-            )
-            checks["tropical-involution"].record(
-                tropical.trop_weyl(tropical.trop_weyl(z, i), i) == z, dict(wz, i=i)
+                geom.weyl_s(x, i) == geom.weyl_s_def(x, i), x, i=i
             )
             checks["array-closed-form"].record(
-                bkinf.weyl_s_tilde(b, i) == bkinf.bk_e(b, i, -bkinf.wt(b, i)),
-                dict(wb, i=i),
+                bkinf.weyl_s_tilde(b, i) == bkinf.bk_e(b, i, -bkinf.wt(b, i)), b, i=i
             )
-            checks["array-involution"].record(
-                bkinf.weyl_s_tilde(bkinf.weyl_s_tilde(b, i), i) == b, dict(wb, i=i)
-            )
-            for j in range(i + 1, shape.n + 1):
-                if cartan.a(i, j) == 0:
-                    checks["geometric-commute"].record(
-                        geom.weyl_s(geom.weyl_s(x, i), j)
-                        == geom.weyl_s(geom.weyl_s(x, j), i),
-                        dict(wx, i=i, j=j),
-                    )
-                    checks["tropical-commute"].record(
-                        tropical.trop_weyl(tropical.trop_weyl(z, i), j)
-                        == tropical.trop_weyl(tropical.trop_weyl(z, j), i),
-                        dict(wz, i=i, j=j),
-                    )
-                    checks["array-commute"].record(
-                        bkinf.weyl_s_tilde(bkinf.weyl_s_tilde(b, i), j)
-                        == bkinf.weyl_s_tilde(bkinf.weyl_s_tilde(b, j), i),
-                        dict(wb, i=i, j=j),
-                    )
-                else:
-                    checks["geometric-braid"].record(
-                        _braid(geom.weyl_s, x, i, j), dict(wx, i=i, j=j)
-                    )
-                    checks["tropical-braid"].record(
-                        _braid(tropical.trop_weyl, z, i, j), dict(wz, i=i, j=j)
-                    )
-                    checks["array-braid"].record(
-                        _braid(bkinf.weyl_s_tilde, b, i, j), dict(wb, i=i, j=j)
-                    )
+            for label, refl, value in realizations:
+                checks[label + "-involution"].record(refl(refl(value, i), i) == value, value, i=i)
+                for j in range(i + 1, shape.n + 1):
+                    if cartan.a(i, j) == 0:
+                        ok = refl(refl(value, i), j) == refl(refl(value, j), i)
+                        checks[label + "-commute"].record(ok, value, i=i, j=j)
+                    else:
+                        ok = refl(refl(refl(value, i), j), i) == refl(refl(refl(value, j), i), j)
+                        checks[label + "-braid"].record(ok, value, i=i, j=j)
     return list(checks.values())
 
 
-def _braid(refl, value, i, j):
-    lhs = refl(refl(refl(value, i), j), i)
-    rhs = refl(refl(refl(value, j), i), j)
-    return lhs == rhs
-
-
-def suite_extremal(shape, trials, seed, bound=10):
+def suite_extremal(shape, trials, seed, bound):
     """Extremal-tuple machinery: minimality, inequalities, equal minima."""
-    checks = {name: RelationCheck(name) for name in ("extremal-tuples", "equal-minima")}
+    checks = _checks("extremal-tuples", "equal-minima")
     for t in range(trials):
         b = bkinf.sample_belement(shape, seed + t, bound)
-        wit = {"element": bkinf.to_json(b)}
         try:
             ce = bkinf.extremal_c(b, "e")
             cf = bkinf.extremal_c(b, "f")
         except CrystalFault as fault:
-            checks["extremal-tuples"].record(False, dict(wit, fault=str(fault)))
+            checks["extremal-tuples"].record(False, b, fault=str(fault))
             continue
-        checks["extremal-tuples"].record(True, wit)
+        checks["extremal-tuples"].record(True)
         checks["equal-minima"].record(
-            bkinf.delta(b, ce) == bkinf.delta(b, cf), dict(wit, ce=ce.values, cf=cf.values)
+            bkinf.delta(b, ce) == bkinf.delta(b, cf), b, ce=ce.values, cf=cf.values
         )
     return list(checks.values())
 
 
-def suite_fundrep(shape, trials, seed, bound=16):
+def suite_fundrep(shape, trials, seed, bound):
     """Exhaustive operator nilpotence and highest-weight annihilation."""
-    checks = {
-        name: RelationCheck(name)
-        for name in ("nilpotence", "annihilation-u1", "annihilation-u2")
-    }
+    checks = _checks("nilpotence", "annihilation-u1", "annihilation-u2")
     keys = fundrep.basis_keys(shape)
     for i in range(shape.n + 1):
         for key in keys:
@@ -318,13 +298,13 @@ def suite_fundrep(shape, trials, seed, bound=16):
                 fundrep.apply_gen(fundrep.apply_gen(v, gen, i), gen, i).is_zero()
                 for gen in ("e", "f")
             )
-            checks["nilpotence"].record(ok, {"i": i, "key": list(key)})
+            checks["nilpotence"].record(ok, i=i, key=list(key))
     u1 = fundrep.unit_vector(shape, fundrep.highest_u1(shape))
     u2 = fundrep.unit_vector(shape, fundrep.highest_u2(shape))
     for i in range(1, shape.n + 1):
-        checks["annihilation-u1"].record(fundrep.apply_gen(u1, "e", i).is_zero(), {"i": i})
+        checks["annihilation-u1"].record(fundrep.apply_gen(u1, "e", i).is_zero(), i=i)
     for i in range(0, shape.n):
-        checks["annihilation-u2"].record(fundrep.apply_gen(u2, "e", i).is_zero(), {"i": i})
+        checks["annihilation-u2"].record(fundrep.apply_gen(u2, "e", i).is_zero(), i=i)
     return list(checks.values())
 
 
@@ -334,35 +314,41 @@ def _require_trials(trials):
         raise ValidationError("trials must be >= 1, got %r" % (trials,))
 
 
-def conjecture_outcomes(shape, trials, seed, bound=16):
-    """Raw probe outcomes for the proportionality experiment."""
-    _require_trials(trials)
-    outcomes = []
+def _conjecture_runs(shape, trials, seed, bound):
+    """(point, outcome) per trial of the proportionality experiment."""
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         result = fundrep.proportionality_probe(x)
-        record = {
+        outcome = {
             "point": point_to_json(x),
             "proportional": result["proportional"],
             "ratio": format_rational(result["ratio"]) if result["ratio"] is not None else None,
         }
         if shape.k == 1:
-            record["expected_k1_ratio"] = format_rational(
-                Fraction(1) / x.get(1, shape.n)
-            )
-        outcomes.append(record)
-    return outcomes
+            outcome["expected_k1_ratio"] = format_rational(Fraction(1) / x.get(1, shape.n))
+        yield x, outcome
 
 
-def suite_conjecture(shape, trials, seed, bound=16):
+def conjecture_outcomes(shape, trials, seed, bound=16):
+    """Raw probe outcomes for the proportionality experiment."""
+    _require_trials(trials)
+    return [outcome for _, outcome in _conjecture_runs(shape, trials, seed, bound)]
+
+
+def k1_ratio_holds(outcome):
+    """The gated k = 1 identity: proportional, with ratio 1/x_(1,n)."""
+    return outcome["proportional"] and outcome["ratio"] == outcome["expected_k1_ratio"]
+
+
+def suite_conjecture(shape, trials, seed, bound):
     """Report-only probe; only the k=1 scalar identity gates."""
-    checks = {name: RelationCheck(name) for name in ("probe-runs", "k1-ratio")}
-    for record in conjecture_outcomes(shape, trials, seed, bound):
+    checks = _checks("probe-runs", "k1-ratio")
+    for x, outcome in _conjecture_runs(shape, trials, seed, bound):
         checks["probe-runs"].record(True)
         if shape.k == 1:
             checks["k1-ratio"].record(
-                record["proportional"] and record["ratio"] == record["expected_k1_ratio"],
-                record,
+                k1_ratio_holds(outcome), x,
+                ratio=outcome["ratio"], expected_k1_ratio=outcome["expected_k1_ratio"],
             )
     return list(checks.values())
 
@@ -386,9 +372,16 @@ DEFAULT_BOUNDS = {"iso": 10, "udprobe": 8, "extremal": 10}
 
 
 def suite_bound(name, bound=None):
-    if bound is not None:
-        return bound
-    return DEFAULT_BOUNDS.get(name, 16)
+    """The sampling bound a suite runs at, as its report states it.
+
+    ``None`` selects the suite's default; the degree probe clamps to the
+    largest exponent it can read exactly.
+    """
+    if bound is None:
+        bound = DEFAULT_BOUNDS.get(name, 16)
+    if name == "udprobe":
+        bound = min(bound, tropical.PROBE_MAX_EXPONENT)
+    return bound
 
 
 def run_suite(name, shape, trials, seed, bound=None):

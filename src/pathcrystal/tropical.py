@@ -74,8 +74,7 @@ def trop_e(x, i, d):
                 entries[(l, m)] = x.get(l, m) - d
                 continue
             up_hi, _, _ = region_sums(x, l - 1, m)
-            _, lo_hi, _ = region_sums(x, l, m)
-            up_lo, _, _ = region_sums(x, l, m)
+            up_lo, lo_hi, _ = region_sums(x, l, m)
             _, lo_lo, _ = region_sums(x, l + 1, m)
             # region maxima are None (minus infinity) when the region is empty
             num = max(v for v in (up_hi, None if lo_hi is None else d + lo_hi) if v is not None)
@@ -147,12 +146,12 @@ def degree_of(value):
     return deg
 
 
-def ud_degree_probe(name, exponents, i, d=0, coord=None):
+def ud_degree_probe(name, exponents, i, d=0):
     """Leading exponent of a named rational quantity at a power point.
 
     ``name`` is one of ``"gamma"``, ``"epsilon"`` or ``"e"``; for ``"e"``
-    the probed quantity is the (l, m) coordinate of the action at
-    parameter ``t**d`` and ``coord`` must be supplied.
+    the result is the point of leading exponents of the action at
+    parameter ``t**d``, one coordinate per entry.
     """
     big = probe_point(exponents)
     if name == "gamma":
@@ -160,8 +159,17 @@ def ud_degree_probe(name, exponents, i, d=0, coord=None):
     if name == "epsilon":
         return degree_of(geom.epsilon(big, i))
     if name == "e":
-        if coord is None:
-            raise ValidationError("probing an action coordinate needs coord=(l, m)")
         moved = geom.act_e(big, i, _power(d))
-        return degree_of(moved.get(*coord))
+        return TropPoint(
+            exponents.shape, {key: degree_of(v) for key, v in moved.entries.items()}
+        )
     raise ValidationError("unknown probe quantity %r" % (name,))
+
+
+def probe_pairs(exponents, i, d):
+    """(probe, tropical form) for gamma, epsilon and the action at ``t**d``."""
+    return {
+        "gamma": (ud_degree_probe("gamma", exponents, i), trop_wt(exponents, i)),
+        "epsilon": (ud_degree_probe("epsilon", exponents, i), trop_eps(exponents, i)),
+        "action": (ud_degree_probe("e", exponents, i, d), trop_e(exponents, i, d)),
+    }

@@ -179,23 +179,62 @@ def test_graph_export(capsys):
     assert '[label="0"]' in out and '[label="3"]' in out
 
 
-def test_witness_replay_through_act(capsys, point_file, tmp_path):
-    # a witness records the input point and parameters; replaying it through
-    # `act` must reproduce the recorded relation (here: both routes of the
-    # zero action agree, so the replayed output matches the direct call)
-    from pathcrystal import act_e, act_e0_via_sigma, point_from_json
+def test_witness_replay_through_act(capsys, point_file):
+    # a kept failure encodes its point and parameters; replaying the point
+    # through `act` must reproduce the recorded relation (here: both routes
+    # of the zero action agree, so the replayed output matches the direct call)
     from fractions import Fraction
 
-    witness = {"point": X21, "c": "7/3"}
+    from pathcrystal import act_e, act_e0_via_sigma, point_from_json, point_to_json
+    from pathcrystal.reporting import RelationCheck
+
+    check = RelationCheck("e0-route")
+    check.record(False, point_from_json(X21), c=Fraction(7, 3))
+    (witness,) = check.witnesses
+    assert witness == {"point": X21, "c": "7/3"}
     x = point_from_json(witness["point"])
     direct = act_e(x, 0, Fraction(7, 3))
-    routed = act_e0_via_sigma(x, Fraction(7, 3))
-    assert direct == routed
+    assert direct == act_e0_via_sigma(x, Fraction(7, 3))
     code, out = run(
         capsys, "act", "--side", "geom", "--op", "e", "--i", "0",
         "--c", witness["c"], "--point", point_file(witness["point"]), "--json",
     )
     assert code == 0
-    from pathcrystal import point_to_json
-
     assert json.loads(out) == json.loads(json.dumps(point_to_json(direct)))
+
+
+def test_array_witness_decodes():
+    from pathcrystal import point_from_json
+    from pathcrystal.reporting import RelationCheck
+
+    b = point_from_json(B21)
+    check = RelationCheck("array-involution")
+    check.record(True, b, i=0)
+    check.record(False, b, i=1)
+    (witness,) = check.witnesses
+    assert witness == {"point": B21, "i": 1}
+    assert point_from_json(witness["point"]) == b
+
+
+def test_verify_all_reports_bounds_used(capsys):
+    code, out = run(
+        capsys, "verify", "--suite", "all", "--n", "3", "--k", "2", "--trials", "1", "--json",
+    )
+    assert code == 0
+    bounds = {report["suite"]: report["bound"] for report in json.loads(out)}
+    assert len(bounds) == 12
+    assert bounds.pop("iso") == bounds.pop("extremal") == 10
+    assert bounds.pop("udprobe") == 8
+    assert set(bounds.values()) == {16}
+    # the degree probe cannot sample past its exponent limit, and says so
+    code, out = run(
+        capsys, "verify", "--suite", "udprobe", "--n", "3", "--k", "2", "--trials", "1",
+        "--bound", "100", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["bound"] == 8
+
+
+def test_conjecture_rejects_bound_zero(capsys):
+    code, _ = run(capsys, "conjecture", "--n", "3", "--k", "1", "--bound", "0")
+    assert code == 2

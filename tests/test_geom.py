@@ -14,12 +14,12 @@ from pathcrystal import (
     make_shape,
     sample_point,
     sigma_map,
-    verify_axioms,
     weyl_s,
     weyl_s_def,
 )
 from pathcrystal.lattice import SplitMix64, sample_rational
 from pathcrystal.reporting import all_ok
+from pathcrystal.suites import run_suite
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -166,14 +166,14 @@ def test_weyl_braid_and_commutation(shape):
 
 
 def test_axiom_suite_passes():
-    checks = verify_axioms(make_shape(4, 2), 5, 3, params=2)
+    checks = run_suite("axioms", make_shape(4, 2), 5, 3)
     assert all_ok(checks)
     names = {c.name for c in checks}
     assert "verma" in names and "commutation" in names
 
 
 def test_axiom_suite_smallest_shape_all_pairs_adjacent():
-    checks = {c.name: c for c in verify_axioms(make_shape(2, 1), 4, 5)}
+    checks = {c.name: c for c in run_suite("axioms", make_shape(2, 1), 4, 5)}
     assert checks["verma"].passes > 0
     assert checks["commutation"].passes == 0  # no orthogonal pairs when n = 2
     assert all_ok(checks.values())

@@ -20,12 +20,12 @@ from pathcrystal import (
     trop_eps,
     trop_weyl,
     trop_wt,
-    verify_iso,
     weyl_s_tilde,
 )
 from pathcrystal.bkinf import sample_belement, wt
 from pathcrystal.paths import enumerate_paths, full_path_endpoints, path_weight
 from pathcrystal.reporting import all_ok
+from pathcrystal.suites import run_suite
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -114,7 +114,7 @@ def test_data_intertwining_random(shape):
 
 
 def test_verify_iso_all_green(shape):
-    checks = verify_iso(shape, 10, 77)
+    checks = run_suite("iso", shape, 10, 77)
     assert all_ok(checks)
     by_name = {c.name: c for c in checks}
     assert by_name["round-trip"].passes == 10
