@@ -262,7 +262,6 @@ def build_parser():
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--bound", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_act = sub.add_parser("act", help="apply a crystal operation to a point file")
     p_act.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
@@ -272,7 +271,6 @@ def build_parser():
     p_act.add_argument("--d", type=int, default=1, help="integer step count")
     p_act.add_argument("--point", required=True)
     p_act.add_argument("--json", action="store_true")
-    p_act.set_defaults(func=cmd_act)
 
     p_map = sub.add_parser("map", help="apply a chart change or probe")
     p_map.add_argument(
@@ -282,7 +280,6 @@ def build_parser():
     p_map.add_argument("--i", type=int, default=None)
     p_map.add_argument("--d", type=int, default=0)
     p_map.add_argument("--json", action="store_true")
-    p_map.set_defaults(func=cmd_map)
 
     p_conj = sub.add_parser("conjecture", help="run the proportionality experiment")
     p_conj.add_argument("--n", type=int, required=True)
@@ -291,26 +288,38 @@ def build_parser():
     p_conj.add_argument("--seed", type=int, default=0)
     p_conj.add_argument("--bound", type=int, default=16)
     p_conj.add_argument("--json", action="store_true")
-    p_conj.set_defaults(func=cmd_conjecture)
 
     p_graph = sub.add_parser("graph", help="DOT export of an array-crystal ball")
     p_graph.add_argument("--n", type=int, required=True)
     p_graph.add_argument("--k", type=int, required=True)
     p_graph.add_argument("--center", default="b_inf")
     p_graph.add_argument("--radius", type=int, default=1)
-    p_graph.set_defaults(func=cmd_graph)
 
     return parser
 
 
+COMMANDS = {
+    "verify": cmd_verify,
+    "act": cmd_act,
+    "map": cmd_map,
+    "conjecture": cmd_conjecture,
+    "graph": cmd_graph,
+}
+
+# built on the first call and reused by every later one in the process
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -76,10 +76,15 @@ class LatticeShape:
         self.l2_indices = tuple(
             (l, m) for l in range(1, k + 1) for m in range(k - l, n + 1 - l)
         )
+        self._domains = {1: frozenset(self.l1_indices), 2: frozenset(self.l2_indices)}
 
     def indices(self, side):
         """Index set of the first (side 1) or second (side 2) lattice."""
         return self.l1_indices if side == 1 else self.l2_indices
+
+    def domain(self, side):
+        """The index set of :meth:`indices` as a frozenset, built once per shape."""
+        return self._domains[side]
 
     def in_l1(self, l, m):
         return 1 <= l <= self.k and self.k < l + m <= self.n + 1
@@ -128,9 +133,9 @@ class _BasePoint:
         return MappingProxyType(self._entries)
 
     def _validate(self):
-        domain = set(self.shape.indices(self.side))
-        found = set(self._entries)
-        if domain != found:
+        domain = self.shape.domain(self.side)
+        if self._entries.keys() != domain:
+            found = set(self._entries)
             missing = sorted(domain - found)
             extra = sorted(found - domain)
             raise ValidationError(
@@ -160,7 +165,10 @@ class _RationalPoint(_BasePoint):
     semiring = RATIONAL
 
     def __init__(self, shape, entries):
-        entries = {key: Fraction(value) for key, value in dict(entries).items()}
+        entries = {
+            key: value if type(value) is Fraction else Fraction(value)
+            for key, value in dict(entries).items()
+        }
         super().__init__(shape, entries)
         for key, value in self._entries.items():
             if value <= 0:

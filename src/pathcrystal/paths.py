@@ -279,6 +279,30 @@ def _through_weight(point, l, m):
     return sr.mul(star, rest)
 
 
+def _build_regions(point):
+    """(U, V, R) at every row 1..k of every column 1..n.
+
+    Per column, V is the running sum of the through-weights of the rows
+    below and U that of the rows above.  Max-plus has no subtraction, so
+    the two directions are summed separately, with ``add`` only.
+    """
+    shape, sr = point.shape, point.semiring
+    k = shape.k
+    table = {}
+    for m in range(1, shape.n + 1):
+        # indexed by row; rows 0 and k + 1 are off the lattice, so bottom
+        through = [_through_weight(point, l, m) for l in range(k + 2)]
+        lower = [sr.bottom] * (k + 2)
+        for l in range(2, k + 1):
+            lower[l] = sr.add(lower[l - 1], through[l - 1])
+        upper = [sr.bottom] * (k + 2)
+        for l in range(k - 1, 0, -1):
+            upper[l] = sr.add(upper[l + 1], through[l + 1])
+        for l in range(1, k + 1):
+            table[(l, m)] = (upper[l], lower[l], through[l])
+    return table
+
+
 def region_sums(point, l, m):
     """Triple (U, V, R): full-path sums above, below and through (l, m).
 
@@ -290,24 +314,14 @@ def region_sums(point, l, m):
     n, k = shape.n, shape.k
     if not 0 <= l <= k + 1:
         raise ValidationError("row %d outside [0, %d]" % (l, k + 1))
+    if 1 <= l <= k and 1 <= m <= n:
+        return _table(point, "regions", _build_regions)[(l, m)]
     eps = epsilon_total(point)
     if l <= 0 or l >= k + 1:
-        upper = eps
-        lower = eps
-    else:
-        if m > n:
-            upper = sr.bottom
-        elif m < 1:
-            upper = eps
-        else:
-            upper = sr.add_all(_through_weight(point, r, m) for r in range(l + 1, k + 1))
-        if m > n:
-            lower = eps
-        elif m < 1:
-            lower = sr.bottom
-        else:
-            lower = sr.add_all(_through_weight(point, r, m) for r in range(1, l))
-    return upper, lower, _through_weight(point, l, m)
+        return eps, eps, sr.bottom
+    if m > n:
+        return sr.bottom, eps, sr.bottom
+    return eps, sr.bottom, sr.bottom
 
 
 # ---------------------------------------------------------------------------

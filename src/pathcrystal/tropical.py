@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import CrystalFault, ValidationError
 from .lattice import TropPoint, XPoint
-from .paths import epsilon_total, region_sums
+from .paths import _table, epsilon_total, region_sums
 from . import geom
 
 PROBE_BASE_BITS = 128
@@ -123,12 +123,20 @@ def _power(exp):
     return Fraction(1, PROBE_BASE ** (-exp))
 
 
-def probe_point(exponents):
-    """The rational point with coordinates t**exponent."""
+def _build_probe(exponents):
     _validate_probe(exponents)
     return XPoint(
         exponents.shape, {key: _power(e) for key, e in exponents.entries.items()}
     )
+
+
+def probe_point(exponents):
+    """The rational point with coordinates t**exponent.
+
+    Memoized on the (frozen) exponents point, so every probe of one point
+    reads the same rational point and its path tables.
+    """
+    return _table(exponents, "probe", _build_probe)
 
 
 def degree_of(value):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathcrystal
 from conftest import MALFORMED_POINTS
 from pathcrystal.cli import main
 
@@ -238,3 +243,39 @@ def test_verify_all_reports_bounds_used(capsys):
 def test_conjecture_rejects_bound_zero(capsys):
     code, _ = run(capsys, "conjecture", "--n", "3", "--k", "1", "--bound", "0")
     assert code == 2
+
+
+def fresh_process(*argv):
+    """(exit code, stdout, stderr) of one call in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pathcrystal.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathcrystal.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_calls_match_a_fresh_process(capsys, monkeypatch, point_file):
+    # one parser serves every call in a process; no call may see another's state
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    calls = [
+        ("act", "--side", "geom", "--op", "e", "--i", "7"),
+        ("--help",),
+        ("act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1",
+         "--point", point_file(X21), "--json"),
+    ]
+    expected = [fresh_process(*argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [2, 0, 0]
+    for _ in range(2):
+        for argv, want in zip(calls, expected):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert (code, out, err) == want, argv
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    args = ("verify", "--suite", "iso", "--n", "3", "--k", "2", "--json")
+    code, out = run(capsys, *args[:-1], "--bound", "5", "--json")
+    assert code == 0 and json.loads(out)["bound"] == 5
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out)["bound"] == 10

@@ -168,8 +168,9 @@ def test_dp_matches_enumeration_every_small_shape():
                 for (l, m) in sh.l1_indices:
                     for sums in ("X", "Xstar"):
                         assert partial_sum(p, sums, l, m) == brute_partial_sum(p, sums, l, m)
-                for (l, m) in sh.l1_indices:
-                    assert region_sums(p, l, m) == brute_region_sums(p, l, m)
+                for l in range(0, k + 2):
+                    for m in range(0, n + 2):
+                        assert region_sums(p, l, m) == brute_region_sums(p, l, m)
                 assert epsilon_total(p) == brute_epsilon(p)
             y = sample_point(sh, 6, 7, kind="y")
             for (l, m) in sh.l2_indices:

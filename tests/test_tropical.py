@@ -14,7 +14,7 @@ from pathcrystal import (
 )
 from pathcrystal import geom
 from pathcrystal.lattice import SplitMix64
-from pathcrystal.tropical import degree_of
+from pathcrystal.tropical import degree_of, probe_pairs, probe_point
 
 S21 = make_shape(2, 1)
 T21 = TropPoint(S21, {(1, 1): 0, (1, 2): 5})
@@ -123,3 +123,20 @@ def test_probe_matches_tropical_forms(shape):
             assert ud_degree_probe("epsilon", exponents, i) == trop_eps(exponents, i)
             d = rng.randint(-3, 3)
             assert ud_degree_probe("e", exponents, i, d) == trop_e(exponents, i, d)
+
+
+def test_probe_pairs_match_fresh_probes(shape):
+    # probe_pairs reads one memoized probe point for every i; each fresh
+    # copy of z builds its own
+    z = sample_point(shape, 300, 8, kind="trop")
+
+    def fresh():
+        return TropPoint(shape, z.entries)
+
+    for i in range(shape.n + 1):
+        d = i % 5 - 2
+        pairs = probe_pairs(z, i, d)
+        assert pairs["gamma"][0] == ud_degree_probe("gamma", fresh(), i)
+        assert pairs["epsilon"][0] == ud_degree_probe("epsilon", fresh(), i)
+        assert pairs["action"][0] == ud_degree_probe("e", fresh(), i, d)
+    assert probe_point(z) is probe_point(z)
