@@ -247,79 +247,88 @@ def cmd_graph(args):
     return EXIT_OK
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser for the call ``argv``; ``None`` gives the parser for any call.
+
+    Every subcommand is listed, so help and usage errors read the same, but
+    only those named in ``argv`` get their options and ``-h``: argparse
+    parses with one subcommand, and adding options takes most of a short
+    call's time.
+    """
     parser = argparse.ArgumentParser(
         prog="pathcrystal",
         description="Exact verification of the lattice-path crystal construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--bound", type=int, default=None)
-    p_verify.add_argument("--json", action="store_true")
+    def subcommand(name, help_text):
+        called = argv is None or name in argv
+        p = sub.add_parser(name, help=help_text, add_help=called)
+        return p if called else None
 
-    p_act = sub.add_parser("act", help="apply a crystal operation to a point file")
-    p_act.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
-    p_act.add_argument("--op", required=True, choices=["e", "f", "s"])
-    p_act.add_argument("--i", type=int, required=True)
-    p_act.add_argument("--c", type=str, default=None, help="rational parameter P/Q")
-    p_act.add_argument("--d", type=int, default=1, help="integer step count")
-    p_act.add_argument("--point", required=True)
-    p_act.add_argument("--json", action="store_true")
+    p_verify = subcommand("verify", "run a verification suite")
+    if p_verify:
+        p_verify.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
+        p_verify.add_argument("--n", type=int, required=True)
+        p_verify.add_argument("--k", type=int, required=True)
+        p_verify.add_argument("--trials", type=int, default=20)
+        p_verify.add_argument("--seed", type=int, default=0)
+        p_verify.add_argument("--bound", type=int, default=None)
+        p_verify.add_argument("--json", action="store_true")
+        p_verify.set_defaults(func=cmd_verify)
 
-    p_map = sub.add_parser("map", help="apply a chart change or probe")
-    p_map.add_argument(
-        "--map", required=True, choices=["sigma", "xi", "omega", "omega-inv", "ud-probe"]
-    )
-    p_map.add_argument("--point", required=True)
-    p_map.add_argument("--i", type=int, default=None)
-    p_map.add_argument("--d", type=int, default=0)
-    p_map.add_argument("--json", action="store_true")
+    p_act = subcommand("act", "apply a crystal operation to a point file")
+    if p_act:
+        p_act.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
+        p_act.add_argument("--op", required=True, choices=["e", "f", "s"])
+        p_act.add_argument("--i", type=int, required=True)
+        p_act.add_argument("--c", type=str, default=None, help="rational parameter P/Q")
+        p_act.add_argument("--d", type=int, default=1, help="integer step count")
+        p_act.add_argument("--point", required=True)
+        p_act.add_argument("--json", action="store_true")
+        p_act.set_defaults(func=cmd_act)
 
-    p_conj = sub.add_parser("conjecture", help="run the proportionality experiment")
-    p_conj.add_argument("--n", type=int, required=True)
-    p_conj.add_argument("--k", type=int, required=True)
-    p_conj.add_argument("--trials", type=int, default=25)
-    p_conj.add_argument("--seed", type=int, default=0)
-    p_conj.add_argument("--bound", type=int, default=16)
-    p_conj.add_argument("--json", action="store_true")
+    p_map = subcommand("map", "apply a chart change or probe")
+    if p_map:
+        p_map.add_argument(
+            "--map", required=True, choices=["sigma", "xi", "omega", "omega-inv", "ud-probe"]
+        )
+        p_map.add_argument("--point", required=True)
+        p_map.add_argument("--i", type=int, default=None)
+        p_map.add_argument("--d", type=int, default=0)
+        p_map.add_argument("--json", action="store_true")
+        p_map.set_defaults(func=cmd_map)
 
-    p_graph = sub.add_parser("graph", help="DOT export of an array-crystal ball")
-    p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--k", type=int, required=True)
-    p_graph.add_argument("--center", default="b_inf")
-    p_graph.add_argument("--radius", type=int, default=1)
+    p_conj = subcommand("conjecture", "run the proportionality experiment")
+    if p_conj:
+        p_conj.add_argument("--n", type=int, required=True)
+        p_conj.add_argument("--k", type=int, required=True)
+        p_conj.add_argument("--trials", type=int, default=25)
+        p_conj.add_argument("--seed", type=int, default=0)
+        p_conj.add_argument("--bound", type=int, default=16)
+        p_conj.add_argument("--json", action="store_true")
+        p_conj.set_defaults(func=cmd_conjecture)
+
+    p_graph = subcommand("graph", "DOT export of an array-crystal ball")
+    if p_graph:
+        p_graph.add_argument("--n", type=int, required=True)
+        p_graph.add_argument("--k", type=int, required=True)
+        p_graph.add_argument("--center", default="b_inf")
+        p_graph.add_argument("--radius", type=int, default=1)
+        p_graph.set_defaults(func=cmd_graph)
 
     return parser
 
 
-COMMANDS = {
-    "verify": cmd_verify,
-    "act": cmd_act,
-    "map": cmd_map,
-    "conjecture": cmd_conjecture,
-    "graph": cmd_graph,
-}
-
-# built on the first call and reused by every later one in the process
-_parser = None
-
-
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return COMMANDS[args.command](args)
+        return args.func(args)
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

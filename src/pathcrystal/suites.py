@@ -320,6 +320,7 @@ def _conjecture_runs(shape, trials, seed, bound):
         x = sample_point(shape, seed + t, bound, kind="x")
         result = fundrep.proportionality_probe(x)
         outcome = {
+            "point": point_to_json(x),
             "proportional": result["proportional"],
             "ratio": format_rational(result["ratio"]) if result["ratio"] is not None else None,
         }
@@ -329,12 +330,9 @@ def _conjecture_runs(shape, trials, seed, bound):
 
 
 def conjecture_outcomes(shape, trials, seed, bound=16):
-    """Probe outcomes for the proportionality experiment, each with its point."""
+    """Raw probe outcomes for the proportionality experiment."""
     _require_trials(trials)
-    return [
-        {"point": point_to_json(x), **outcome}
-        for x, outcome in _conjecture_runs(shape, trials, seed, bound)
-    ]
+    return [outcome for _, outcome in _conjecture_runs(shape, trials, seed, bound)]
 
 
 def k1_ratio_holds(outcome):

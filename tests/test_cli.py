@@ -1,14 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import pathcrystal
 from conftest import MALFORMED_POINTS
-from pathcrystal.cli import main
+from pathcrystal.cli import build_parser, main
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
 T21 = {"n": 2, "k": 1, "kind": "trop", "entries": {"1,1": 0, "1,2": 5}}
@@ -245,37 +240,42 @@ def test_conjecture_rejects_bound_zero(capsys):
     assert code == 2
 
 
-def fresh_process(*argv):
-    """(exit code, stdout, stderr) of one call in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pathcrystal.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathcrystal.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+PARSE_CASES = [
+    [],
+    ["--help"],
+    ["nope"],
+    ["verify", "--help"],
+    ["verify", "--suite", "iso", "--n", "3"],
+    ["verify", "--suite", "iso", "--n", "3", "--k", "2", "--bound", "x"],
+    ["verify", "--suite", "iso", "--n", "3", "--k", "2"],
+    ["act", "--help"],
+    ["act", "--side", "geom", "--op", "e", "--i", "7"],
+    ["act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1", "--point", "p.json"],
+    ["map", "--help"],
+    ["map", "--map", "ud-probe", "--point", "p.json", "--i", "1", "--d", "2", "--json"],
+    ["map", "--map", "nope", "--point", "p.json"],
+    ["conjecture", "--help"],
+    ["conjecture", "--n", "3", "--k", "1", "--json"],
+    ["graph", "--help"],
+    ["graph", "--n", "3", "--k", "2", "--radius", "1"],
+    ["act", "--point", "verify"],
+    ["--help", "act"],
+]
 
 
-def test_repeated_calls_match_a_fresh_process(capsys, monkeypatch, point_file):
-    # one parser serves every call in a process; no call may see another's state
-    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
-    calls = [
-        ("act", "--side", "geom", "--op", "e", "--i", "7"),
-        ("--help",),
-        ("act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1",
-         "--point", point_file(X21), "--json"),
-    ]
-    expected = [fresh_process(*argv) for argv in calls]
-    assert [code for code, _, _ in expected] == [2, 0, 0]
-    for _ in range(2):
-        for argv, want in zip(calls, expected):
-            code = main(list(argv))
-            out, err = capsys.readouterr()
-            assert (code, out, err) == want, argv
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parser_for_a_call_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    # build_parser(argv) leaves out the options of subcommands not named in argv
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
 
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
 
-def test_defaults_do_not_leak_between_calls(capsys):
-    args = ("verify", "--suite", "iso", "--n", "3", "--k", "2", "--json")
-    code, out = run(capsys, *args[:-1], "--bound", "5", "--json")
-    assert code == 0 and json.loads(out)["bound"] == 5
-    code, out = run(capsys, *args)
-    assert code == 0 and json.loads(out)["bound"] == 10
+    full = parse(build_parser())
+    assert parse(build_parser(argv)) == full
+    if "--help" in argv:
+        assert full[0] == 0 and full[1].out.startswith("usage: pathcrystal")
