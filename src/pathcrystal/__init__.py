@@ -9,7 +9,6 @@ points with exact rational arithmetic.
 
 from .birational import sigma_map, xi_map
 from .bkinf import (
-    BElement,
     CTuple,
     all_ctuples,
     b_infinity,
@@ -31,9 +30,8 @@ from .fundrep import (
     FundVector,
     apply_gen,
     basis_keys,
+    chart_vector,
     proportionality_probe,
-    v1_vector,
-    v2_vector,
 )
 from .geom import (
     CartanA1n,
@@ -47,6 +45,7 @@ from .geom import (
 )
 from .iso import omega, omega_inv, pi_correspondence
 from .lattice import (
+    BElement,
     LatticeShape,
     TropPoint,
     XPoint,

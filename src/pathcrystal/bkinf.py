@@ -1,10 +1,10 @@
 """The combinatorial crystal on integer arrays with vanishing row sums.
 
-Elements are arrays ``b[j][i]`` for rows 1..k and columns j..j+k' whose
-rows sum to zero; reads outside that range return 0.  The operators
-indexed 1..n move one unit between adjacent columns of a selected row; the
-0-indexed operators move units along an extremal increasing tuple chosen
-by minimizing a column functional.
+Elements (:class:`.lattice.BElement`) are arrays ``b[j][i]`` for rows
+1..k and columns j..j+k' whose rows sum to zero; reads outside that range
+return 0.  The operators indexed 1..n move one unit between adjacent
+columns of a selected row; the 0-indexed operators move units along an
+extremal increasing tuple chosen by minimizing a column functional.
 
 The increasing tuples are taken with first entry 1 and last entry n+1
 fixed, which makes their count match the number of full lattice paths and
@@ -14,65 +14,13 @@ faults loudly if the convention were ever wrong.
 """
 
 from itertools import combinations
-from types import MappingProxyType
 
 from .errors import CrystalFault, ValidationError
-from .lattice import SplitMix64, _is_int, _mix_tag
-
-
-class BElement:
-    """Integer array with zero row sums; ``entries`` is a read-only view."""
-
-    kind = "b"
-
-    def __init__(self, shape, entries):
-        self.shape = shape
-        self._entries = dict(entries)
-        domain = set(self.domain(shape))
-        if set(self._entries) != domain:
-            raise ValidationError("entries must cover exactly rows 1..k, columns j..j+k'")
-        for value in self._entries.values():
-            if not _is_int(value):
-                raise ValidationError("entries must be integers")
-        for j in range(1, shape.k + 1):
-            row_sum = sum(self._entries[(j, i)] for i in range(j, j + shape.kprime + 1))
-            if row_sum != 0:
-                raise ValidationError("row %d sums to %d, expected 0" % (j, row_sum))
-
-    @staticmethod
-    def domain(shape):
-        return tuple(
-            (j, i)
-            for j in range(1, shape.k + 1)
-            for i in range(j, j + shape.kprime + 1)
-        )
-
-    @property
-    def entries(self):
-        return MappingProxyType(self._entries)
-
-    def get(self, j, i):
-        return self._entries.get((j, i), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BElement)
-            and self.shape == other.shape
-            and self._entries == other._entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape, tuple(sorted(self._entries.items()))))
-
-    def __repr__(self):
-        rows = []
-        for j in range(1, self.shape.k + 1):
-            rows.append([self._entries[(j, i)] for i in range(j, j + self.shape.kprime + 1)])
-        return "BElement(%r, %r)" % (self.shape, rows)
+from .lattice import BElement, SplitMix64, _mix_tag, point_to_json
 
 
 def b_infinity(shape):
-    return BElement(shape, {key: 0 for key in BElement.domain(shape)})
+    return BElement(shape, dict.fromkeys(shape.b_indices, 0))
 
 
 def sample_belement(shape, seed, bound):
@@ -264,13 +212,12 @@ def wt(b, i):
 
 def bk_e(b, i, d):
     """d-fold raising (negative d lowers), one unit step at a time."""
-    step = ("e" if d >= 0 else "f")
+    if not 0 <= i <= b.shape.n:
+        raise ValidationError("index i must be in 0..n, got %r" % (i,))
+    step = "e" if d >= 0 else "f"
     out = b
     for _ in range(abs(d)):
-        if i == 0:
-            out = zero_ops(out, step)
-        else:
-            out = kashiwara(out, step, i)
+        out = zero_ops(out, step) if i == 0 else kashiwara(out, step, i)
     return out
 
 
@@ -288,7 +235,7 @@ def bk_e_closed(b, i, d):
             # -min(min over c[j] > col, (min over c[j] <= col) - d)
             return -min(values[c] - d if c[j] <= col else values[c] for c in family)
 
-        for (j, col) in BElement.domain(shape):
+        for (j, col) in shape.b_indices:
             entries[(j, col)] = (
                 b.get(j, col)
                 + peak(j, col)
@@ -340,11 +287,8 @@ def crystal_graph_dot(center, radius):
         nxt = []
         for b in frontier:
             for i in range(shape.n + 1):
-                for op in ("f", "e"):
-                    if i == 0:
-                        neighbor = zero_ops(b, op)
-                    else:
-                        neighbor = kashiwara(b, op, i)
+                for op, d in (("f", -1), ("e", 1)):
+                    neighbor = bk_e(b, i, d)
                     if neighbor not in seen:
                         seen[neighbor] = dist + 1
                         nxt.append(neighbor)
@@ -360,6 +304,5 @@ def crystal_graph_dot(center, radius):
     return "\n".join(lines)
 
 
-def to_json(b):
-    entries = {"%d,%d" % key: value for key, value in sorted(b.entries.items())}
-    return {"n": b.shape.n, "k": b.shape.k, "kind": b.kind, "entries": entries}
+# the benchmark's cli workload (perfbench/workloads.py) is the only caller
+to_json = point_to_json

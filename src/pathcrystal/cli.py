@@ -128,72 +128,62 @@ def cmd_verify(args):
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
 
 
-def cmd_act(args):
-    point = _load_point(args.point)
-    if args.side == "geom":
-        if point.kind != "x":
-            raise ValidationError("side geom expects a point of kind 'x'")
-        if args.op == "e":
-            if args.c is None:
-                raise ValidationError("op e needs --c P/Q")
-            result = act_e(point, args.i, parse_rational(args.c))
-        elif args.op == "s":
-            result = weyl_s(point, args.i)
-        else:
-            raise ValidationError("side geom supports ops e and s")
-        _emit(point_to_json(result), args.json)
-    elif args.side == "trop":
-        if point.kind != "trop":
-            raise ValidationError("side trop expects a point of kind 'trop'")
-        if args.op == "e":
-            result = tropical.trop_e(point, args.i, args.d)
-        elif args.op == "s":
-            result = tropical.trop_weyl(point, args.i)
-        else:
-            raise ValidationError("side trop supports ops e and s")
-        _emit(point_to_json(result), args.json)
-    elif args.side == "bkinf":
-        if point.kind != "b":
-            raise ValidationError("side bkinf expects an element of kind 'b'")
-        if args.op == "e":
-            result = bkinf.bk_e(point, args.i, args.d)
-        elif args.op == "f":
-            result = bkinf.bk_e(point, args.i, -args.d)
-        elif args.op == "s":
-            result = bkinf.weyl_s_tilde(point, args.i)
-        else:
-            raise ValidationError("side bkinf supports ops e, f and s")
-        _emit(bkinf.to_json(result), args.json)
-    else:
-        raise ValidationError("unknown side %r" % (args.side,))
+def _parameter(args):
+    if args.c is None:
+        raise ValidationError("op e needs --c P/Q")
+    return parse_rational(args.c)
+
+
+# (side, op) -> (kind of the input point, operation on it and the parsed options)
+ACTIONS = {
+    ("geom", "e"): ("x", lambda x, args: act_e(x, args.i, _parameter(args))),
+    ("geom", "s"): ("x", lambda x, args: weyl_s(x, args.i)),
+    ("trop", "e"): ("trop", lambda z, args: tropical.trop_e(z, args.i, args.d)),
+    ("trop", "s"): ("trop", lambda z, args: tropical.trop_weyl(z, args.i)),
+    ("bkinf", "e"): ("b", lambda b, args: bkinf.bk_e(b, args.i, args.d)),
+    ("bkinf", "f"): ("b", lambda b, args: bkinf.bk_e(b, args.i, -args.d)),
+    ("bkinf", "s"): ("b", lambda b, args: bkinf.weyl_s_tilde(b, args.i)),
+}
+
+# map -> (kind of the input point, function of it); the degree probe prints
+# a report instead of a point.  As in ACTIONS, a function is looked up by name
+# when called, so a tool that rebinds module names (perfbench's tracer) sees it.
+MAPS = {
+    "sigma": ("x", lambda x: sigma_map(x)),
+    "xi": ("y", lambda y: xi_map(y)),
+    "omega": ("trop", lambda z: omega(z)),
+    "omega-inv": ("b", lambda b: omega_inv(b)),
+    "ud-probe": ("trop", None),
+}
+
+
+def _require_kind(path, kind, what):
+    point = _load_point(path)
+    if point.kind != kind:
+        raise ValidationError("%s expects a point of kind %r, got %r" % (what, kind, point.kind))
+    return point
+
+
+def _emit_point(point, args):
+    _emit(point_to_json(point), args.json)
     return EXIT_OK
+
+
+def cmd_act(args):
+    if (args.side, args.op) not in ACTIONS:
+        ops = sorted(op for side, op in ACTIONS if side == args.side)
+        raise ValidationError("side %s supports ops %s" % (args.side, ", ".join(ops)))
+    kind, operation = ACTIONS[args.side, args.op]
+    point = _require_kind(args.point, kind, "side " + args.side)
+    return _emit_point(operation(point, args), args)
 
 
 def cmd_map(args):
-    point = _load_point(args.point)
-    if args.map == "sigma":
-        if point.kind != "x":
-            raise ValidationError("map sigma expects kind 'x'")
-        _emit(point_to_json(sigma_map(point)), args.json)
-    elif args.map == "xi":
-        if point.kind != "y":
-            raise ValidationError("map xi expects kind 'y'")
-        _emit(point_to_json(xi_map(point)), args.json)
-    elif args.map == "omega":
-        if point.kind != "trop":
-            raise ValidationError("map omega expects kind 'trop'")
-        _emit(bkinf.to_json(omega(point)), args.json)
-    elif args.map == "omega-inv":
-        if point.kind != "b":
-            raise ValidationError("map omega-inv expects kind 'b'")
-        _emit(point_to_json(omega_inv(point)), args.json)
-    elif args.map == "ud-probe":
-        if point.kind != "trop":
-            raise ValidationError("map ud-probe expects integer exponents (kind 'trop')")
+    kind, function = MAPS[args.map]
+    point = _require_kind(args.point, kind, "map " + args.map)
+    if function is None:
         return _probe_report(point, args)
-    else:
-        raise ValidationError("unknown map %r" % (args.map,))
-    return EXIT_OK
+    return _emit_point(function(point), args)
 
 
 def _probe_report(exponents, args):
@@ -238,9 +228,7 @@ def cmd_graph(args):
     if args.center == "b_inf":
         center = bkinf.b_infinity(shape)
     else:
-        center = _load_point(args.center)
-        if center.kind != "b":
-            raise ValidationError("graph center must be 'b_inf' or a kind-'b' file")
+        center = _require_kind(args.center, "b", "graph center")
         if center.shape != shape:
             raise ValidationError("center shape does not match --n/--k")
     print(bkinf.crystal_graph_dot(center, args.radius))
@@ -290,9 +278,7 @@ def build_parser(argv=None):
 
     p_map = subcommand("map", "apply a chart change or probe")
     if p_map:
-        p_map.add_argument(
-            "--map", required=True, choices=["sigma", "xi", "omega", "omega-inv", "ud-probe"]
-        )
+        p_map.add_argument("--map", required=True, choices=list(MAPS))
         p_map.add_argument("--point", required=True)
         p_map.add_argument("--i", type=int, default=None)
         p_map.add_argument("--d", type=int, default=0)

@@ -148,23 +148,17 @@ def lowering_factor(v, i, c):
     return scaled + apply_gen(scaled, "f", i).scaled(1 / c)
 
 
-def v1_vector(x):
-    """Vector attached to an x-chart point."""
-    shape = x.shape
-    v = unit_vector(shape, highest_u1(shape))
-    for l in range(1, shape.k + 1):
-        for m in range(shape.k - l + 1, shape.n + 2 - l):
-            v = lowering_factor(v, m, x.get(l, m))
-    return v
+def chart_vector(point):
+    """Vector attached to an x- or y-chart point.
 
-
-def v2_vector(y):
-    """Vector attached to a y-chart point (index 0 participates)."""
-    shape = y.shape
-    v = unit_vector(shape, highest_u2(shape))
-    for l in range(1, shape.k + 1):
-        for m in range(shape.k - l, shape.n + 1 - l):
-            v = lowering_factor(v, m, y.get(l, m))
+    The highest vector of the point's side, lowered by one factor per
+    coordinate in index order; on the y-chart index 0 participates.
+    """
+    shape = point.shape
+    highest = highest_u1 if point.side == 1 else highest_u2
+    v = unit_vector(shape, highest(shape))
+    for l, m in shape.indices(point.side):
+        v = lowering_factor(v, m, point.get(l, m))
     return v
 
 
@@ -175,8 +169,8 @@ def proportionality_probe(x):
         raise ValidationError(
             "probe limited to dimension at most %d" % PROBE_DIMENSION_CAP
         )
-    v1 = v1_vector(x)
-    v2 = v2_vector(sigma_map(x))
+    v1 = chart_vector(x)
+    v2 = chart_vector(sigma_map(x))
     if v1.is_zero() or v2.is_zero():
         raise CrystalFault("probe vectors must be nonzero for positive points")
     if set(v1.coeffs) != set(v2.coeffs):

@@ -9,9 +9,9 @@ path weight.  :func:`pathcrystal.suites.suite_iso` checks that the
 bijection intertwines all crystal data.
 """
 
-from .bkinf import BElement, CTuple
+from .bkinf import CTuple
 from .errors import ValidationError
-from .lattice import TropPoint
+from .lattice import BElement, TropPoint
 from .paths import Path
 
 
@@ -21,7 +21,7 @@ def omega(x):
         raise ValidationError("omega expects a tropical point")
     shape = x.shape
     entries = {}
-    for (j, i) in BElement.domain(shape):
+    for (j, i) in shape.b_indices:
         row = shape.k - j + 1
         entries[(j, i)] = x.get(row, i) - x.get(row, i - 1)
     return BElement(shape, entries)

@@ -1,13 +1,14 @@
-"""Index bookkeeping for the two weighted lattices and seeded point sampling.
+"""Index bookkeeping, the four point kinds, seeded sampling and the JSON codec.
 
 Coordinates follow the convention that ``(l, m)`` sits on the l-th
 horizontal line from the bottom and the (l+m-k)-th vertical line from the
 left.  The first lattice carries the x-coordinates, the second the
 y-coordinates, and tropical points reuse the first index set with integer
-entries.
+entries.  Elements of the array crystal (kind ``b``) are integer arrays
+``b[j][i]`` for rows 1..k and columns j..j+k' whose rows sum to zero.
 
 Off-lattice reads return the multiplicative identity of the active
-semiring (1 for rational points, 0 for tropical ones).  The special
+semiring (1 for rational points, 0 for the integer kinds).  The special
 boundary values used by the partial path sums live in :mod:`.paths`, not
 here.
 """
@@ -58,7 +59,7 @@ def _mix_tag(*parts):
 
 
 class LatticeShape:
-    """The pair (n, k) together with both derived index sets."""
+    """The pair (n, k) together with the index sets of both lattices and the array."""
 
     def __init__(self, n, k):
         if not _is_int(n) or not _is_int(k):
@@ -76,11 +77,15 @@ class LatticeShape:
         self.l2_indices = tuple(
             (l, m) for l in range(1, k + 1) for m in range(k - l, n + 1 - l)
         )
-        self._domains = {1: frozenset(self.l1_indices), 2: frozenset(self.l2_indices)}
+        self.b_indices = tuple(
+            (j, i) for j in range(1, k + 1) for i in range(j, j + self.kprime + 1)
+        )
+        self._indices = {1: self.l1_indices, 2: self.l2_indices, "b": self.b_indices}
+        self._domains = {side: frozenset(keys) for side, keys in self._indices.items()}
 
     def indices(self, side):
-        """Index set of the first (side 1) or second (side 2) lattice."""
-        return self.l1_indices if side == 1 else self.l2_indices
+        """Index set of the first (1) or second (2) lattice, or of the array ("b")."""
+        return self._indices[side]
 
     def domain(self, side):
         """The index set of :meth:`indices` as a frozenset, built once per shape."""
@@ -112,10 +117,11 @@ def make_shape(n, k):
 
 
 class _BasePoint:
-    """A point on one lattice; ``side`` names the lattice (1 or 2).
+    """A point of one kind; ``side`` names its index set (1, 2 or "b").
 
-    ``entries`` is a read-only view: path tables are memoized per point, so
-    a point must not change after construction.
+    ``shape`` and ``entries`` are read-only: path tables are memoized per
+    point, so a point must not change after construction.  Equal points
+    hash equal.
     """
 
     kind = None
@@ -123,10 +129,14 @@ class _BasePoint:
     semiring = None
 
     def __init__(self, shape, entries):
-        self.shape = shape
+        self._shape = shape
         self._entries = dict(entries)
         self._tables = {}
         self._validate()
+
+    @property
+    def shape(self):
+        return self._shape
 
     @property
     def entries(self):
@@ -153,6 +163,9 @@ class _BasePoint:
             and self.shape == other.shape
             and self._entries == other._entries
         )
+
+    def __hash__(self):
+        return hash((self.shape, frozenset(self._entries.items())))
 
     def __repr__(self):
         body = ", ".join("(%d,%d): %s" % (l, m, v) for (l, m), v in sorted(self._entries.items()))
@@ -189,22 +202,44 @@ class YPoint(_RationalPoint):
     side = 2
 
 
-class TropPoint(_BasePoint):
+class _IntPoint(_BasePoint):
+    """Integer entries, read in the max-plus semiring."""
+
+    semiring = MAXPLUS
+
+    def __init__(self, shape, entries):
+        super().__init__(shape, entries)
+        for key, value in self._entries.items():
+            if not _is_int(value):
+                raise ValidationError("%s entry at %r must be an integer" % (self.kind, key))
+
+    def get(self, l, m):
+        # the literal max-plus unit: the array 0-operators read entries in their inner loop
+        return self._entries.get((l, m), 0)
+
+
+class TropPoint(_IntPoint):
     """Integer coordinates on the first lattice (the ultra-discretized chart)."""
 
     kind = "trop"
     side = 1
-    semiring = MAXPLUS
+
+
+class BElement(_IntPoint):
+    """Element of the array crystal: an integer array with zero row sums."""
+
+    kind = "b"
+    side = "b"
 
     def __init__(self, shape, entries):
-        entries = dict(entries)
-        for key, value in entries.items():
-            if not _is_int(value):
-                raise ValidationError("tropical entry at %r must be an integer" % (key,))
         super().__init__(shape, entries)
+        for j in range(1, shape.k + 1):
+            row_sum = sum(self._entries[(j, i)] for i in range(j, j + shape.kprime + 1))
+            if row_sum != 0:
+                raise ValidationError("row %d sums to %d, expected 0" % (j, row_sum))
 
 
-_KIND_CLASSES = {"x": XPoint, "y": YPoint, "trop": TropPoint}
+_KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}
 
 
 def sample_point(shape, seed, bound, kind="x"):
@@ -215,7 +250,7 @@ def sample_point(shape, seed, bound, kind="x"):
     """
     if bound < 1:
         raise ValidationError("bound must be at least 1")
-    if kind not in _KIND_CLASSES:
+    if kind not in ("x", "y", "trop"):  # arrays: bkinf.sample_belement
         raise ValidationError("unknown point kind %r" % (kind,))
     tag = _mix_tag(seed, shape.n, shape.k, bound, sum(ord(ch) for ch in kind))
     rng = SplitMix64(tag)
@@ -268,11 +303,16 @@ def parse_rational(text):
 
 
 def point_to_json(point):
-    """JSON-ready mapping: {"n", "k", "kind", "entries": {"l,m": value}}."""
-    entries = {}
-    for (l, m), value in sorted(point.entries.items()):
-        key = "%d,%d" % (l, m)
-        entries[key] = value if point.kind == "trop" else format_rational(value)
+    """JSON-ready mapping: {"n", "k", "kind", "entries": {"l,m": value}}.
+
+    Encodes every kind; rational entries are written ``"p/q"``, integer
+    entries as JSON integers.
+    """
+    rational = point.semiring is RATIONAL
+    entries = {
+        "%d,%d" % key: format_rational(value) if rational else value
+        for key, value in sorted(point.entries.items())
+    }
     return {"n": point.shape.n, "k": point.shape.k, "kind": point.kind, "entries": entries}
 
 
@@ -282,13 +322,8 @@ def point_from_json(data):
         n, k, kind, raw = data["n"], data["k"], data["kind"], data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("point object must carry n, k, kind, entries: %s" % exc)
-    if kind == "b":
-        from .bkinf import BElement  # bkinf imports this module
-
-        cls = BElement
-    elif isinstance(kind, str) and kind in _KIND_CLASSES:
-        cls = _KIND_CLASSES[kind]
-    else:
+    cls = _KIND_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValidationError("unknown point kind %r" % (kind,))
     if not isinstance(raw, dict):
         raise ValidationError("entries must be an object with 'l,m' keys")
@@ -301,5 +336,5 @@ def point_from_json(data):
         except ValueError:
             raise ValidationError("bad entry key %r, expected 'l,m'" % (key,))
         # integer kinds are checked by their own constructors
-        entries[lm] = parse_rational(value) if kind in ("x", "y") else value
+        entries[lm] = parse_rational(value) if cls.semiring is RATIONAL else value
     return cls(shape, entries)

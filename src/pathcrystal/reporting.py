@@ -3,7 +3,6 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import bkinf
 from .lattice import format_rational, point_to_json
 
 MAX_WITNESSES = 3
@@ -36,8 +35,7 @@ class RelationCheck:
                     for key, value in extra.items()
                 }
                 if point is not None:
-                    encode = bkinf.to_json if point.kind == "b" else point_to_json
-                    witness["point"] = encode(point)
+                    witness["point"] = point_to_json(point)
                 self.witnesses.append(witness)
         return ok
 

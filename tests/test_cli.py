@@ -3,11 +3,13 @@ import json
 import pytest
 
 from conftest import MALFORMED_POINTS
-from pathcrystal.cli import build_parser, main
+from pathcrystal.cli import ACTIONS, MAPS, build_parser, main
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
+Y21 = {"n": 2, "k": 1, "kind": "y", "entries": {"1,0": "1/3", "1,1": "2/3"}}
 T21 = {"n": 2, "k": 1, "kind": "trop", "entries": {"1,1": 0, "1,2": 5}}
 B21 = {"n": 2, "k": 1, "kind": "b", "entries": {"1,1": 0, "1,2": 5, "1,3": -5}}
+POINTS = {"x": X21, "y": Y21, "trop": T21, "b": B21}
 
 
 @pytest.fixture
@@ -125,6 +127,52 @@ def test_act_side_kind_mismatch(capsys, point_file):
         assert code == 2
     code, _ = run(capsys, "map", "--map", "sigma", "--point", point_file(B21))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--op", "e", "--i", "99", "--d", "0"),
+    ("--op", "f", "--i", "-4", "--d", "0"),
+], ids=" ".join)
+def test_act_bkinf_rejects_index_out_of_range(capsys, point_file, argv):
+    # zero steps still name an operator, so the index is checked
+    code, out = run(capsys, "act", "--side", "bkinf", *argv, "--point", point_file(B21))
+    assert code == 2 and out == ""
+
+
+def act_argv(side, op, path):
+    return ["act", "--side", side, "--op", op, "--i", "1", "--d", "1", "--c", "2/1",
+            "--point", path]
+
+
+def map_argv(name, path):
+    return ["map", "--map", name, "--i", "1", "--point", path]
+
+
+@pytest.mark.parametrize("side,op", sorted(ACTIONS), ids="-".join)
+def test_every_action_checks_its_kind(capsys, point_file, side, op):
+    kind = ACTIONS[side, op][0]
+    assert run(capsys, *act_argv(side, op, point_file(POINTS[kind])))[0] == 0
+    for other in sorted(set(POINTS) - {kind}):
+        assert run(capsys, *act_argv(side, op, point_file(POINTS[other])))[0] == 2, other
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_every_map_checks_its_kind(capsys, point_file, name):
+    kind = MAPS[name][0]
+    assert run(capsys, *map_argv(name, point_file(POINTS[kind])))[0] == 0
+    for other in sorted(set(POINTS) - {kind}):
+        assert run(capsys, *map_argv(name, point_file(POINTS[other])))[0] == 2, other
+
+
+SIDE_KINDS = {side: kind for (side, _), (kind, _) in ACTIONS.items()}
+MISSING_ACTIONS = [(side, op) for side in sorted(SIDE_KINDS) for op in "efs"
+                   if (side, op) not in ACTIONS]
+
+
+@pytest.mark.parametrize("side,op", MISSING_ACTIONS, ids="-".join)
+def test_actions_outside_the_table_rejected(capsys, point_file, side, op):
+    path = point_file(POINTS[SIDE_KINDS[side]])
+    assert run(capsys, *act_argv(side, op, path)) == (2, "")
 
 
 def test_map_sigma_and_omega(capsys, point_file):

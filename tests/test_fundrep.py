@@ -8,6 +8,7 @@ from pathcrystal import (
     XPoint,
     apply_gen,
     basis_keys,
+    chart_vector,
     make_shape,
     proportionality_probe,
     sample_point,
@@ -17,8 +18,6 @@ from pathcrystal.fundrep import (
     highest_u1,
     highest_u2,
     unit_vector,
-    v1_vector,
-    v2_vector,
 )
 from pathcrystal.birational import sigma_map
 
@@ -79,23 +78,23 @@ def test_highest_weight_annihilation(shape):
 
 
 def test_v1_worked_example():
-    v = v1_vector(X21)
+    v = chart_vector(X21)
     assert v.coeffs == {(1,): 2, (2,): 3, (3,): 1}
 
 
 def test_v2_worked_example():
     y = sigma_map(X21)
-    v = v2_vector(y)
+    v = chart_vector(y)
     assert v.coeffs == {(1,): y.get(1, 1), (2,): 1, (3,): y.get(1, 0)}
 
 
 def test_vector_coefficients_positive(shape):
     x = sample_point(shape, 11, 9, kind="x")
-    v = v1_vector(x)
+    v = chart_vector(x)
     assert all(c > 0 for c in v.coeffs.values())
     assert v.coeffs[highest_u1(shape)] > 0
     y = sample_point(shape, 12, 9, kind="y")
-    w = v2_vector(y)
+    w = chart_vector(y)
     assert all(c > 0 for c in w.coeffs.values())
 
 

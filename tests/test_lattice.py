@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from pathcrystal import (
     make_shape,
     point_from_json,
     point_to_json,
+    sample_belement,
     sample_point,
 )
 
@@ -28,6 +30,8 @@ def test_index_sets_enumerated_by_hand():
     shape = make_shape(3, 2)
     assert set(shape.l1_indices) == {(1, 2), (1, 3), (2, 1), (2, 2)}
     assert set(shape.l2_indices) == {(1, 1), (1, 2), (2, 0), (2, 1)}
+    # the array: rows 1..k, columns j..j+k' with k' = n+1-k = 2
+    assert shape.b_indices == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4))
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (1, 1), (3, 0), (2, -1), (3, True), (True, 1)])
@@ -84,6 +88,18 @@ def test_points_are_frozen():
     b = BElement(make_shape(2, 1), {(1, 1): 0, (1, 2): 5, (1, 3): -5})
     with pytest.raises(TypeError):
         b.entries[(1, 1)] = 1
+    # the tables above were built for (4,2); no point may be moved to another shape
+    with pytest.raises(AttributeError):
+        x.shape = make_shape(5, 2)
+    assert epsilon_total(x) == brute_epsilon(x)
+    pairs = [(sample_point(x.shape, 3, 16, kind=kind), sample_point(x.shape, 3, 16, kind=kind))
+             for kind in ("x", "y", "trop")]
+    pairs.append((b, BElement(b.shape, dict(b.entries))))
+    for p, q in pairs:
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+        with pytest.raises(AttributeError):
+            p.shape = make_shape(2, 1)
 
 
 def test_sampling_is_deterministic(shape):
@@ -113,11 +129,13 @@ def test_sample_shape_3_2_inspected():
 
 
 def test_json_round_trip(shape):
-    for kind in ("x", "y", "trop"):
-        p = sample_point(shape, 3, 9, kind=kind)
-        data = point_to_json(p)
-        assert data["kind"] == kind
-        assert point_from_json(data) == p
+    # one codec for every kind; a decoded point equals and hashes like the original
+    points = [sample_point(shape, 3, 9, kind=kind) for kind in ("x", "y", "trop")]
+    for p in points + [sample_belement(shape, 3, 9)]:
+        data = json.loads(json.dumps(point_to_json(p)))
+        assert data["kind"] == p.kind
+        again = point_from_json(data)
+        assert again == p and hash(again) == hash(p)
 
 
 def test_json_rationals_in_lowest_terms():
