@@ -287,12 +287,12 @@ def crystal_graph_dot(center, radius):
         nxt = []
         for b in frontier:
             for i in range(shape.n + 1):
-                for op, d in (("f", -1), ("e", 1)):
+                for d in (-1, 1):
                     neighbor = bk_e(b, i, d)
                     if neighbor not in seen:
                         seen[neighbor] = dist + 1
                         nxt.append(neighbor)
-                    lo, hi = (b, neighbor) if op == "f" else (neighbor, b)
+                    lo, hi = (b, neighbor) if d < 0 else (neighbor, b)
                     edges.add((_node_id(lo), _node_id(hi), i))
         frontier = nxt
     lines = ["digraph crystal {", "  rankdir=TB;"]

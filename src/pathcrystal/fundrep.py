@@ -154,6 +154,8 @@ def chart_vector(point):
     The highest vector of the point's side, lowered by one factor per
     coordinate in index order; on the y-chart index 0 participates.
     """
+    if point.kind not in ("x", "y"):
+        raise ValidationError("chart_vector takes an x or y point, got kind %r" % (point.kind,))
     shape = point.shape
     highest = highest_u1 if point.side == 1 else highest_u2
     v = unit_vector(shape, highest(shape))

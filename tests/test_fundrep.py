@@ -20,6 +20,7 @@ from pathcrystal.fundrep import (
     unit_vector,
 )
 from pathcrystal.birational import sigma_map
+from pathcrystal.bkinf import b_infinity
 
 S21 = make_shape(2, 1)
 X21 = XPoint(S21, {(1, 1): 2, (1, 2): 3})
@@ -86,6 +87,12 @@ def test_v2_worked_example():
     y = sigma_map(X21)
     v = chart_vector(y)
     assert v.coeffs == {(1,): y.get(1, 1), (2,): 1, (3,): y.get(1, 0)}
+
+
+def test_chart_vector_rejects_integer_kinds():
+    for point in (sample_point(S21, 1, 3, kind="trop"), b_infinity(S21)):
+        with pytest.raises(ValidationError):
+            chart_vector(point)
 
 
 def test_vector_coefficients_positive(shape):
