@@ -204,6 +204,7 @@ def zero_ops(b, op):
 
 def wt(b, i):
     shape = b.shape
+    shape.check_index(i)
     if i == 0:
         return -b.get(1, 1) + b.get(shape.k, shape.n + 1)
     beta, gamma_row = _col_range(shape, i)
@@ -212,8 +213,7 @@ def wt(b, i):
 
 def bk_e(b, i, d):
     """d-fold raising (negative d lowers), one unit step at a time."""
-    if not 0 <= i <= b.shape.n:
-        raise ValidationError("index i must be in 0..n, got %r" % (i,))
+    b.shape.check_index(i)
     step = "e" if d >= 0 else "f"
     out = b
     for _ in range(abs(d)):
@@ -224,8 +224,7 @@ def bk_e(b, i, d):
 def bk_e_closed(b, i, d):
     """Closed form of the d-fold operator; must agree with iteration."""
     shape = b.shape
-    if not 0 <= i <= shape.n:
-        raise ValidationError("index i must be in 0..n, got %r" % (i,))
+    shape.check_index(i)
     entries = dict(b.entries)
     if i == 0:
         family = all_ctuples(shape)

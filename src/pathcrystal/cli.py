@@ -74,7 +74,7 @@ class RunReport:
             % (self.suite, self.n, self.k, self.seed, self.trials, self.bound, self.prng)
         ]
         for c in self.checks:
-            status = "pass" if c.ok else "FAIL"
+            status = "vacuous" if c.vacuous else "pass" if c.ok else "FAIL"
             lines.append("  [%s] %-28s passes=%d fails=%d" % (status, c.name, c.passes, c.fails))
             for w in c.witnesses:
                 lines.append("    witness: %s" % json.dumps(w, sort_keys=True))

@@ -121,8 +121,7 @@ def _alpha_exponent(shape, key, i):
 def apply_gen(v, gen, i, c=None):
     """Apply e_i, f_i or the torus element at parameter c, linearly."""
     shape = v.shape
-    if not 0 <= i <= shape.n:
-        raise ValidationError("index i must be in 0..n, got %r" % (i,))
+    shape.check_index(i)
     if gen in ("e", "f"):
         out = {}
         for key, value in v.coeffs.items():

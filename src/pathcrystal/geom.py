@@ -59,11 +59,6 @@ def bounds_row2(shape, i):
     return max(shape.k - i, 1), min(shape.k, shape.n - i)
 
 
-def _check_index(shape, i):
-    if not 0 <= i <= shape.n:
-        raise ValidationError("index i must be in 0..n, got %r" % (i,))
-
-
 def _bounds(x, i):
     """Row range of the entries moved by the i-th action on the chart of x."""
     if x.side == 1:
@@ -75,7 +70,7 @@ def _x_zero(x, i):
     """True for the induced 0-action of the x-chart; checks i on that chart."""
     if x.side == 2:
         return False
-    _check_index(x.shape, i)
+    x.shape.check_index(i)
     return i == 0
 
 
@@ -193,7 +188,7 @@ def _fval(x, p, i, a):
 def weyl_s(x, i):
     """Simple reflection, in closed form; equals act_e(x, i, 1/gamma_i(x))."""
     shape, sr = x.shape, x.semiring
-    _check_index(shape, i)
+    shape.check_index(i)
     entries = dict(x.entries)
     if i == 0:
         scale = sr.mul(x.get(1, shape.n), x.get(shape.k, 1))

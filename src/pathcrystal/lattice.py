@@ -91,11 +91,10 @@ class LatticeShape:
         """The index set of :meth:`indices` as a frozenset, built once per shape."""
         return self._domains[side]
 
-    def in_l1(self, l, m):
-        return 1 <= l <= self.k and self.k < l + m <= self.n + 1
-
-    def in_l2(self, l, m):
-        return 1 <= l <= self.k and self.k <= l + m <= self.n
+    def check_index(self, i):
+        """Reject a crystal index outside 0..n."""
+        if not 0 <= i <= self.n:
+            raise ValidationError("index i must be in 0..n, got %r" % (i,))
 
     def __eq__(self, other):
         return isinstance(other, LatticeShape) and (self.n, self.k) == (other.n, other.k)

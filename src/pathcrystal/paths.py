@@ -7,6 +7,18 @@ programming (the functions below) and once by explicit path enumeration
 semirings.  The enumeration oracle is part of the shipped API, not a
 test-only helper.
 
+A path steps one column right, either along its row, (l, m) -> (l, m+1),
+or across to the next row down, (l, m) -> (l-1, m+1).  One step kind per
+lattice carries a weight: on the first lattice the step along a row weighs
+``x_l^(m) / x_l^(m+1)``; on the second the step across rows weighs
+``y_(l-1)^(m+1) / y_l^(m)``.  One sweep builds every dynamic-programming
+table, on both lattices and in both directions: toward the sink (``X``,
+``Y``) it runs over the columns from the sink leftwards, from the source
+(``X*``, ``Y*``) from the source rightwards, and each node adds its two
+neighbours one column nearer the start.  The sweep computes the step
+weight itself and never calls :func:`path_weight`: that function belongs
+to the oracle, and sharing it would make the comparison a tautology.
+
 Boundary conventions of the partial sums (one layer only; point reads have
 their own off-lattice convention in :mod:`.lattice`):
 
@@ -62,20 +74,18 @@ class Path:
         return [[l, m] for (l, m) in self.points]
 
 
-def _membership(shape, side):
-    if side == 1:
-        return shape.in_l1
-    if side == 2:
-        return shape.in_l2
-    raise ValidationError("side must be 1 or 2, got %r" % (side,))
+def _check_side(side):
+    if side not in (1, 2):
+        raise ValidationError("side must be 1 or 2, got %r" % (side,))
 
 
 def enumerate_paths(shape, side, src, dst):
     """All monotone shortest paths from src to dst, each exactly once."""
-    member = _membership(shape, side)
-    if not member(*src):
+    _check_side(side)
+    domain = shape.domain(side)
+    if tuple(src) not in domain:
         raise ValidationError("source %r not on lattice L%d" % (src, side))
-    if not member(*dst):
+    if tuple(dst) not in domain:
         raise ValidationError("destination %r not on lattice L%d" % (dst, side))
     drop = src[0] - dst[0]
     advance = dst[1] - src[1]
@@ -94,7 +104,7 @@ def enumerate_paths(shape, side, src, dst):
         if m >= dst[1]:
             continue
         for nxt in ((l, m + 1), (l - 1, m + 1)):
-            if member(*nxt) and nxt[0] >= dst[0] and nxt[0] - dst[0] <= dst[1] - nxt[1]:
+            if nxt in domain and nxt[0] >= dst[0] and nxt[0] - dst[0] <= dst[1] - nxt[1]:
                 stack.append(prefix + (nxt,))
     out.sort(key=lambda p: p.points)
     return out
@@ -102,16 +112,15 @@ def enumerate_paths(shape, side, src, dst):
 
 def full_path_endpoints(shape, side):
     """Source and sink of the full paths on the requested lattice."""
+    _check_side(side)
     if side == 1:
         return (shape.k, 1), (1, shape.n)
-    if side == 2:
-        return (shape.k, 0), (1, shape.n - 1)
-    raise ValidationError("side must be 1 or 2, got %r" % (side,))
+    return (shape.k, 0), (1, shape.n - 1)
 
 
 def _point_side(point):
     side = getattr(point, "side", None)
-    if side is None:
+    if side not in (1, 2):
         raise ValidationError("not a lattice point: %r" % (point,))
     return side
 
@@ -119,9 +128,9 @@ def _point_side(point):
 def path_weight(point, path):
     """Semiring product of the strip weights of ``path`` under ``point``."""
     side = _point_side(point)
-    member = _membership(point.shape, side)
+    domain = point.shape.domain(side)
     for pt in path.points:
-        if not member(*pt):
+        if pt not in domain:
             raise ValidationError("path point %r is off lattice L%d" % (pt, side))
     sr = point.semiring
     weight = sr.one
@@ -139,77 +148,40 @@ def path_weight(point, path):
 # dynamic-programming tables, memoized per point
 
 
-def _table(point, name, builder):
+def _table(point, name, builder, *args):
     if name not in point._tables:
-        point._tables[name] = builder(point)
+        point._tables[name] = builder(point, *args)
     return point._tables[name]
 
 
-def _build_x(point):
-    shape, sr = point.shape, point.semiring
-    n = shape.n
-    table = {}
-    for l, m in sorted(shape.l1_indices, key=lambda lm: -lm[1]):
-        if l + m == n + 1:
-            table[(l, m)] = sr.one
-            continue
-        above = table.get((l - 1, m + 1), sr.bottom) if shape.in_l1(l - 1, m + 1) else sr.bottom
-        step = sr.ratio(point.get(l, m), point.get(l, m + 1))
-        table[(l, m)] = sr.add(above, sr.mul(step, table[(l, m + 1)]))
-    return table
+def _build_sums(point, forward):
+    """Path sums toward the sink (``forward``) or from the source, at every node.
 
-
-def _build_xstar(point):
-    shape, sr = point.shape, point.semiring
-    k = shape.k
-    table = {}
-    for l, m in sorted(shape.l1_indices, key=lambda lm: lm[1]):
-        if (l, m) == (k, 1):
-            table[(l, m)] = sr.one
-            continue
-        vert = table.get((l + 1, m - 1), sr.bottom) if shape.in_l1(l + 1, m - 1) else sr.bottom
-        if shape.in_l1(l, m - 1):
-            step = sr.ratio(point.get(l, m - 1), point.get(l, m))
-            horiz = sr.mul(step, table[(l, m - 1)])
-        else:
-            horiz = sr.bottom
-        table[(l, m)] = sr.add(vert, horiz)
-    return table
-
-
-def _build_y(point):
-    shape, sr = point.shape, point.semiring
-    n = shape.n
-    table = {}
-    for l, m in sorted(shape.l2_indices, key=lambda lm: -lm[1]):
-        if (l, m) == (1, n - 1):
-            table[(l, m)] = sr.one
-            continue
-        horiz = table.get((l, m + 1), sr.bottom) if shape.in_l2(l, m + 1) else sr.bottom
-        if shape.in_l2(l - 1, m + 1):
-            step = sr.ratio(point.get(l - 1, m + 1), point.get(l, m))
-            vert = sr.mul(step, table[(l - 1, m + 1)])
-        else:
-            vert = sr.bottom
-        table[(l, m)] = sr.add(horiz, vert)
-    return table
-
-
-def _build_ystar(point):
-    shape, sr = point.shape, point.semiring
-    k = shape.k
-    table = {}
-    for l, m in sorted(shape.l2_indices, key=lambda lm: lm[1]):
-        if (l, m) == (k, 0):
-            table[(l, m)] = sr.one
-            continue
-        horiz = table.get((l, m - 1), sr.bottom) if shape.in_l2(l, m - 1) else sr.bottom
-        if shape.in_l2(l + 1, m - 1):
-            step = sr.ratio(point.get(l, m), point.get(l + 1, m - 1))
-            vert = sr.mul(step, table[(l + 1, m - 1)])
-        else:
-            vert = sr.bottom
-        table[(l, m)] = sr.add(horiz, vert)
+    The sweep described in the module docstring.  The step weight is
+    computed inline, with no call per edge: this loop builds every table.
+    """
+    shape, sr, side = point.shape, point.semiring, point.side
+    add, mul, ratio = sr.add, sr.mul, sr.ratio
+    entries, domain, bottom = point._entries, shape.domain(side), sr.bottom
+    src, dst = full_path_endpoints(shape, side)
+    s = 1 if forward else -1
+    # the ratio's numerator is this node on side 1 forward and on side 2 backward
+    node_first = forward == (side == 1)
+    order = sorted(shape.indices(side), key=lambda lm: lm[1], reverse=forward)
+    # the endpoint is alone in the first column swept
+    table = {dst if forward else src: sr.one}
+    for node in order[1:]:
+        l, m = node
+        row, cross = (l, m + s), (l - s, m + s)
+        plain, weighted = (cross, row) if side == 1 else (row, cross)
+        total = table[plain] if plain in domain else bottom
+        if weighted in domain:
+            if node_first:
+                step = ratio(entries[node], entries[weighted])
+            else:
+                step = ratio(entries[weighted], entries[node])
+            total = add(total, mul(step, table[weighted]))
+        table[node] = total
     return table
 
 
@@ -218,17 +190,24 @@ def _require_side(point, side, what):
         raise ValidationError("%s needs a side-%d point, got kind %r" % (what, side, point.kind))
 
 
+# partial-sum kind -> (lattice side, True for sums toward the sink)
+_KINDS = {"X": (1, True), "Xstar": (1, False), "Y": (2, True), "Ystar": (2, False)}
+
+
+def _sums(point, forward):
+    return _table(point, ("sums", forward), _build_sums, forward)
+
+
 def partial_sum(point, kind, l, m):
     """Partial path sum of the requested kind at (l, m), conventions included."""
-    shape, sr = point.shape, point.semiring
-    n, k = shape.n, shape.k
-    if kind in ("X", "Xstar"):
-        _require_side(point, 1, kind)
-    elif kind in ("Y", "Ystar"):
-        _require_side(point, 2, kind)
-    else:
+    if kind not in _KINDS:
         raise ValidationError("unknown partial-sum kind %r" % (kind,))
-
+    side, forward = _KINDS[kind]
+    _require_side(point, side, kind)
+    shape, sr = point.shape, point.semiring
+    if (l, m) in shape.domain(side):
+        return _sums(point, forward)[(l, m)]
+    n, k = shape.n, shape.k
     if kind == "X":
         if l < 1:
             return sr.bottom
@@ -236,22 +215,14 @@ def partial_sum(point, kind, l, m):
             return sr.one
         if l + m == k:
             return sr.inv(point.get(1, n))
-        if shape.in_l1(l, m):
-            return _table(point, "X", _build_x)[(l, m)]
     elif kind == "Xstar":
-        if l < 1 or l > k:
+        if l < 1 or l > k or l + m == k:
             return sr.bottom
-        if l + m == k:
-            return sr.bottom
-        if shape.in_l1(l, m):
-            return _table(point, "Xstar", _build_xstar)[(l, m)]
     elif kind == "Y":
         if l < 1:
             return sr.bottom
         if l > k:
             return sr.one
-        if shape.in_l2(l, m):
-            return _table(point, "Y", _build_y)[(l, m)]
     else:
         if l == 0:
             return sr.inv(point.get(k, 0))
@@ -259,8 +230,6 @@ def partial_sum(point, kind, l, m):
             return sr.bottom
         if 1 <= l <= k and l + m == n + 1:
             return sr.one
-        if shape.in_l2(l, m):
-            return _table(point, "Ystar", _build_ystar)[(l, m)]
     raise ValidationError("(%d, %d) outside the closed %s region" % (l, m, kind))
 
 
@@ -271,12 +240,10 @@ def epsilon_total(point):
 
 
 def _through_weight(point, l, m):
-    shape, sr = point.shape, point.semiring
-    if not shape.in_l1(l, m):
+    sr = point.semiring
+    if (l, m) not in point.shape.domain(1):
         return sr.bottom
-    star = _table(point, "Xstar", _build_xstar)[(l, m)]
-    rest = _table(point, "X", _build_x)[(l, m)]
-    return sr.mul(star, rest)
+    return sr.mul(_sums(point, False)[(l, m)], _sums(point, True)[(l, m)])
 
 
 def _build_regions(point):

@@ -43,11 +43,17 @@ class RelationCheck:
     def ok(self):
         return self.fails == 0
 
+    @property
+    def vacuous(self):
+        """True when no trial ran, e.g. a relation with no index pair at this shape."""
+        return self.passes == 0 and self.fails == 0
+
     def to_json(self):
         return {
             "relation": self.name,
             "passes": self.passes,
             "fails": self.fails,
+            "vacuous": self.vacuous,
             "witnesses": self.witnesses,
         }
 

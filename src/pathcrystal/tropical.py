@@ -20,6 +20,7 @@ from math import comb
 from .errors import CrystalFault, ValidationError
 from .lattice import TropPoint, XPoint
 from .paths import _table, epsilon_total, region_sums
+from .semiring import MAXPLUS
 from . import geom
 
 PROBE_BASE_BITS = 128
@@ -44,6 +45,7 @@ def trop_dbar(x, l, i):
 
 def trop_wt(x, i):
     shape = x.shape
+    shape.check_index(i)
     if i == 0:
         return -x.get(1, shape.n) - x.get(shape.k, 1)
     a, b = geom.bounds_row1(shape, i)
@@ -56,6 +58,7 @@ def trop_wt(x, i):
 
 def trop_eps(x, i):
     shape = x.shape
+    shape.check_index(i)
     if i == 0:
         return x.get(1, shape.n) + epsilon_total(x)
     a, b = geom.bounds_row1(shape, i)
@@ -65,8 +68,7 @@ def trop_eps(x, i):
 def trop_e(x, i, d):
     """The d-th power of the i-th piecewise-linear action (d may be negative)."""
     shape = x.shape
-    if not 0 <= i <= shape.n:
-        raise ValidationError("index i must be in 0..n, got %r" % (i,))
+    shape.check_index(i)
     entries = dict(x.entries)
     if i == 0:
         for (l, m) in shape.l1_indices:
@@ -76,9 +78,8 @@ def trop_e(x, i, d):
             up_hi, _, _ = region_sums(x, l - 1, m)
             up_lo, lo_hi, _ = region_sums(x, l, m)
             _, lo_lo, _ = region_sums(x, l + 1, m)
-            # region maxima are None (minus infinity) when the region is empty
-            num = max(v for v in (up_hi, None if lo_hi is None else d + lo_hi) if v is not None)
-            den = max(v for v in (up_lo, None if lo_lo is None else d + lo_lo) if v is not None)
+            num = MAXPLUS.add(up_hi, MAXPLUS.mul(d, lo_hi))
+            den = MAXPLUS.add(up_lo, MAXPLUS.mul(d, lo_lo))
             entries[(l, m)] = x.get(l, m) + num - den
     else:
         a, b = geom.bounds_row1(shape, i)

@@ -182,6 +182,13 @@ def test_weyl_example():
     assert weyl_s_tilde(B21, 1) == bk_e(B21, 1, 5)
 
 
+def test_weight_rejects_index_outside_0_to_n():
+    b = sample_belement(make_shape(3, 2), 5, 4)
+    for i in (-1, 4, 7):
+        with pytest.raises(ValidationError, match=r"0\.\.n"):
+            wt(b, i)
+
+
 def test_weyl_fixes_zero_element(shape):
     b0 = b_infinity(shape)
     for i in range(shape.n + 1):

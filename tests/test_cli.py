@@ -48,6 +48,20 @@ def test_verify_axioms_passes(capsys):
     assert "verma" in out
 
 
+def test_vacuous_relations_are_flagged(capsys):
+    # at n = 2 every pair of indices is adjacent, so two relations run no trial
+    argv = ("verify", "--suite", "axioms", "--n", "2", "--k", "1", "--trials", "2")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "[vacuous] epsilon-invariance" in out and "[vacuous] commutation" in out
+    assert "[pass] verma" in out and out.rstrip().splitlines()[-1].startswith("result: ok")
+    code, out = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] is True
+    flagged = {c["relation"] for c in report["checks"] if c["vacuous"]}
+    assert flagged == {"epsilon-invariance", "commutation"}
+
+
 def test_verify_rejects_bad_shape(capsys):
     code, _ = run(capsys, "verify", "--suite", "iso", "--n", "9", "--k", "0")
     assert code == 2
@@ -126,6 +140,15 @@ def test_act_bkinf_rejects_index_out_of_range(capsys, point_file, argv):
     # zero steps still name an operator, so the index is checked
     code, out = run(capsys, "act", "--side", "bkinf", *argv, "--point", point_file(B21))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("i", ["-1", "3"])
+def test_act_trop_reflection_rejects_index_outside_0_to_n(capsys, point_file, i):
+    # the reflection takes i in 0..n, so the message names that range
+    code = main(["act", "--side", "trop", "--op", "s", "--i", i, "--point", point_file(T21)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "index i must be in 0..n" in captured.err
 
 
 def act_argv(side, op, path):

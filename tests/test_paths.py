@@ -199,7 +199,7 @@ def test_backward_recursions_hold(shape, kind):
     p = sample_point(shape, 12, 9, kind=kind)
     sr = p.semiring
     for (l, m) in shape.l1_indices:
-        if not shape.in_l1(l, m + 1):
+        if (l, m + 1) not in shape.domain(1):
             continue
         step = sr.ratio(p.get(l, m), p.get(l, m + 1))
         expect = sr.add(
@@ -211,12 +211,12 @@ def test_backward_recursions_hold(shape, kind):
 def test_side2_recursions_hold(shape):
     y = sample_point(shape, 13, 9, kind="y")
     for (l, m) in shape.l2_indices:
-        if shape.in_l2(l, m + 1):
+        if (l, m + 1) in shape.domain(2):
             expect = partial_sum(y, "Y", l, m + 1)
-            if shape.in_l2(l - 1, m + 1) or l - 1 < 1:
+            if (l - 1, m + 1) in shape.domain(2) or l - 1 < 1:
                 expect += (y.get(l - 1, m + 1) / y.get(l, m)) * partial_sum(y, "Y", l - 1, m + 1)
             assert partial_sum(y, "Y", l, m) == expect
-        if shape.in_l2(l, m - 1):
+        if (l, m - 1) in shape.domain(2):
             expect = partial_sum(y, "Ystar", l, m - 1)
             expect += (y.get(l, m) / y.get(l + 1, m - 1)) * partial_sum(y, "Ystar", l + 1, m - 1)
             assert partial_sum(y, "Ystar", l, m) == expect
@@ -249,7 +249,7 @@ def test_region_difference_identities(shape, kind):
         u_right = region_sums(p, l - 1, m + 1)[0]
         cross = sr.mul(partial_sum(p, "Xstar", l, m), partial_sum(p, "X", l - 1, m + 1))
         assert u_here == sr.add(u_right, cross)
-        if shape.in_l1(l + 1, m) and shape.in_l1(l + 1, m + 1):
+        if (l + 1, m) in shape.domain(1) and (l + 1, m + 1) in shape.domain(1):
             u1 = region_sums(p, l, m + 1)[0]
             u2 = region_sums(p, l + 1, m)[0]
             step = sr.ratio(p.get(l + 1, m), p.get(l + 1, m + 1))
@@ -258,7 +258,7 @@ def test_region_difference_identities(shape, kind):
                 step,
             )
             assert u1 == sr.add(u2, cross)
-        if shape.in_l1(l, m + 1):
+        if (l, m + 1) in shape.domain(1):
             v_right = region_sums(p, l + 1, m + 1)[1]
             v_here = region_sums(p, l + 1, m)[1]
             cross = sr.mul(partial_sum(p, "Xstar", l + 1, m), partial_sum(p, "X", l, m + 1))

@@ -69,6 +69,14 @@ def test_weyl_examples():
         assert trop_weyl(zeros, i) == zeros
 
 
+@pytest.mark.parametrize("fn", [trop_wt, trop_eps, trop_weyl], ids=lambda fn: fn.__name__)
+def test_index_outside_0_to_n_rejected(fn):
+    # every tropical index operation takes i in 0..n, and the message says so
+    for i in (-1, S21.n + 1):
+        with pytest.raises(ValidationError, match=r"0\.\.n"):
+            fn(T21, i)
+
+
 def test_weyl_involution(shape):
     x = sample_point(shape, 7, 10, kind="trop")
     for i in range(shape.n + 1):
