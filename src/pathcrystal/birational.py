@@ -11,19 +11,19 @@ from .paths import partial_sum
 
 def sigma_map(x):
     """Forward map x -> y; the image satisfies y_k^(m) = X_k^m."""
-    shape = x.shape
+    shape, sr = x.shape, x.semiring
     entries = {}
     for (l, m) in shape.l2_indices:
-        ratio = partial_sum(x, "X", l, m) / partial_sum(x, "X", l + 1, m)
-        entries[(l, m)] = x.get(l + 1, m) * ratio
+        ratio = sr.ratio(partial_sum(x, "X", l, m), partial_sum(x, "X", l + 1, m))
+        entries[(l, m)] = sr.mul(x.get(l + 1, m), ratio)
     return YPoint(shape, entries)
 
 
 def xi_map(y):
     """Inverse map y -> x."""
-    shape = y.shape
+    shape, sr = y.shape, y.semiring
     entries = {}
     for (l, m) in shape.l1_indices:
-        ratio = partial_sum(y, "Ystar", l - 1, m) / partial_sum(y, "Ystar", l, m)
-        entries[(l, m)] = y.get(l, m) * ratio
+        ratio = sr.ratio(partial_sum(y, "Ystar", l - 1, m), partial_sum(y, "Ystar", l, m))
+        entries[(l, m)] = sr.mul(y.get(l, m), ratio)
     return XPoint(shape, entries)

@@ -4,20 +4,44 @@ The chart carrying x-coordinates has actions indexed by 1..n plus an
 induced 0-action; the chart carrying y-coordinates has actions indexed by
 0..n-1.  Together they assemble the full affine family, whose defining
 relations :func:`pathcrystal.suites.suite_axioms` checks at random points.
-:func:`dval`, :func:`gamma`, :func:`epsilon` and :func:`act_e`
-take a point of either chart: both use the same diagonal-product formulas
-and differ only in the rows an index moves (:func:`bounds_row1` or
-:func:`bounds_row2`, chosen by the point's ``side``); only the x-chart's
-0-action has formulas of its own.
+:func:`dval`, :func:`gamma`, :func:`epsilon`, :func:`act_e` and
+:func:`weyl_s` take a point of either chart: they use the same
+diagonal-product formulas and differ only in the rows an index moves
+(:func:`bounds_row1` or :func:`bounds_row2`, chosen by the point's
+``side``); only the x-chart's 0-action has formulas of its own.
 
 Everything indexed by 1..n is written against the generic semiring of the
 point, so the same code yields the exact rational action on an
 :class:`~pathcrystal.lattice.XPoint` and the piecewise-linear action on a
 :class:`~pathcrystal.lattice.TropPoint`; the closed-form integer versions in
 :mod:`pathcrystal.tropical` are the independent second route.
+
+Every action, reflection and epsilon that the diagonal-product formulas
+define costs O(rows) semiring operations, where rows is the number of
+entries the index moves; :func:`dval` is the per-row definition, and the
+hot paths never call it.
+Consecutive diagonal products differ by one factor,
+``dval(l) = dval(l+1) * x(l,i) x(l+1,i) / (x(l+1,i-1) x(l,i+1))``, so one
+pass from the top moved row b down to the bottom one a gives every
+``t_p = 1/dval(p)``.  With ``num_l = sum_{p<l} t_p + c * sum_{p>=l} t_p``,
+the action moves row l by ``num_l / num_(l+1)``; one prefix and one suffix
+sum give every num_l, with ``add`` only, as max-plus has no subtraction.
+The reflection's ``f(p) = gamma_i / dval(p)`` use the same factor the
+other way, ``f(p) = f(p-1) * x(p,i) x(p-1,i) / (x(p,i-1) x(p-1,i+1))``.
+The x-chart's 0-action and 0-reflection instead build, for every moved
+entry, two region combinations ``U_(l-1) + c * V_l`` from the memoized
+path sums of :func:`region_sums`.
+
+These pairs are compared by the suites and stay independent routes:
+:func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma; the
+closed form keeps its own f-values and never calls :func:`act_e`), and
+:func:`act_e`/:func:`epsilon` on integer points against
+:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 
 from .birational import sigma_map, xi_map
 from .errors import ValidationError
@@ -75,10 +99,8 @@ def _x_zero(x, i):
 
 
 def _prod(sr, factors):
-    out = sr.one
-    for f in factors:
-        out = sr.mul(out, f)
-    return out
+    """Semiring product of a list, starting from its first factor; the unit for none."""
+    return reduce(sr.mul, factors) if factors else sr.one
 
 
 def dval(x, l, i):
@@ -111,12 +133,43 @@ def gamma(x, i):
     return sr.ratio(num, den)
 
 
+def _row_steps(x, i, a, b):
+    """dval(p - 1, i) / dval(p, i) for p in a+1..b: the factor between consecutive rows."""
+    sr = x.semiring
+    return [
+        sr.ratio(
+            sr.mul(x.get(p, i), x.get(p - 1, i)),
+            sr.mul(x.get(p, i - 1), x.get(p - 1, i + 1)),
+        )
+        for p in range(a + 1, b + 1)
+    ]
+
+
+def _inv_dvals(x, i, b, steps):
+    """1 / dval(p, i) for p in a..b, by one pass from row b down over ``steps``."""
+    sr = x.semiring
+    last = sr.ratio(sr.mul(x.get(b + 1, i - 1), x.get(b, i + 1)), x.get(b, i))
+    return list(accumulate(reversed(steps), sr.ratio, initial=last))[::-1]
+
+
+def _ratios(sr, lower, upper):
+    """num(j) / num(j + 1) for j < r, where num(j) = sum(lower[:j]) + sum(upper[j:]).
+
+    One prefix and one suffix pass, with ``add`` only: max-plus has no
+    subtraction.
+    """
+    prefix = list(accumulate(lower, sr.add))
+    suffix = list(accumulate(reversed(upper), sr.add))[::-1]
+    nums = suffix[:1] + [sr.add(p, s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
+    return [sr.ratio(num, den) for num, den in zip(nums, nums[1:])]
+
+
 def epsilon(x, i):
     shape, sr = x.shape, x.semiring
     if _x_zero(x, i):
         return sr.mul(x.get(1, shape.n), epsilon_total(x))
     a, b = _bounds(x, i)
-    return sr.add_all(sr.inv(dval(x, l, i)) for l in range(a, b + 1))
+    return sr.add_all(_inv_dvals(x, i, b, _row_steps(x, i, a, b)))
 
 
 def _alpha(x, l, m, c):
@@ -145,17 +198,10 @@ def act_e(x, i, c):
                 entries[(l, m)] = sr.mul(x.get(l, m), ratio)
     else:
         a, b = _bounds(x, i)
-        terms = {p: sr.inv(dval(x, p, i)) for p in range(a, b + 1)}
-        for l in range(a, b + 1):
-            num = sr.add_all(
-                [terms[p] for p in range(a, l)]
-                + [sr.mul(c, terms[p]) for p in range(l, b + 1)]
-            )
-            den = sr.add_all(
-                [terms[p] for p in range(a, l + 1)]
-                + [sr.mul(c, terms[p]) for p in range(l + 1, b + 1)]
-            )
-            entries[(l, i)] = sr.mul(x.get(l, i), sr.ratio(num, den))
+        terms = _inv_dvals(x, i, b, _row_steps(x, i, a, b))
+        ratios = _ratios(sr, terms, [sr.mul(c, t) for t in terms])
+        for l, ratio in zip(range(a, b + 1), ratios):
+            entries[(l, i)] = sr.mul(x.get(l, i), ratio)
     return type(x)(shape, entries)
 
 
@@ -168,29 +214,11 @@ def act_e0_via_sigma(x, c):
 # Weyl group
 
 
-def _fval(x, p, i, a):
-    """Companion product to dval entering the closed reflection formula.
-
-    Equals gamma_i divided by the diagonal product at row p; the
-    denominator ranges start one step earlier than dval's so that the
-    boundary factors cancel correctly for every i, not just i = k.
-    """
-    sr = x.semiring
-    num = _prod(sr, [x.get(j, i) for j in range(a, p)])
-    num = sr.mul(x.get(p, i), sr.mul(num, num))
-    den = sr.mul(
-        _prod(sr, [x.get(j, i - 1) for j in range(a, p + 1)]),
-        _prod(sr, [x.get(j, i + 1) for j in range(a - 1, p)]),
-    )
-    return sr.ratio(num, den)
-
-
 def weyl_s(x, i):
     """Simple reflection, in closed form; equals act_e(x, i, 1/gamma_i(x))."""
     shape, sr = x.shape, x.semiring
-    shape.check_index(i)
     entries = dict(x.entries)
-    if i == 0:
+    if _x_zero(x, i):
         scale = sr.mul(x.get(1, shape.n), x.get(shape.k, 1))
         for (l, m) in shape.l1_indices:
             if (l, m) == (1, shape.n):
@@ -199,17 +227,14 @@ def weyl_s(x, i):
                 ratio = sr.ratio(_alpha(x, l, m, scale), _alpha(x, l + 1, m, scale))
                 entries[(l, m)] = sr.mul(x.get(l, m), ratio)
     else:
-        a, b = bounds_row1(shape, i)
-        fvals = {p: _fval(x, p, i, a) for p in range(a, b + 1)}
-        dinvs = {p: sr.inv(dval(x, p, i)) for p in range(a, b + 1)}
-        for l in range(a, b + 1):
-            num = sr.add_all(
-                [fvals[p] for p in range(a, l)] + [dinvs[p] for p in range(l, b + 1)]
-            )
-            den = sr.add_all(
-                [fvals[p] for p in range(a, l + 1)] + [dinvs[p] for p in range(l + 1, b + 1)]
-            )
-            entries[(l, i)] = sr.mul(x.get(l, i), sr.ratio(num, den))
+        a, b = _bounds(x, i)
+        steps = _row_steps(x, i, a, b)
+        # f(p) = gamma_i / dval(p, i), one step per row up from row a
+        first = sr.ratio(x.get(a, i), sr.mul(x.get(a, i - 1), x.get(a - 1, i + 1)))
+        fvals = list(accumulate(steps, sr.mul, initial=first))
+        ratios = _ratios(sr, fvals, _inv_dvals(x, i, b, steps))
+        for l, ratio in zip(range(a, b + 1), ratios):
+            entries[(l, i)] = sr.mul(x.get(l, i), ratio)
     return type(x)(shape, entries)
 
 

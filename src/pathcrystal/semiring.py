@@ -28,7 +28,9 @@ class SemiringSpec:
         return self.ratio(self.one, a)
 
     def add_all(self, terms):
-        total = self.bottom
+        """Sum of ``terms``, starting from the first; the bottom element for none."""
+        terms = iter(terms)
+        total = next(terms, self.bottom)
         for t in terms:
             total = self.add(total, t)
         return total

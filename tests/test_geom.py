@@ -17,7 +17,9 @@ from pathcrystal import (
     weyl_s,
     weyl_s_def,
 )
+from pathcrystal.geom import bounds_row1, bounds_row2
 from pathcrystal.lattice import SplitMix64, sample_rational
+from pathcrystal.paths import region_sums
 from pathcrystal.reporting import all_ok
 from pathcrystal.suites import run_suite
 
@@ -45,8 +47,6 @@ def test_dval_examples():
 
 
 def test_dval_consecutive_ratio_identity(shape):
-    from pathcrystal.geom import bounds_row1
-
     x = sample_point(shape, 21, 9, kind="x")
     for i in range(1, shape.n + 1):
         a, b = bounds_row1(shape, i)
@@ -145,11 +145,14 @@ def test_weyl_examples():
 
 
 def test_weyl_closed_form_and_involution(shape):
-    for t in range(3):
-        x = sample_point(shape, 800 + t, 9, kind="x")
-        for i in range(shape.n + 1):
-            assert weyl_s(x, i) == weyl_s_def(x, i)
-            assert weyl_s(weyl_s(x, i), i) == x
+    for kind, top in (("x", shape.n), ("y", shape.n - 1)):
+        for t in range(3):
+            x = sample_point(shape, 800 + t, 9, kind=kind)
+            for i in range(top + 1):
+                assert weyl_s(x, i) == weyl_s_def(x, i)
+                assert weyl_s(weyl_s(x, i), i) == x
+    with pytest.raises(ValidationError):
+        weyl_s(x, shape.n)  # the y-chart has no index n
 
 
 def test_weyl_braid_and_commutation(shape):
@@ -177,3 +180,71 @@ def test_axiom_suite_smallest_shape_all_pairs_adjacent():
     assert checks["verma"].passes > 0
     assert checks["commutation"].passes == 0  # no orthogonal pairs when n = 2
     assert all_ok(checks.values())
+
+
+# ---------------------------------------------------------------------------
+# the linear-time kernel against the defining sums, transcribed term by term
+
+KERNEL_SHAPES = [(n, k) for n in range(2, 7) for k in range(1, n + 1)] + [(12, 6)]
+
+
+def _moved_by_sums(x, i, lower, upper):
+    """Column i times num_l / den_l, each sum built from scratch for every row l."""
+    sr = x.semiring
+    a, b = (bounds_row1 if x.side == 1 else bounds_row2)(x.shape, i)
+    entries = dict(x.entries)
+    for l in range(a, b + 1):
+        num = sr.add_all([lower[p] for p in range(a, l)] + [upper[p] for p in range(l, b + 1)])
+        den = sr.add_all(
+            [lower[p] for p in range(a, l + 1)] + [upper[p] for p in range(l + 1, b + 1)]
+        )
+        entries[(l, i)] = sr.mul(x.get(l, i), sr.ratio(num, den))
+    return type(x)(x.shape, entries)
+
+
+def _inv_dvals_by_definition(x, i):
+    sr = x.semiring
+    a, b = (bounds_row1 if x.side == 1 else bounds_row2)(x.shape, i)
+    return {p: sr.inv(dval(x, p, i)) for p in range(a, b + 1)}
+
+
+def _act_by_definition(x, i, c):
+    sr, shape = x.semiring, x.shape
+    if x.side == 1 and i == 0:
+        def alpha(l, m):
+            return sr.add(region_sums(x, l - 1, m)[0], sr.mul(c, region_sums(x, l, m)[1]))
+
+        entries = {
+            (l, m): sr.mul(x.get(l, m), sr.ratio(alpha(l, m), alpha(l + 1, m)))
+            for (l, m) in shape.l1_indices
+        }
+        entries[(1, shape.n)] = sr.ratio(x.get(1, shape.n), c)
+        return type(x)(shape, entries)
+    terms = _inv_dvals_by_definition(x, i)
+    return _moved_by_sums(x, i, terms, {p: sr.mul(c, t) for p, t in terms.items()})
+
+
+def _reflect_by_definition(x, i):
+    sr = x.semiring
+    g = gamma(x, i)
+    if x.side == 1 and i == 0:
+        return _act_by_definition(x, 0, sr.inv(g))
+    fvals = {p: sr.ratio(g, dval(x, p, i)) for p in _inv_dvals_by_definition(x, i)}
+    return _moved_by_sums(x, i, fvals, _inv_dvals_by_definition(x, i))
+
+
+@pytest.mark.parametrize("nk", KERNEL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_kernel_matches_defining_sums(nk):
+    shape = make_shape(*nk)
+    rational = [Fraction(2, 3), Fraction(5), Fraction(7, 11)]
+    for kind, params in (("x", rational), ("y", rational), ("trop", [-3, 2, 5])):
+        pt = sample_point(shape, 40 + shape.n, 9, kind=kind)
+        top = shape.n if pt.side == 1 else shape.n - 1
+        for i in range(top + 1):
+            for c in params:
+                assert act_e(pt, i, c) == _act_by_definition(pt, i, c)
+            assert weyl_s(pt, i) == _reflect_by_definition(pt, i)
+            if pt.side == 2 or i > 0:  # the first chart's epsilon_0 is a path sum
+                assert epsilon(pt, i) == pt.semiring.add_all(
+                    _inv_dvals_by_definition(pt, i).values()
+                )
