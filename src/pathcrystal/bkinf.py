@@ -54,9 +54,6 @@ class CTuple:
     def __getitem__(self, idx):
         return self.values[idx]
 
-    def __len__(self):
-        return len(self.values)
-
     def __eq__(self, other):
         return isinstance(other, CTuple) and self.values == other.values
 

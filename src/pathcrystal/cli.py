@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import bkinf, tropical
 from .birational import sigma_map, xi_map
@@ -36,52 +35,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunReport:
-    """One verification run: suite, shape, seeds and per-relation results."""
-
-    suite: str
-    n: int
-    k: int
-    seed: int
-    trials: int
-    bound: int
-    checks: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    prng: str = PRNG_ID
-
-    @property
-    def ok(self):
-        return all_ok(self.checks)
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "prng": self.prng,
-            "trials": self.trials,
-            "bound": self.bound,
-            "ok": self.ok,
-            "checks": [c.to_json() for c in self.checks],
-            "elapsed_s": self.elapsed_s,
-        }
-
-    def render_text(self):
-        lines = [
-            "suite=%s shape=(%d,%d) seed=%d trials=%d bound=%d prng=%s"
-            % (self.suite, self.n, self.k, self.seed, self.trials, self.bound, self.prng)
-        ]
-        for c in self.checks:
-            status = "vacuous" if c.vacuous else "pass" if c.ok else "FAIL"
-            lines.append("  [%s] %-28s passes=%d fails=%d" % (status, c.name, c.passes, c.fails))
-            for w in c.witnesses:
-                lines.append("    witness: %s" % json.dumps(w, sort_keys=True))
-        lines.append("result: %s (%.3fs)" % ("ok" if self.ok else "FAILED", self.elapsed_s))
-        return "\n".join(lines)
-
-
 def _load_point(path):
     try:
         with open(path) as fh:
@@ -100,6 +53,23 @@ def _emit(obj, as_json):
         print(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def _verify_text(report):
+    """The text view of one suite's JSON report."""
+    lines = [
+        "suite=%(suite)s shape=(%(n)d,%(k)d) seed=%(seed)d trials=%(trials)d bound=%(bound)d"
+        " prng=%(prng)s" % report
+    ]
+    for c in report["checks"]:
+        status = "vacuous" if c["vacuous"] else "FAIL" if c["fails"] else "pass"
+        lines.append(
+            "  [%s] %-28s passes=%d fails=%d" % (status, c["relation"], c["passes"], c["fails"])
+        )
+        for w in c["witnesses"]:
+            lines.append("    witness: %s" % json.dumps(w, sort_keys=True))
+    lines.append("result: %s (%.3fs)" % ("ok" if report["ok"] else "FAILED", report["elapsed_s"]))
+    return "\n".join(lines)
+
+
 def cmd_verify(args):
     shape = make_shape(args.n, args.k)
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
@@ -108,24 +78,25 @@ def cmd_verify(args):
         start = time.monotonic()
         bound = suite_bound(name, args.bound)
         checks = run_suite(name, shape, args.trials, args.seed, bound)
-        report = RunReport(
-            suite=name,
-            n=shape.n,
-            k=shape.k,
-            seed=args.seed,
-            trials=args.trials,
-            bound=bound,
-            checks=checks,
-        )
-        report.elapsed_s = round(time.monotonic() - start, 6)
-        reports.append(report)
+        elapsed = round(time.monotonic() - start, 6)
+        reports.append({
+            "suite": name,
+            "n": shape.n,
+            "k": shape.k,
+            "seed": args.seed,
+            "prng": PRNG_ID,
+            "trials": args.trials,
+            "bound": bound,
+            "ok": all_ok(checks),
+            "checks": [c.to_json() for c in checks],
+            "elapsed_s": elapsed,
+        })
     if args.json:
-        payload = [r.to_json() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports, sort_keys=True))
     else:
         for r in reports:
-            print(r.render_text())
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_FAIL
+            print(_verify_text(r))
+    return EXIT_OK if all(r["ok"] for r in reports) else EXIT_FAIL
 
 
 def _parameter(args):

@@ -13,6 +13,7 @@ treats a failure as a fault.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .birational import sigma_map
@@ -70,9 +71,14 @@ def _validate_key(shape, key):
         raise ValidationError("basis key %r must be strictly increasing" % (key,))
 
 
-def basis_keys(shape):
-    from itertools import combinations
+def _check_dimension(shape, what):
+    """Reject a module of dimension binomial(n+1, k) above :data:`PROBE_DIMENSION_CAP`."""
+    if comb(shape.n + 1, shape.k) > PROBE_DIMENSION_CAP:
+        raise ValidationError("%s limited to dimension at most %d" % (what, PROBE_DIMENSION_CAP))
 
+
+def basis_keys(shape):
+    _check_dimension(shape, "k-subset basis")
     return [tuple(c) for c in combinations(range(1, shape.n + 2), shape.k)]
 
 
@@ -165,11 +171,7 @@ def chart_vector(point):
 
 def proportionality_probe(x):
     """Compare v2 of the mapped point against v1; report, never assert."""
-    shape = x.shape
-    if comb(shape.n + 1, shape.k) > PROBE_DIMENSION_CAP:
-        raise ValidationError(
-            "probe limited to dimension at most %d" % PROBE_DIMENSION_CAP
-        )
+    _check_dimension(x.shape, "probe")
     v1 = chart_vector(x)
     v2 = chart_vector(sigma_map(x))
     if v1.is_zero() or v2.is_zero():

@@ -11,9 +11,9 @@ diagonal-product formulas and differ only in the rows an index moves
 ``side``); only the x-chart's 0-action has formulas of its own.
 
 Everything indexed by 1..n is written against the generic semiring of the
-point, so the same code yields the exact rational action on an
-:class:`~pathcrystal.lattice.XPoint` and the piecewise-linear action on a
-:class:`~pathcrystal.lattice.TropPoint`; the closed-form integer versions in
+point, so the same code yields the exact rational action on an ``x`` point
+and the piecewise-linear action on a ``trop`` point, whose ``value`` check
+reads the action parameter; the closed-form integer versions in
 :mod:`pathcrystal.tropical` are the independent second route.
 
 Every action, reflection and epsilon that the diagonal-product formulas
@@ -39,7 +39,6 @@ closed form keeps its own f-values and never calls :func:`act_e`), and
 :func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 
@@ -181,13 +180,10 @@ def _alpha(x, l, m, c):
 
 
 def act_e(x, i, c):
-    """The i-th one-parameter action on either chart (rational or tropical)."""
+    """The i-th one-parameter action on either chart; the point's kind reads ``c``."""
     shape, sr = x.shape, x.semiring
     zero = _x_zero(x, i)
-    if sr.name == "rational":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValidationError("the action parameter must be positive")
+    c = x.value(c)
     entries = dict(x.entries)
     if zero:
         for (l, m) in shape.l1_indices:

@@ -58,20 +58,9 @@ class Path:
                     "illegal step (%d,%d) -> (%d,%d)" % (l0, m0, l1, m1)
                 )
 
-    @property
-    def src(self):
-        return self.points[0]
-
-    @property
-    def dst(self):
-        return self.points[-1]
-
     def rows_at(self, l):
         """m-indices of the path's points on row l."""
         return [m for (r, m) in self.points if r == l]
-
-    def to_json(self):
-        return [[l, m] for (l, m) in self.points]
 
 
 def _check_side(side):

@@ -160,8 +160,12 @@ def ud_degree_probe(name, exponents, i, d=0):
 
     ``name`` is one of ``"gamma"``, ``"epsilon"`` or ``"e"``; for ``"e"``
     the result is the point of leading exponents of the action at
-    parameter ``t**d``, one coordinate per entry.
+    parameter ``t**d``, one coordinate per entry.  ``d`` is bounded like
+    the exponents, since ``t**d`` has 128 * |d| bits.
     """
+    if abs(d) > PROBE_MAX_EXPONENT:
+        bound = PROBE_MAX_EXPONENT
+        raise ValidationError("probe parameter d is %d, outside [-%d, %d]" % (d, bound, bound))
     big = probe_point(exponents)
     if name == "gamma":
         return degree_of(geom.gamma(big, i))

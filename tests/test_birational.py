@@ -1,7 +1,14 @@
 from fractions import Fraction
 
+import pytest
+
 from pathcrystal import (
+    TropPoint,
+    ValidationError,
     XPoint,
+    YPoint,
+    act_e,
+    b_infinity,
     make_shape,
     partial_sum,
     sample_point,
@@ -88,3 +95,37 @@ def test_bi_positivity(shape):
         assert all(v > 0 for v in sigma_map(x).entries.values())
         y = sample_point(shape, 600 + t, 12, kind="y")
         assert all(v > 0 for v in xi_map(y).entries.values())
+
+
+def test_chart_maps_reject_kinds_without_an_image():
+    z = TropPoint(S32, {(1, 2): -1, (1, 3): -2, (2, 1): 2, (2, 2): 1})
+    for point in (z, b_infinity(S32)):
+        for chart_map in (sigma_map, xi_map):
+            with pytest.raises(ValidationError):
+                chart_map(point)
+
+
+class _MarkedX(XPoint):
+    pass
+
+
+class _MarkedY(YPoint):
+    pass
+
+
+_MarkedX.chart_image, _MarkedY.chart_image = _MarkedY, _MarkedX
+
+
+def test_chart_maps_build_the_image_from_the_input_kind():
+    # a kind pair outside the library keeps its classes through both maps
+    # and the actions on either chart
+    x = _MarkedX(S32, X32.entries)
+    y = sigma_map(x)
+    assert type(y) is _MarkedY
+    assert y.entries == sigma_map(X32).entries
+    back = xi_map(y)
+    assert type(back) is _MarkedX and back == x
+    for i in range(S32.n + 1):
+        assert type(act_e(x, i, Fraction(2, 3))) is _MarkedX
+    for i in range(S32.n):
+        assert type(act_e(y, i, Fraction(2, 3))) is _MarkedY

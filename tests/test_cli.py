@@ -67,6 +67,12 @@ def test_verify_rejects_bad_shape(capsys):
     assert code == 2
 
 
+def test_verify_fundrep_dimension_cap(capsys):
+    # binomial(17, 8) basis vectors: over the cap the probe already has
+    code, _ = run(capsys, "verify", "--suite", "fundrep", "--n", "16", "--k", "8", "--trials", "1")
+    assert code == 2
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nope", "--n", "2", "--k", "1")
     assert code == 2
@@ -198,6 +204,15 @@ def test_map_sigma_and_omega(capsys, point_file):
     code, out = run(capsys, "map", "--map", "omega-inv", "--point", point_file(B21), "--json")
     assert code == 0
     assert json.loads(out)["entries"] == {"1,1": 0, "1,2": 5}
+
+
+@pytest.mark.parametrize("d,code", [("9", 2), ("-9", 2), ("8", 0), ("-8", 0)])
+def test_map_ud_probe_parameter_bound(capsys, point_file, d, code):
+    t32 = {"n": 3, "k": 2, "kind": "trop",
+           "entries": {"1,2": -1, "1,3": -2, "2,1": 2, "2,2": 1}}
+    got, _ = run(capsys, "map", "--map", "ud-probe", "--point", point_file(t32),
+                 "--i", "1", "--d", d, "--json")
+    assert got == code
 
 
 def test_map_ud_probe(capsys, point_file):

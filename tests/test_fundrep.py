@@ -89,6 +89,16 @@ def test_v2_worked_example():
     assert v.coeffs == {(1,): y.get(1, 1), (2,): 1, (3,): y.get(1, 0)}
 
 
+def test_dimension_cap():
+    # binomial(17, 8) = 24310 basis vectors: the suite and the probe share one cap
+    big = make_shape(16, 8)
+    with pytest.raises(ValidationError):
+        basis_keys(big)
+    with pytest.raises(ValidationError, match="probe limited to dimension at most 10000"):
+        proportionality_probe(sample_point(big, 1, 3, kind="x"))
+    assert len(basis_keys(make_shape(14, 7))) == comb(15, 7)
+
+
 def test_chart_vector_rejects_integer_kinds():
     for point in (sample_point(S21, 1, 3, kind="trop"), b_infinity(S21)):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import pytest
 
 from pathcrystal import (
     CartanA1n,
+    TropPoint,
     ValidationError,
     XPoint,
     act_e,
@@ -90,6 +91,18 @@ def test_act_rejects_nonpositive_parameter():
         act_e(X21, 1, 0)
     with pytest.raises(ValidationError):
         act_e(X21, 1, Fraction(-2, 3))
+
+
+def test_action_parameter_is_read_by_the_point_kind():
+    z = TropPoint(S32, {(1, 2): -1, (1, 3): -2, (2, 1): 2, (2, 2): 1})
+    with pytest.raises(ValidationError, match="the action parameter must be an integer"):
+        act_e(z, 1, "3")
+    with pytest.raises(ValidationError, match="the action parameter must be an integer"):
+        act_e(z, 1, 2.5)
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(ValidationError):
+            act_e(X21, 1, bad)
+    assert act_e(X21, 1, "5/1") == act_e(X21, 1, 5) == act_e(X21, 1, Fraction(5))
 
 
 def test_gamma_scaling_all_pairs(shape):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from pathcrystal import (
     TropPoint,
     ValidationError,
     XPoint,
+    YPoint,
     brute_epsilon,
     epsilon_total,
     make_shape,
@@ -76,6 +78,21 @@ def test_point_validation():
         TropPoint(shape, {(1, 1): 0, (1, 2): "5"})  # non-integer
     with pytest.raises(ValidationError):
         TropPoint(shape, {(1, 1): 0, (1, 2): True})  # bool is not an integer entry
+
+
+@pytest.mark.parametrize("cls", [XPoint, YPoint])
+def test_rational_kinds_own_their_values(cls):
+    shape = make_shape(2, 1)
+    low, high = shape.indices(cls.side)
+    for bad in (True, False, 0.5, 2.0):
+        with pytest.raises(ValidationError):
+            cls(shape, {low: bad, high: 1})
+    with pytest.raises(ValidationError, match=re.escape("entry at %r must be positive, got -1/2" % (high,))):
+        cls(shape, {low: 1, high: "-1/2"})
+    # a Fraction, an int or "p/q", read exactly
+    point = cls(shape, {low: "3/6", high: 2})
+    assert point.entries == {low: Fraction(1, 2), high: Fraction(2)}
+    assert all(type(v) is Fraction for v in point.entries.values())
 
 
 def test_points_are_frozen():

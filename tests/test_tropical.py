@@ -122,6 +122,15 @@ def test_probe_validation():
         ud_degree_probe("nope", T21, 1)
 
 
+def test_probe_parameter_bound():
+    # t**d has 128 * |d| bits: d is bounded like the exponents
+    for d in (9, -9):
+        with pytest.raises(ValidationError, match="probe parameter d"):
+            probe_pairs(T21, 1, d)
+    for d in (8, -8):
+        assert all(p == f for p, f in probe_pairs(T21, 1, d).values())
+
+
 def test_probe_matches_tropical_forms(shape):
     rng = SplitMix64(8)
     for t in range(5):
