@@ -14,6 +14,7 @@ from .bkinf import (
     b_infinity,
     bk_e,
     bk_e_closed,
+    brute_bk_e_closed,
     crystal_graph_dot,
     delta,
     eps_phi,

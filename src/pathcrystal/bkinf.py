@@ -4,16 +4,28 @@ Elements (:class:`.lattice.BElement`) are arrays ``b[j][i]`` for rows
 1..k and columns j..j+k' whose rows sum to zero; reads outside that range
 return 0.  The operators indexed 1..n move one unit between adjacent
 columns of a selected row; the 0-indexed operators move units along an
-extremal increasing tuple chosen by minimizing a column functional.
+extremal increasing tuple chosen by minimizing a column functional
+(:func:`delta`).
 
 The increasing tuples are taken with first entry 1 and last entry n+1
 fixed, which makes their count match the number of full lattice paths and
-keeps the 0-operators compatible with the tropical side; the extremal
-tuple construction re-verifies its defining inequalities on every call and
-faults loudly if the convention were ever wrong.
+keeps the 0-operators compatible with the tropical side.
+
+The 0-operators have two routes: the ``weyl`` suite's ``array-closed-form``
+compares them directly, and ``iso`` compares each with the tropical side.
+The closed form :func:`bk_e_closed` at i = 0 is a min-plus DP over the
+states (row j, column c[j]) of the array: one forward and one backward pass
+over integer prefix sums of the rows give the least delta through each
+state, in O(k*n) operations.  It never touches the tropical path engine.
+The unit steps (:func:`zero_ops`, hence :func:`bk_e`), :func:`eps_phi_0`
+and :func:`extremal_c` keep the enumerated definition over all
+binomial(n-1, k-1) tuples, and :func:`extremal_c` re-verifies its defining
+inequalities on every call, faulting with a replayable witness if the
+convention were ever wrong.  :func:`brute_bk_e_closed` is the closed form
+from the same enumeration, the DP's oracle.
 """
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import CrystalFault, ValidationError
 from .lattice import BElement, SplitMix64, _mix_tag, point_to_json
@@ -158,16 +170,19 @@ def extremal_c(b, which):
     if values.get(candidate) != best:
         raise CrystalFault(
             "coordinatewise %s of the minimizers is not a minimizer" % which,
-            witness={"b": repr(b), "candidate": candidate.values},
+            witness={"point": point_to_json(b), "candidate": candidate.values},
         )
     for c in family:
         comparable = candidate <= c if which == "e" else c <= candidate
         if comparable and not best <= values[c]:
-            raise CrystalFault("minimality violated", witness={"c": c.values})
+            raise CrystalFault(
+                "minimality violated",
+                witness={"point": point_to_json(b), "candidate": candidate.values, "c": c.values},
+            )
         if not comparable and not best < values[c]:
             raise CrystalFault(
                 "strict minimality violated against incomparable tuple",
-                witness={"b": repr(b), "candidate": candidate.values, "c": c.values},
+                witness={"point": point_to_json(b), "candidate": candidate.values, "c": c.values},
             )
     return candidate
 
@@ -218,39 +233,110 @@ def bk_e(b, i, d):
     return out
 
 
+def _least(a, b):
+    """min(a, b) where None stands for an empty side."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _forward_minima(rows):
+    """``table[j][v]``: the least delta of a tuple's first j rows when c[j] = v.
+
+    ``rows[j-1][i]`` is row j's entry in column i, for i in 0..n+1.  Row j's
+    share of delta between consecutive entries u < v is ``P(v-1) - P(u)``
+    for the row's prefix sums P, so one running minimum of
+    ``table[j-1][u] - P(u)`` over u < v gives the row in O(n).  Unreachable
+    states hold None.
+    """
+    table = [[None] * len(rows[0]) for _ in range(len(rows) + 1)]
+    table[0][1] = 0
+    for j, row in enumerate(rows, 1):
+        prefix = list(accumulate(row))
+        run = None
+        for v in range(1, len(row)):
+            prev = table[j - 1][v - 1]
+            if prev is not None:
+                run = _least(run, prev - prefix[v - 1])
+            if run is not None:
+                table[j][v] = prefix[v - 1] + run
+    return table
+
+
+def _turned(row):
+    """Column i becomes column n+2-i (column 0 stays in front)."""
+    return row[:1] + row[:0:-1]
+
+
+def _peak_table(b, d):
+    """``peak[j][col] = -min over tuples c of delta(b, c) - (d if c[j] <= col else 0)``.
+
+    A min-plus DP over the states (row j, entry c[j]) that reads only the
+    array: the forward pass, and the same pass on the array turned around
+    (row j -> k+1-j, column i -> n+2-i), give the least delta over the
+    tuples through each state.  Prefix and suffix minima over the column
+    then split the tuples at c[j] <= col.
+    """
+    n, k = b.shape.n, b.shape.k
+    rows = [[b.get(j, i) for i in range(n + 2)] for j in range(1, k + 1)]
+    ahead = _forward_minima(rows)
+    behind = _forward_minima([_turned(row) for row in reversed(rows)])
+    peak = []
+    for j in range(k + 1):
+        through = [
+            None if f is None or g is None else f + g
+            for f, g in zip(ahead[j], _turned(behind[k - j]))
+        ]
+        left = list(accumulate(through, _least))
+        right = list(accumulate(reversed(through), _least))[::-1] + [None]
+        peak.append([
+            -_least(None if left[col] is None else left[col] - d, right[col + 1])
+            for col in range(n + 2)
+        ])
+    return peak
+
+
+def _apply_peaks(b, peak):
+    """The 0-operator's image from the peak function, by inclusion-exclusion."""
+    return BElement(b.shape, {
+        (j, col): b.get(j, col)
+        + peak(j, col) - peak(j - 1, col) - peak(j, col - 1) + peak(j - 1, col - 1)
+        for (j, col) in b.shape.b_indices
+    })
+
+
+def brute_bk_e_closed(b, d):
+    """Oracle for ``bk_e_closed(b, 0, d)``: every peak from the full tuple family."""
+    family = all_ctuples(b.shape)
+    values = {c: delta(b, c) for c in family}
+
+    def peak(j, col):
+        # -min(min over c[j] > col, (min over c[j] <= col) - d)
+        return -min(values[c] - d if c[j] <= col else values[c] for c in family)
+
+    return _apply_peaks(b, peak)
+
+
 def bk_e_closed(b, i, d):
-    """Closed form of the d-fold operator; must agree with iteration."""
+    """Closed form of the d-fold operator; must agree with iteration.
+
+    At i = 0 it costs O(k*n) integer operations (see :func:`_peak_table`).
+    """
     shape = b.shape
     shape.check_index(i)
-    entries = dict(b.entries)
     if i == 0:
-        family = all_ctuples(shape)
-        values = {c: delta(b, c) for c in family}
+        peak = _peak_table(b, d)
+        return _apply_peaks(b, lambda j, col: peak[j][col])
+    entries = dict(b.entries)
+    beta, gamma_row = _col_range(shape, i)
+    profile = _gamma_profile(b, i)
 
-        def peak(j, col):
-            # -min(min over c[j] > col, (min over c[j] <= col) - d)
-            return -min(values[c] - d if c[j] <= col else values[c] for c in family)
+    def cut_min(cut):
+        # min(min over rows >= cut, (min over rows < cut) - d)
+        return min(v - d if p < cut else v for p, v in profile.items())
 
-        for (j, col) in shape.b_indices:
-            entries[(j, col)] = (
-                b.get(j, col)
-                + peak(j, col)
-                - peak(j - 1, col)
-                - peak(j, col - 1)
-                + peak(j - 1, col - 1)
-            )
-    else:
-        beta, gamma_row = _col_range(shape, i)
-        profile = _gamma_profile(b, i)
-
-        def cut_min(cut):
-            # min(min over rows >= cut, (min over rows < cut) - d)
-            return min(v - d if p < cut else v for p, v in profile.items())
-
-        for l in range(beta + 1, gamma_row + 1):
-            shift = cut_min(l + 1) - cut_min(l)
-            entries[(l, i)] -= shift
-            entries[(l, i + 1)] += shift
+    for l in range(beta + 1, gamma_row + 1):
+        shift = cut_min(l + 1) - cut_min(l)
+        entries[(l, i)] -= shift
+        entries[(l, i + 1)] += shift
     return BElement(shape, entries)
 
 

@@ -23,7 +23,6 @@ from .iso import omega, omega_inv
 from .lattice import (
     PRNG_ID,
     make_shape,
-    parse_rational,
     point_from_json,
     point_to_json,
 )
@@ -102,7 +101,7 @@ def cmd_verify(args):
 def _parameter(args):
     if args.c is None:
         raise ValidationError("op e needs --c P/Q")
-    return parse_rational(args.c)
+    return args.c  # read by the point's kind, like any action parameter
 
 
 # (side, op) -> (kind of the input point, operation on it and the parsed options)

@@ -17,6 +17,7 @@ boundary values used by the partial path sums live in :mod:`.paths`, not
 here.
 """
 
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -191,7 +192,11 @@ class _RationalPoint(_BasePoint):
     def value(self, v, key=None):
         """A Fraction, an int or ``"p/q"``, as a positive Fraction."""
         if type(v) is not Fraction:
-            v = parse_rational(v)
+            try:
+                v = parse_rational(v)
+            except ValidationError as exc:
+                where = "the action parameter" if key is None else "entry at %r" % (key,)
+                raise ValidationError("%s: %s" % (where, exc)) from None
         if v > 0:
             return v
         if key is None:
@@ -306,20 +311,24 @@ def format_rational(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text):
+    """An int, or a string ``"p"`` or ``"p/q"`` of decimal digits, as an exact Fraction.
+
+    Anything else (floats, bools, ``"1_000/3"``, ``" 3 / 4 "``) raises
+    :class:`ValidationError`.
+    """
     if _is_int(text):
         return Fraction(text)
-    s = str(text).strip()
-    if "/" in s:
-        num_s, den_s = s.split("/", 1)
+    if isinstance(text, str) and _RATIONAL_TEXT.fullmatch(text):
+        num, _, den = text.partition("/")
         try:
-            return Fraction(int(num_s), int(den_s))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("bad rational %r: %s" % (text, exc))
-    try:
-        return Fraction(int(s))
-    except ValueError as exc:
-        raise ValidationError("bad rational %r: %s" % (text, exc))
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
+            raise ValidationError("bad rational %r: %s" % (text, exc)) from None
+    raise ValidationError("bad rational %r: expected an integer or 'p/q'" % (text,))
 
 
 def point_to_json(point):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pathcrystal import (
@@ -8,6 +10,7 @@ from pathcrystal import (
     b_infinity,
     bk_e,
     bk_e_closed,
+    brute_bk_e_closed,
     delta,
     eps_phi,
     eps_phi_0,
@@ -19,8 +22,9 @@ from pathcrystal import (
     weyl_s_tilde,
     zero_ops,
 )
-from pathcrystal import CartanA1n
+from pathcrystal import CartanA1n, CrystalFault, bkinf, omega, sample_point, trop_weyl
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement, wt
+from pathcrystal.cli import main
 from math import comb
 
 S21 = make_shape(2, 1)
@@ -174,6 +178,57 @@ def test_closed_reflection_equals_iteration_200_elements(shape):
         b = sample_belement(shape, 7000 + t, 8)
         for i in range(shape.n + 1):
             assert weyl_s_tilde(b, i) == bk_e(b, i, -wt(b, i))
+
+
+# every shape with n <= 6, every k: the DP against the enumerated definition
+SMALL_SHAPES = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
+D_RANGE = list(range(-5, 6)) + [10**6, -10**6]
+
+
+@pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_closed_zero_operator_matches_enumeration(nk):
+    shape = make_shape(*nk)
+    for seed in range(3):
+        for bound in (1, 4, 12):
+            b = sample_belement(shape, 300 + seed, bound)
+            for d in D_RANGE:
+                assert bk_e_closed(b, 0, d) == brute_bk_e_closed(b, d), (seed, bound, d)
+
+
+def _refuse(*args):
+    raise AssertionError("the closed 0-operator must not enumerate tuples")
+
+
+def test_closed_zero_operator_scans_no_tuples(monkeypatch):
+    # binomial(15, 7) = 6,435 tuples at (16,8): the closed form reads the array only
+    b = sample_belement(make_shape(16, 8), 5, 10)
+    expected = brute_bk_e_closed(b, 3), brute_bk_e_closed(b, -wt(b, 0))
+    monkeypatch.setattr(bkinf, "all_ctuples", _refuse)
+    monkeypatch.setattr(bkinf, "delta", _refuse)
+    assert (bk_e_closed(b, 0, 3), weyl_s_tilde(b, 0)) == expected
+
+
+def test_closed_reflection_matches_tropical_at_16_8():
+    z = sample_point(make_shape(16, 8), 11, 10, kind="trop")
+    assert weyl_s_tilde(omega(z), 0) == omega(trop_weyl(z, 0))
+
+
+def test_extremal_fault_witness_replays(monkeypatch, tmp_path, capsys):
+    shape = make_shape(5, 3)
+    b = sample_belement(shape, 9, 5)
+    # two incomparable minimizers: their coordinatewise minimum (1, 2, 4, 6) is not one
+    minimizers = {(1, 2, 5, 6), (1, 3, 4, 6)}
+    monkeypatch.setattr(bkinf, "delta", lambda b, c: 0 if c.values in minimizers else 1)
+    with pytest.raises(CrystalFault) as info:
+        extremal_c(b, "e")
+    witness = info.value.witness
+    assert point_from_json(witness["point"]) == b
+    assert tuple(witness["candidate"]) == (1, 2, 4, 6)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness["point"]))
+    argv = ["act", "--side", "bkinf", "--op", "e", "--i", "0", "--d", "1", "--point", str(path)]
+    assert main(argv) == 1
+    assert "coordinatewise e of the minimizers" in capsys.readouterr().err
 
 
 def test_weyl_example():

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from conftest import MALFORMED_POINTS
+from pathcrystal import cli
 from pathcrystal.cli import ACTIONS, MAPS, build_parser, main
+from pathcrystal.reporting import RelationCheck, all_ok
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
 Y21 = {"n": 2, "k": 1, "kind": "y", "entries": {"1,0": "1/3", "1,1": "2/3"}}
@@ -62,6 +64,16 @@ def test_vacuous_relations_are_flagged(capsys):
     assert flagged == {"epsilon-invariance", "commutation"}
 
 
+def test_all_vacuous_run_is_not_ok(capsys, monkeypatch):
+    nothing = [RelationCheck("commutation"), RelationCheck("epsilon-invariance")]
+    assert not all_ok(nothing) and not all_ok([])
+    assert all_ok(nothing + [RelationCheck("verma", passes=1)])
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [RelationCheck("commutation")])
+    code, out = run(capsys, "verify", "--suite", "axioms", "--n", "2", "--k", "1", "--trials", "1")
+    assert code == 1
+    assert "[vacuous] commutation" in out and "result: FAILED" in out
+
+
 def test_verify_rejects_bad_shape(capsys):
     code, _ = run(capsys, "verify", "--suite", "iso", "--n", "9", "--k", "0")
     assert code == 2
@@ -104,6 +116,15 @@ def test_act_geom_zero_action(capsys, point_file):
     )
     assert code == 0
     assert json.loads(out)["entries"] == {"1,1": "1/1", "1,2": "3/2"}
+
+
+def test_float_parameters_and_entries_rejected(capsys, point_file):
+    act = ["act", "--side", "geom", "--op", "e", "--i", "0"]
+    assert main(act + ["--c", "0.5", "--point", point_file(X21)]) == 2
+    assert "the action parameter: bad rational '0.5'" in capsys.readouterr().err
+    floated = dict(X21, entries={"1,1": 0.5, "1,2": "3/1"})
+    assert main(act + ["--c", "2/1", "--point", point_file(floated)]) == 2
+    assert "entry at (1, 1): bad rational 0.5" in capsys.readouterr().err
 
 
 def test_act_geom_reflection(capsys, point_file):

@@ -99,8 +99,8 @@ def test_action_parameter_is_read_by_the_point_kind():
         act_e(z, 1, "3")
     with pytest.raises(ValidationError, match="the action parameter must be an integer"):
         act_e(z, 1, 2.5)
-    for bad in (0.1, 2.0, True):
-        with pytest.raises(ValidationError):
+    for bad in (0.1, 2.0, True, " 3 / 4 "):
+        with pytest.raises(ValidationError, match="the action parameter: bad rational"):
             act_e(X21, 1, bad)
     assert act_e(X21, 1, "5/1") == act_e(X21, 1, 5) == act_e(X21, 1, Fraction(5))
 

@@ -19,6 +19,7 @@ from pathcrystal import (
     sample_belement,
     sample_point,
 )
+from pathcrystal.lattice import parse_rational
 
 
 def test_smallest_shape_index_sets():
@@ -93,6 +94,28 @@ def test_rational_kinds_own_their_values(cls):
     point = cls(shape, {low: "3/6", high: 2})
     assert point.entries == {low: Fraction(1, 2), high: Fraction(2)}
     assert all(type(v) is Fraction for v in point.entries.values())
+
+
+def test_parse_rational_reads_only_integers_and_p_over_q():
+    assert parse_rational(7) == Fraction(7)
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert parse_rational("+5") == Fraction(5)
+    for bad in ("1_000/3", " 3 / 4 ", " 3/4", "1.5", "1/-2", "", "/3", "\u0663", 0.5, 2.0, True, None):
+        with pytest.raises(ValidationError, match="bad rational"):
+            parse_rational(bad)
+    for bad in ("1/0", "1" * 5000):
+        with pytest.raises(ValidationError, match="bad rational"):
+            parse_rational(bad)
+
+
+@pytest.mark.parametrize("cls", [XPoint, YPoint])
+def test_rational_rejection_names_the_entry(cls):
+    shape = make_shape(2, 1)
+    low, high = shape.indices(cls.side)
+    with pytest.raises(ValidationError, match=re.escape("entry at %r: bad rational 0.5" % (high,))):
+        cls(shape, {low: 1, high: 0.5})
+    with pytest.raises(ValidationError, match=re.escape("entry at %r: bad rational '1_000/3'" % (low,))):
+        cls(shape, {low: "1_000/3", high: 1})
 
 
 def test_points_are_frozen():
