@@ -15,6 +15,7 @@ from .bkinf import (
     bk_e,
     bk_e_closed,
     brute_bk_e_closed,
+    brute_eps_phi_0,
     crystal_graph_dot,
     delta,
     eps_phi,

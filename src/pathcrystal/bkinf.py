@@ -17,12 +17,14 @@ The closed form :func:`bk_e_closed` at i = 0 is a min-plus DP over the
 states (row j, column c[j]) of the array: one forward and one backward pass
 over integer prefix sums of the rows give the least delta through each
 state, in O(k*n) operations.  It never touches the tropical path engine.
-The unit steps (:func:`zero_ops`, hence :func:`bk_e`), :func:`eps_phi_0`
-and :func:`extremal_c` keep the enumerated definition over all
+:func:`eps_phi_0` reads the least delta off the same forward pass, at its
+sink state.  The unit steps (:func:`zero_ops`, hence :func:`bk_e`) and
+:func:`extremal_c` keep the enumerated definition over all
 binomial(n-1, k-1) tuples, and :func:`extremal_c` re-verifies its defining
 inequalities on every call, faulting with a replayable witness if the
-convention were ever wrong.  :func:`brute_bk_e_closed` is the closed form
-from the same enumeration, the DP's oracle.
+convention were ever wrong.  :func:`brute_bk_e_closed` and
+:func:`brute_eps_phi_0` are the closed form and the 0-data from the same
+enumeration, the DP's oracles.
 """
 
 from itertools import accumulate, combinations
@@ -188,6 +190,19 @@ def extremal_c(b, which):
 
 
 def eps_phi_0(b):
+    """The pair (eps_0, phi_0) from the least delta over all tuples.
+
+    Both extremal tuples attain ``min_c delta(b, c)``, which is the forward
+    min-plus pass's value at its sink state (row k, column n+1): O(k*n)
+    integer operations that read only the array.
+    """
+    shape = b.shape
+    least = _forward_minima(_rows(b))[shape.k][shape.n + 1]
+    return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
+
+
+def brute_eps_phi_0(b):
+    """Oracle for :func:`eps_phi_0`: delta at both enumerated extremal tuples."""
     shape = b.shape
     ce = extremal_c(b, "e")
     cf = extremal_c(b, "f")
@@ -261,6 +276,11 @@ def _forward_minima(rows):
     return table
 
 
+def _rows(b):
+    """``rows[j-1][i]``: row j's entry in column i, for i in 0..n+1."""
+    return [[b.get(j, i) for i in range(b.shape.n + 2)] for j in range(1, b.shape.k + 1)]
+
+
 def _turned(row):
     """Column i becomes column n+2-i (column 0 stays in front)."""
     return row[:1] + row[:0:-1]
@@ -276,7 +296,7 @@ def _peak_table(b, d):
     then split the tuples at c[j] <= col.
     """
     n, k = b.shape.n, b.shape.k
-    rows = [[b.get(j, i) for i in range(n + 2)] for j in range(1, k + 1)]
+    rows = _rows(b)
     ahead = _forward_minima(rows)
     behind = _forward_minima([_turned(row) for row in reversed(rows)])
     peak = []

@@ -40,7 +40,7 @@ def _load_point(path):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int()'s digit limit
         raise ValidationError("malformed JSON in %s: %s" % (path, exc))
     return point_from_json(data)
 

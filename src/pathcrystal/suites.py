@@ -265,8 +265,12 @@ def suite_weyl(shape, trials, seed, bound):
 
 
 def suite_extremal(shape, trials, seed, bound):
-    """Extremal-tuple machinery: minimality, inequalities, equal minima."""
-    checks = _checks("extremal-tuples", "equal-minima")
+    """Extremal-tuple machinery: minimality, inequalities, equal minima.
+
+    ``eps-phi-from-tuples`` compares the DP's 0-data with delta at the
+    enumerated extremal tuples.
+    """
+    checks = _checks("extremal-tuples", "equal-minima", "eps-phi-from-tuples")
     for t in range(trials):
         b = bkinf.sample_belement(shape, seed + t, bound)
         try:
@@ -276,8 +280,11 @@ def suite_extremal(shape, trials, seed, bound):
             checks["extremal-tuples"].record(False, b, fault=str(fault))
             continue
         checks["extremal-tuples"].record(True)
-        checks["equal-minima"].record(
-            bkinf.delta(b, ce) == bkinf.delta(b, cf), b, ce=ce.values, cf=cf.values
+        delta_e, delta_f = bkinf.delta(b, ce), bkinf.delta(b, cf)
+        checks["equal-minima"].record(delta_e == delta_f, b, ce=ce.values, cf=cf.values)
+        from_tuples = (-b.get(shape.k, shape.n + 1) - delta_e, -b.get(1, 1) - delta_f)
+        checks["eps-phi-from-tuples"].record(
+            bkinf.eps_phi_0(b) == from_tuples, b, ce=ce.values, cf=cf.values
         )
     return list(checks.values())
 

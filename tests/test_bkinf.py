@@ -11,6 +11,7 @@ from pathcrystal import (
     bk_e,
     bk_e_closed,
     brute_bk_e_closed,
+    brute_eps_phi_0,
     delta,
     eps_phi,
     eps_phi_0,
@@ -22,7 +23,15 @@ from pathcrystal import (
     weyl_s_tilde,
     zero_ops,
 )
-from pathcrystal import CartanA1n, CrystalFault, bkinf, omega, sample_point, trop_weyl
+from pathcrystal import (
+    CartanA1n,
+    CrystalFault,
+    bkinf,
+    omega,
+    sample_point,
+    trop_eps,
+    trop_weyl,
+)
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement, wt
 from pathcrystal.cli import main
 from math import comb
@@ -206,6 +215,30 @@ def test_closed_zero_operator_scans_no_tuples(monkeypatch):
     monkeypatch.setattr(bkinf, "all_ctuples", _refuse)
     monkeypatch.setattr(bkinf, "delta", _refuse)
     assert (bk_e_closed(b, 0, 3), weyl_s_tilde(b, 0)) == expected
+
+
+@pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_zero_data_match_enumeration_and_weight(nk):
+    shape = make_shape(*nk)
+    for seed in range(3):
+        for bound in (1, 4, 12):
+            b = sample_belement(shape, 400 + seed, bound)
+            eps0, phi0 = eps_phi_0(b)
+            assert (eps0, phi0) == brute_eps_phi_0(b), (seed, bound)
+            assert phi0 - eps0 == wt(b, 0), (seed, bound)
+
+
+def test_zero_data_scan_no_tuples(monkeypatch):
+    b = sample_belement(make_shape(16, 8), 6, 10)
+    expected = brute_eps_phi_0(b)
+    for name in ("all_ctuples", "delta", "extremal_c"):
+        monkeypatch.setattr(bkinf, name, _refuse)
+    assert eps_phi_0(b) == expected
+
+
+def test_zero_data_match_tropical_at_16_8():
+    z = sample_point(make_shape(16, 8), 12, 10, kind="trop")
+    assert trop_eps(z, 0) == eps_phi_0(omega(z))[0]
 
 
 def test_closed_reflection_matches_tropical_at_16_8():

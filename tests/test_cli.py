@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -255,6 +256,21 @@ def test_map_malformed_json(capsys, tmp_path, point_file):
     for data in MALFORMED_POINTS:
         code, _ = run(capsys, "map", "--map", "sigma", "--point", point_file(data))
         assert code == 2, data
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="no int-string digit limit in this interpreter",
+)
+def test_overlong_integer_literal_is_malformed_json(capsys, tmp_path):
+    # 5,000 digits: past int()'s default digit limit, so json.load raises a plain ValueError
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 2, "k": 1, "kind": "trop", "entries": {"1,1": %s, "1,2": 5}}' % ("7" * 5000))
+    argv = ["act", "--side", "trop", "--op", "e", "--i", "1", "--d", "1", "--point", str(big)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "malformed JSON in %s" % big in err
+    assert "Traceback" not in err
 
 
 def test_conjecture_report(capsys):
