@@ -20,11 +20,16 @@ state, in O(k*n) operations.  It never touches the tropical path engine.
 :func:`eps_phi_0` reads the least delta off the same forward pass, at its
 sink state.  The unit steps (:func:`zero_ops`, hence :func:`bk_e`) and
 :func:`extremal_c` keep the enumerated definition over all
-binomial(n-1, k-1) tuples, and :func:`extremal_c` re-verifies its defining
-inequalities on every call, faulting with a replayable witness if the
-convention were ever wrong.  :func:`brute_bk_e_closed` and
-:func:`brute_eps_phi_0` are the closed form and the 0-data from the same
-enumeration, the DP's oracles.
+binomial(n-1, k-1) tuples.  Each enumerating call builds one table
+``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`),
+reading the rows once and summing them with the same row-wise helper as
+:func:`delta`; nothing is kept across calls.  :func:`extremal_c`
+re-verifies its defining inequalities against the whole table on every
+call, faulting with a replayable witness if the convention were ever
+wrong.  :func:`brute_bk_e_closed` (each peak once, a direct min over the
+table) and :func:`brute_eps_phi_0` are the closed form and the 0-data from
+the same enumeration, the DP's oracles.  :class:`CTuple` validates tuples
+given from outside and types the result of :func:`extremal_c`.
 """
 
 from itertools import accumulate, combinations
@@ -52,7 +57,11 @@ def sample_belement(shape, seed, bound):
 
 
 class CTuple:
-    """Strictly increasing tuple from 1 to n+1 selecting one column per row."""
+    """Strictly increasing tuple from 1 to n+1 selecting one column per row.
+
+    The validator for tuples given from outside; the family itself
+    (:func:`all_ctuples`) is plain tuples.
+    """
 
     def __init__(self, shape, values):
         values = tuple(values)
@@ -68,26 +77,11 @@ class CTuple:
     def __getitem__(self, idx):
         return self.values[idx]
 
-    def __eq__(self, other):
-        return isinstance(other, CTuple) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __le__(self, other):
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    def __repr__(self):
-        return "CTuple%r" % (self.values,)
-
 
 def all_ctuples(shape):
-    """The full tuple family, of size binomial(n-1, k-1)."""
-    inner = range(2, shape.n + 1)
-    return [
-        CTuple(shape, (1,) + middle + (shape.n + 1,))
-        for middle in combinations(inner, shape.k - 1)
-    ]
+    """The full tuple family as plain tuples, binomial(n-1, k-1) of them."""
+    first, last = (1,), (shape.n + 1,)
+    return [first + middle + last for middle in combinations(range(2, shape.n + 1), shape.k - 1)]
 
 
 def _col_range(shape, i):
@@ -142,13 +136,25 @@ def kashiwara(b, op, i):
     return BElement(b.shape, entries)
 
 
+def _between(row, u, v):
+    """A row's entries strictly between columns u and v."""
+    return sum(row[u + 1:v])
+
+
 def delta(b, c):
     """Sum of the row entries strictly between consecutive tuple columns."""
-    total = 0
-    for j in range(1, b.shape.k + 1):
-        for i in range(c[j - 1] + 1, c[j]):
-            total += b.get(j, i)
-    return total
+    return sum(map(_between, _rows(b), c, c[1:]))
+
+
+def _family_deltas(b):
+    """``{c: delta(b, c)}`` over the whole tuple family, the rows read once."""
+    rows = _rows(b)
+    return {c: sum(map(_between, rows, c, c[1:])) for c in all_ctuples(b.shape)}
+
+
+def _below(a, c):
+    """Coordinatewise a <= c."""
+    return all(x <= y for x, y in zip(a, c))
 
 
 def extremal_c(b, which):
@@ -160,33 +166,29 @@ def extremal_c(b, which):
     """
     if which not in ("e", "f"):
         raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
-    family = all_ctuples(b.shape)
-    values = {c: delta(b, c) for c in family}
+    values = _family_deltas(b)
     best = min(values.values())
-    argmin = [c for c in family if values[c] == best]
+    argmin = [c for c, v in values.items() if v == best]
     pick = min if which == "e" else max
-    candidate = CTuple(
-        b.shape,
-        tuple(pick(c[j] for c in argmin) for j in range(b.shape.k + 1)),
-    )
+    candidate = tuple(map(pick, zip(*argmin)))
     if values.get(candidate) != best:
         raise CrystalFault(
             "coordinatewise %s of the minimizers is not a minimizer" % which,
-            witness={"point": point_to_json(b), "candidate": candidate.values},
+            witness={"point": point_to_json(b), "candidate": candidate},
         )
-    for c in family:
-        comparable = candidate <= c if which == "e" else c <= candidate
-        if comparable and not best <= values[c]:
+    for c, v in values.items():
+        comparable = _below(candidate, c) if which == "e" else _below(c, candidate)
+        if comparable and not best <= v:
             raise CrystalFault(
                 "minimality violated",
-                witness={"point": point_to_json(b), "candidate": candidate.values, "c": c.values},
+                witness={"point": point_to_json(b), "candidate": candidate, "c": c},
             )
-        if not comparable and not best < values[c]:
+        if not comparable and not best < v:
             raise CrystalFault(
                 "strict minimality violated against incomparable tuple",
-                witness={"point": point_to_json(b), "candidate": candidate.values, "c": c.values},
+                witness={"point": point_to_json(b), "candidate": candidate, "c": c},
             )
-    return candidate
+    return CTuple(b.shape, candidate)
 
 
 def eps_phi_0(b):
@@ -315,24 +317,24 @@ def _peak_table(b, d):
 
 
 def _apply_peaks(b, peak):
-    """The 0-operator's image from the peak function, by inclusion-exclusion."""
+    """The 0-operator's image from the peak table, by inclusion-exclusion."""
     return BElement(b.shape, {
         (j, col): b.get(j, col)
-        + peak(j, col) - peak(j - 1, col) - peak(j, col - 1) + peak(j - 1, col - 1)
+        + peak[j][col] - peak[j - 1][col] - peak[j][col - 1] + peak[j - 1][col - 1]
         for (j, col) in b.shape.b_indices
     })
 
 
 def brute_bk_e_closed(b, d):
-    """Oracle for ``bk_e_closed(b, 0, d)``: every peak from the full tuple family."""
-    family = all_ctuples(b.shape)
-    values = {c: delta(b, c) for c in family}
+    """Oracle for ``bk_e_closed(b, 0, d)``: each peak once, over the full tuple family.
 
-    def peak(j, col):
-        # -min(min over c[j] > col, (min over c[j] <= col) - d)
-        return -min(values[c] - d if c[j] <= col else values[c] for c in family)
-
-    return _apply_peaks(b, peak)
+    ``peak[j][col] = -min(min over c[j] > col, (min over c[j] <= col) - d)``.
+    """
+    values = _family_deltas(b).items()
+    return _apply_peaks(b, [
+        [-min(v - d if c[j] <= col else v for c, v in values) for col in range(b.shape.n + 2)]
+        for j in range(b.shape.k + 1)
+    ])
 
 
 def bk_e_closed(b, i, d):
@@ -343,8 +345,7 @@ def bk_e_closed(b, i, d):
     shape = b.shape
     shape.check_index(i)
     if i == 0:
-        peak = _peak_table(b, d)
-        return _apply_peaks(b, lambda j, col: peak[j][col])
+        return _apply_peaks(b, _peak_table(b, d))
     entries = dict(b.entries)
     beta, gamma_row = _col_range(shape, i)
     profile = _gamma_profile(b, i)

@@ -195,7 +195,7 @@ def suite_iso(shape, trials, seed, bound):
         for c in family:
             checks["delta-path"].record(
                 bkinf.delta(b, c) == -path_weight(x, iso.pi_correspondence(shape, c)),
-                x, c=c.values,
+                x, c=c,
             )
         for i in range(shape.n + 1):
             eps_b = bkinf.eps_phi_0(b)[0] if i == 0 else bkinf.eps_phi(b, i)[0]

@@ -110,9 +110,9 @@ def test_delta_examples():
 
 
 def test_ctuple_family():
-    assert [c.values for c in all_ctuples(S21)] == [(1, 3)]
+    assert all_ctuples(S21) == [(1, 3)]
     s32 = make_shape(3, 2)
-    assert [c.values for c in all_ctuples(s32)] == [(1, 2, 4), (1, 3, 4)]
+    assert all_ctuples(s32) == [(1, 2, 4), (1, 3, 4)]
     for n, k in [(4, 2), (5, 3), (6, 3)]:
         assert len(all_ctuples(make_shape(n, k))) == comb(n - 1, k - 1)
 
@@ -144,7 +144,7 @@ def test_extremal_brute_example():
     s32 = make_shape(3, 2)
     b = BElement(s32, {(1, 1): 1, (1, 2): 0, (1, 3): -1,
                        (2, 2): 0, (2, 3): 2, (2, 4): -2})
-    vals = {c.values: delta(b, c) for c in all_ctuples(s32)}
+    vals = {c: delta(b, c) for c in all_ctuples(s32)}
     assert vals == {(1, 2, 4): 2, (1, 3, 4): 0}
     assert extremal_c(b, "e").values == (1, 3, 4)
 
@@ -194,6 +194,37 @@ SMALL_SHAPES = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
 D_RANGE = list(range(-5, 6)) + [10**6, -10**6]
 
 
+def _delta_by_get(b, c):
+    # delta transcribed entry by entry, independent of the row lists
+    return sum(
+        b.get(j, i) for j in range(1, b.shape.k + 1) for i in range(c[j - 1] + 1, c[j])
+    )
+
+
+@pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_family_deltas_match_entrywise_delta(nk):
+    shape = make_shape(*nk)
+    for seed in range(3):
+        for bound in (1, 4, 12):
+            b = sample_belement(shape, 500 + seed, bound)
+            expected = {c: _delta_by_get(b, c) for c in all_ctuples(shape)}
+            assert bkinf._family_deltas(b) == expected, (seed, bound)
+
+
+@pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_extremal_is_coordinatewise_extreme_of_minimizers(nk):
+    shape = make_shape(*nk)
+    for seed in range(3):
+        for bound in (1, 4, 12):
+            b = sample_belement(shape, 600 + seed, bound)
+            values = {c: _delta_by_get(b, c) for c in all_ctuples(shape)}
+            best = min(values.values())
+            argmin = [c for c, v in values.items() if v == best]
+            for which, pick in (("e", min), ("f", max)):
+                expected = tuple(pick(c[j] for c in argmin) for j in range(shape.k + 1))
+                assert extremal_c(b, which).values == expected, (seed, bound, which)
+
+
 @pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
 def test_closed_zero_operator_matches_enumeration(nk):
     shape = make_shape(*nk)
@@ -212,8 +243,8 @@ def test_closed_zero_operator_scans_no_tuples(monkeypatch):
     # binomial(15, 7) = 6,435 tuples at (16,8): the closed form reads the array only
     b = sample_belement(make_shape(16, 8), 5, 10)
     expected = brute_bk_e_closed(b, 3), brute_bk_e_closed(b, -wt(b, 0))
-    monkeypatch.setattr(bkinf, "all_ctuples", _refuse)
-    monkeypatch.setattr(bkinf, "delta", _refuse)
+    for name in ("all_ctuples", "delta", "_family_deltas"):
+        monkeypatch.setattr(bkinf, name, _refuse)
     assert (bk_e_closed(b, 0, 3), weyl_s_tilde(b, 0)) == expected
 
 
@@ -231,7 +262,7 @@ def test_zero_data_match_enumeration_and_weight(nk):
 def test_zero_data_scan_no_tuples(monkeypatch):
     b = sample_belement(make_shape(16, 8), 6, 10)
     expected = brute_eps_phi_0(b)
-    for name in ("all_ctuples", "delta", "extremal_c"):
+    for name in ("all_ctuples", "delta", "_family_deltas", "extremal_c"):
         monkeypatch.setattr(bkinf, name, _refuse)
     assert eps_phi_0(b) == expected
 
@@ -251,7 +282,10 @@ def test_extremal_fault_witness_replays(monkeypatch, tmp_path, capsys):
     b = sample_belement(shape, 9, 5)
     # two incomparable minimizers: their coordinatewise minimum (1, 2, 4, 6) is not one
     minimizers = {(1, 2, 5, 6), (1, 3, 4, 6)}
-    monkeypatch.setattr(bkinf, "delta", lambda b, c: 0 if c.values in minimizers else 1)
+    monkeypatch.setattr(
+        bkinf, "_family_deltas",
+        lambda b: {c: 0 if c in minimizers else 1 for c in bkinf.all_ctuples(b.shape)},
+    )
     with pytest.raises(CrystalFault) as info:
         extremal_c(b, "e")
     witness = info.value.witness
