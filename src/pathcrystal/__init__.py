@@ -38,7 +38,6 @@ from .fundrep import (
 from .geom import (
     CartanA1n,
     act_e,
-    act_e0_via_sigma,
     dval,
     epsilon,
     gamma,

@@ -27,7 +27,7 @@ from .lattice import (
     point_to_json,
 )
 from .reporting import all_ok
-from .suites import SUITES, conjecture_outcomes, k1_ratio_holds, run_suite, suite_bound
+from .suites import SUITES, conjecture_outcomes, ratio_holds, run_suite, suite_bound
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -178,7 +178,7 @@ def _probe_report(exponents, args):
 def cmd_conjecture(args):
     shape = make_shape(args.n, args.k)
     outcomes = conjecture_outcomes(shape, args.trials, args.seed, args.bound)
-    ratio_ok = all(map(k1_ratio_holds, outcomes)) if shape.k == 1 else None
+    ratio_ok = all(map(ratio_holds, outcomes))
     report = {
         "n": shape.n,
         "k": shape.k,
@@ -187,10 +187,10 @@ def cmd_conjecture(args):
         "trials": args.trials,
         "proportional_count": sum(1 for o in outcomes if o["proportional"]),
         "outcomes": outcomes,
-        "k1_ratio_ok": ratio_ok,
+        "ratio_ok": ratio_ok,
     }
     _emit(report, args.json)
-    return EXIT_OK if ratio_ok in (None, True) else EXIT_FAIL
+    return EXIT_OK if ratio_ok else EXIT_FAIL
 
 
 def cmd_graph(args):

@@ -6,10 +6,9 @@ moving a single entry, so operators are applied rule-by-rule instead of
 through matrices.
 
 ``proportionality_probe`` compares the vector built from the x-chart with
-the one built from the mapped y-chart and reports whether they are exactly
-proportional.  This is an experiment, not an assertion: the library
-records the observed scalar (e.g. ``1/x_1^(n)`` when k = 1) and never
-treats a failure as a fault.
+the one built from the mapped y-chart: whether they are exactly
+proportional, and with which scalar.  The ``conjecture`` suite gates the
+scalar ``1/x_(1,n)`` at every k.
 """
 
 from fractions import Fraction
@@ -170,25 +169,17 @@ def chart_vector(point):
 
 
 def proportionality_probe(x):
-    """Compare v2 of the mapped point against v1; report, never assert."""
+    """Compare v2 of the mapped point against v1.
+
+    Returns ``{"proportional": bool, "ratio": v2 / v1 or None}``.
+    """
     _check_dimension(x.shape, "probe")
     v1 = chart_vector(x)
     v2 = chart_vector(sigma_map(x))
     if v1.is_zero() or v2.is_zero():
         raise CrystalFault("probe vectors must be nonzero for positive points")
-    if set(v1.coeffs) != set(v2.coeffs):
-        return {
-            "proportional": False,
-            "ratio": None,
-            "support_v1": sorted(v1.coeffs),
-            "support_v2": sorted(v2.coeffs),
-        }
-    ratios = {key: v2.coeffs[key] / v1.coeffs[key] for key in v1.coeffs}
-    distinct = set(ratios.values())
-    if len(distinct) == 1:
-        return {"proportional": True, "ratio": distinct.pop()}
-    return {
-        "proportional": False,
-        "ratio": None,
-        "ratios": {key: str(val) for key, val in sorted(ratios.items())},
-    }
+    if set(v1.coeffs) == set(v2.coeffs):
+        ratios = {v2.coeffs[key] / v1.coeffs[key] for key in v1.coeffs}
+        if len(ratios) == 1:
+            return {"proportional": True, "ratio": ratios.pop()}
+    return {"proportional": False, "ratio": None}

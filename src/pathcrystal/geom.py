@@ -36,13 +36,14 @@ These pairs are compared by the suites and stay independent routes:
 :func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma; the
 closed form keeps its own f-values and never calls :func:`act_e`), and
 :func:`act_e`/:func:`epsilon` on integer points against
-:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`.
+:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`,
+and the x-chart's 0-action against the y-chart's through the chart change
+(the ``intertwine`` suite at i = 0), so this module never calls the chart maps.
 """
 
 from functools import reduce
 from itertools import accumulate
 
-from .birational import sigma_map, xi_map
 from .errors import ValidationError
 from .paths import epsilon_total, region_sums
 
@@ -199,11 +200,6 @@ def act_e(x, i, c):
         for l, ratio in zip(range(a, b + 1), ratios):
             entries[(l, i)] = sr.mul(x.get(l, i), ratio)
     return type(x)(shape, entries)
-
-
-def act_e0_via_sigma(x, c):
-    """0-action routed through the chart change; must match act_e(x, 0, c)."""
-    return xi_map(act_e(sigma_map(x), 0, c))
 
 
 # ---------------------------------------------------------------------------

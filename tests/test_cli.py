@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import MALFORMED_POINTS
+from conftest import MALFORMED_POINTS, SHAPES
 from pathcrystal import cli
 from pathcrystal.cli import ACTIONS, MAPS, build_parser, main
 from pathcrystal.reporting import RelationCheck, all_ok
@@ -280,9 +280,60 @@ def test_conjecture_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["k1_ratio_ok"] is True
+    assert report["ratio_ok"] is True
     assert len(report["outcomes"]) == 4
     assert all(o["proportional"] for o in report["outcomes"])
+
+
+def test_conjecture_gates_the_ratio_at_every_k(capsys, monkeypatch):
+    # a probe reporting twice the scalar must fail the suite and the subcommand at k = 2
+    from pathcrystal import fundrep
+
+    probe = fundrep.proportionality_probe
+
+    def doubled(x):
+        result = probe(x)
+        return dict(result, ratio=2 * result["ratio"])
+
+    monkeypatch.setattr(fundrep, "proportionality_probe", doubled)
+    code, out = run(capsys, "verify", "--suite", "conjecture", "--n", "3", "--k", "2",
+                    "--trials", "3", "--json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["relation"] == "chart-proportional" and check["fails"] == 3
+    assert set(check["witnesses"][0]) == {"point", "ratio", "expected_ratio"}
+    code, out = run(capsys, "conjecture", "--n", "3", "--k", "2", "--trials", "3", "--json")
+    assert code == 1
+    assert json.loads(out)["ratio_ok"] is False
+
+
+def test_intertwine_catches_a_wrong_closed_zero_action(capsys, monkeypatch, point_file):
+    # with 1/c in the 0-action's region combination, only i = 0 fails, and
+    # replaying the witness through `act` shows the two routes apart
+    from fractions import Fraction
+
+    from pathcrystal import act_e, geom, make_shape, point_from_json, sigma_map
+    from pathcrystal.suites import PARAMS, run_suite
+
+    alpha = geom._alpha
+    monkeypatch.setattr(geom, "_alpha", lambda x, l, m, c: alpha(x, l, m, x.semiring.inv(c)))
+    trials = 4
+    for n, k in SHAPES:
+        checks = {c.name: c for c in run_suite("intertwine", make_shape(n, k), trials, 0)}
+        assert checks["gamma-transport"].ok and checks["epsilon-transport"].ok
+        action = checks["action-intertwine"]
+        assert action.fails == trials * PARAMS
+        assert action.passes == trials * PARAMS * (n - 1)
+        assert {w["i"] for w in action.witnesses} == {0}
+    witness = action.witnesses[0]
+    code, out = run(
+        capsys, "act", "--side", "geom", "--op", "e", "--i", "0",
+        "--c", witness["c"], "--point", point_file(witness["point"]), "--json",
+    )
+    assert code == 0
+    x = point_from_json(witness["point"])
+    c = Fraction(witness["c"])
+    assert sigma_map(point_from_json(json.loads(out))) != act_e(sigma_map(x), 0, c)
 
 
 def test_graph_export(capsys):
@@ -294,22 +345,22 @@ def test_graph_export(capsys):
 
 def test_witness_replay_through_act(capsys, point_file):
     # a kept failure encodes its point and parameters; replaying the point
-    # through `act` must reproduce the recorded relation (here: both routes
-    # of the zero action agree, so the replayed output matches the direct call)
+    # through `act` must reproduce the recorded relation (here: the x-chart's
+    # 0-action intertwines with the y-chart's, so the replayed output matches
+    # the direct call)
     from fractions import Fraction
 
-    from pathcrystal import act_e, act_e0_via_sigma, point_from_json, point_to_json
-    from pathcrystal.reporting import RelationCheck
+    from pathcrystal import act_e, point_from_json, point_to_json, sigma_map
 
-    check = RelationCheck("e0-route")
-    check.record(False, point_from_json(X21), c=Fraction(7, 3))
+    check = RelationCheck("action-intertwine")
+    check.record(False, point_from_json(X21), i=0, c=Fraction(7, 3))
     (witness,) = check.witnesses
-    assert witness == {"point": X21, "c": "7/3"}
+    assert witness == {"point": X21, "i": 0, "c": "7/3"}
     x = point_from_json(witness["point"])
-    direct = act_e(x, 0, Fraction(7, 3))
-    assert direct == act_e0_via_sigma(x, Fraction(7, 3))
+    direct = act_e(x, witness["i"], Fraction(7, 3))
+    assert sigma_map(direct) == act_e(sigma_map(x), witness["i"], Fraction(7, 3))
     code, out = run(
-        capsys, "act", "--side", "geom", "--op", "e", "--i", "0",
+        capsys, "act", "--side", "geom", "--op", "e", "--i", str(witness["i"]),
         "--c", witness["c"], "--point", point_file(witness["point"]), "--json",
     )
     assert code == 0
@@ -335,7 +386,7 @@ def test_verify_all_reports_bounds_used(capsys):
     )
     assert code == 0
     bounds = {report["suite"]: report["bound"] for report in json.loads(out)}
-    assert len(bounds) == 12
+    assert len(bounds) == 11
     assert bounds.pop("iso") == bounds.pop("extremal") == 10
     assert bounds.pop("udprobe") == 8
     assert set(bounds.values()) == {16}

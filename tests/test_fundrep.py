@@ -132,10 +132,10 @@ def test_probe_observed_scalar_at_k1():
 
 
 def test_probe_reports_without_asserting(shape):
-    # experiment output only: record the outcome, whatever it is
+    # the probe only reports; the conjecture suite gates the ratio
     x = sample_point(shape, 77, 9, kind="x")
     result = proportionality_probe(x)
-    assert set(result) >= {"proportional", "ratio"}
+    assert set(result) == {"proportional", "ratio"}
 
 
 def test_probe_all_ones_smoke(shape):

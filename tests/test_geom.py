@@ -8,7 +8,6 @@ from pathcrystal import (
     ValidationError,
     XPoint,
     act_e,
-    act_e0_via_sigma,
     dval,
     epsilon,
     gamma,
@@ -17,6 +16,7 @@ from pathcrystal import (
     sigma_map,
     weyl_s,
     weyl_s_def,
+    xi_map,
 )
 from pathcrystal.geom import bounds_row1, bounds_row2
 from pathcrystal.lattice import SplitMix64, sample_rational
@@ -74,7 +74,7 @@ def test_epsilon_examples():
 def test_act_examples():
     assert act_e(X21, 1, 5).entries == {(1, 1): Fraction(10), (1, 2): Fraction(3)}
     assert act_e(X21, 0, 2).entries == {(1, 1): Fraction(1), (1, 2): Fraction(3, 2)}
-    assert act_e0_via_sigma(X21, 2) == act_e(X21, 0, 2)
+    assert xi_map(act_e(sigma_map(X21), 0, 2)) == act_e(X21, 0, 2)
 
 
 def test_act_identity_and_group_law(shape):
@@ -146,7 +146,7 @@ def test_zero_route_equality(shape):
     for t in range(3):
         x = sample_point(shape, 700 + t, 9, kind="x")
         c = sample_rational(rng, 9, avoid_one=True)
-        assert act_e(x, 0, c) == act_e0_via_sigma(x, c)
+        assert act_e(x, 0, c) == xi_map(act_e(sigma_map(x), 0, c))
         y = sigma_map(x)
         assert gamma(x, 0) == gamma(y, 0)
         assert epsilon(x, 0) == epsilon(y, 0)
