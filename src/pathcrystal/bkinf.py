@@ -21,10 +21,12 @@ state, in O(k*n) operations.  It never touches the tropical path engine.
 sink state.  The unit steps (:func:`zero_ops`, hence :func:`bk_e`) and
 :func:`extremal_c` keep the enumerated definition over all
 binomial(n-1, k-1) tuples.  Each enumerating call builds one table
-``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`),
-reading the rows once and summing them with the same row-wise helper as
-:func:`delta`; nothing is kept across calls.  :func:`extremal_c`
-re-verifies its defining inequalities against the whole table on every
+``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`)
+from the rows' prefix sums, taken once per call; nothing is kept across
+calls.  The table does not share :func:`delta`'s row-slice sum, so
+:func:`extremal_c` reads its candidate's value from :func:`delta`: every
+call checks the table against the definition at the tuple it returns.  It
+also re-verifies its defining inequalities against the whole table on every
 call, faulting with a replayable witness if the convention were ever
 wrong.  :func:`brute_bk_e_closed` (each peak once, a direct min over the
 table) and :func:`brute_eps_phi_0` are the closed form and the 0-data from
@@ -33,9 +35,10 @@ given from outside and types the result of :func:`extremal_c`.
 """
 
 from itertools import accumulate, combinations
+from operator import getitem
 
 from .errors import CrystalFault, ValidationError
-from .lattice import BElement, SplitMix64, _mix_tag, point_to_json
+from .lattice import BElement, SplitMix64, _is_int, _mix_tag, point_to_json
 
 
 def b_infinity(shape):
@@ -67,6 +70,8 @@ class CTuple:
         values = tuple(values)
         if len(values) != shape.k + 1:
             raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(values)))
+        if not all(map(_is_int, values)):
+            raise ValidationError("tuple entries must be integers, got %r" % (values,))
         if values[0] != 1 or values[-1] != shape.n + 1:
             raise ValidationError("tuple must run from 1 to n+1, got %r" % (values,))
         if any(a >= b for a, b in zip(values, values[1:])):
@@ -147,9 +152,18 @@ def delta(b, c):
 
 
 def _family_deltas(b):
-    """``{c: delta(b, c)}`` over the whole tuple family, the rows read once."""
-    rows = _rows(b)
-    return {c: sum(map(_between, rows, c, c[1:])) for c in all_ctuples(b.shape)}
+    """``{c: delta(b, c)}`` over the whole tuple family, from the rows' prefix sums.
+
+    With ``P = [0, row[0], row[0] + row[1], ...]``, row j's share between
+    consecutive entries u < v is ``P[v] - P[u+1]``, so each tuple costs two
+    sums of k lookups.  The rows are read once per call; nothing is kept.
+    """
+    prefixes = [list(accumulate(row, initial=0)) for row in _rows(b)]
+    shifted = [prefix[1:] for prefix in prefixes]
+    return {
+        c: sum(map(getitem, prefixes, c[1:])) - sum(map(getitem, shifted, c))
+        for c in all_ctuples(b.shape)
+    }
 
 
 def _below(a, c):
@@ -162,7 +176,9 @@ def extremal_c(b, which):
 
     The returned tuple is re-checked against the defining inequalities on
     every call; a violation raises :class:`CrystalFault` since it would
-    mean the tuple family convention is wrong.
+    mean the tuple family convention is wrong.  The candidate's value is
+    read from :func:`delta`, not from the table, so every call also checks
+    the table against the definition at the tuple it returns.
     """
     if which not in ("e", "f"):
         raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
@@ -171,7 +187,7 @@ def extremal_c(b, which):
     argmin = [c for c, v in values.items() if v == best]
     pick = min if which == "e" else max
     candidate = tuple(map(pick, zip(*argmin)))
-    if values.get(candidate) != best:
+    if delta(b, candidate) != best:
         raise CrystalFault(
             "coordinatewise %s of the minimizers is not a minimizer" % which,
             witness={"point": point_to_json(b), "candidate": candidate},

@@ -124,6 +124,9 @@ def test_ctuple_validation():
         CTuple(S21, (1, 2))
     with pytest.raises(ValidationError):
         CTuple(make_shape(3, 2), (1, 1, 4))
+    for values in [(True, 2.0, 4), (1, 2.5, 4), (1, "2", 4), (1, False, 4)]:
+        with pytest.raises(ValidationError, match="integers"):
+            CTuple(make_shape(3, 2), values)
 
 
 def test_extremal_singleton_family():
@@ -211,6 +214,15 @@ def test_family_deltas_match_entrywise_delta(nk):
             assert bkinf._family_deltas(b) == expected, (seed, bound)
 
 
+@pytest.mark.parametrize("nk", [(12, 6), (16, 8)], ids=lambda nk: "n%dk%d" % nk)
+def test_family_deltas_match_entrywise_delta_wide_rows(nk):
+    # 462 and 6,435 tuples, over rows of 14 and 18 columns
+    shape = make_shape(*nk)
+    b = sample_belement(shape, 510, 12)
+    expected = {c: _delta_by_get(b, c) for c in all_ctuples(shape)}
+    assert bkinf._family_deltas(b) == expected
+
+
 @pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
 def test_extremal_is_coordinatewise_extreme_of_minimizers(nk):
     shape = make_shape(*nk)
@@ -277,25 +289,42 @@ def test_closed_reflection_matches_tropical_at_16_8():
     assert weyl_s_tilde(omega(z), 0) == omega(trop_weyl(z, 0))
 
 
+def _assert_fault_replays(b, candidate, tmp_path, capsys):
+    with pytest.raises(CrystalFault) as info:
+        extremal_c(b, "e")
+    witness = info.value.witness
+    assert point_from_json(witness["point"]) == b
+    assert tuple(witness["candidate"]) == candidate
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness["point"]))
+    argv = ["act", "--side", "bkinf", "--op", "e", "--i", "0", "--d", "1", "--point", str(path)]
+    assert main(argv) == 1
+    assert "coordinatewise e of the minimizers" in capsys.readouterr().err
+
+
 def test_extremal_fault_witness_replays(monkeypatch, tmp_path, capsys):
-    shape = make_shape(5, 3)
-    b = sample_belement(shape, 9, 5)
+    b = sample_belement(make_shape(5, 3), 9, 5)
     # two incomparable minimizers: their coordinatewise minimum (1, 2, 4, 6) is not one
     minimizers = {(1, 2, 5, 6), (1, 3, 4, 6)}
     monkeypatch.setattr(
         bkinf, "_family_deltas",
         lambda b: {c: 0 if c in minimizers else 1 for c in bkinf.all_ctuples(b.shape)},
     )
-    with pytest.raises(CrystalFault) as info:
-        extremal_c(b, "e")
-    witness = info.value.witness
-    assert point_from_json(witness["point"]) == b
-    assert tuple(witness["candidate"]) == (1, 2, 4, 6)
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(witness["point"]))
-    argv = ["act", "--side", "bkinf", "--op", "e", "--i", "0", "--d", "1", "--point", str(path)]
-    assert main(argv) == 1
-    assert "coordinatewise e of the minimizers" in capsys.readouterr().err
+    _assert_fault_replays(b, (1, 2, 4, 6), tmp_path, capsys)
+
+
+def test_extremal_checks_table_against_delta(monkeypatch, tmp_path, capsys):
+    b = sample_belement(make_shape(5, 3), 9, 5)
+    true_deltas = bkinf._family_deltas
+    table = true_deltas(b)
+    best = min(table.values())
+    lowered = max(table, key=table.get)
+    assert table[lowered] > best
+    # the true table with one non-minimal tuple lowered below the true minimum
+    monkeypatch.setattr(
+        bkinf, "_family_deltas", lambda b: {**true_deltas(b), lowered: best - 1}
+    )
+    _assert_fault_replays(b, lowered, tmp_path, capsys)
 
 
 def test_weyl_example():

@@ -74,6 +74,12 @@ def test_path_correspondence_singleton():
     assert pi_correspondence(S21, CTuple(S21, (1, 3))) == p
 
 
+@pytest.mark.parametrize("values", [(True, 2.0, 4), (1, 2.5, 4)])
+def test_path_correspondence_rejects_non_int_entries(values):
+    with pytest.raises(ValidationError, match="integers"):
+        pi_correspondence(S32, values)
+
+
 def test_path_correspondence_worked_example():
     path = pi_correspondence(S32, CTuple(S32, (1, 2, 4)))
     assert path.points == ((2, 1), (1, 2), (1, 3))
