@@ -23,15 +23,16 @@ sink state.  The unit steps (:func:`zero_ops`, hence :func:`bk_e`) and
 binomial(n-1, k-1) tuples.  Each enumerating call builds one table
 ``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`)
 from the rows' prefix sums, taken once per call; nothing is kept across
-calls.  The table does not share :func:`delta`'s row-slice sum, so
-:func:`extremal_c` reads its candidate's value from :func:`delta`: every
-call checks the table against the definition at the tuple it returns.  It
-also re-verifies its defining inequalities against the whole table on every
-call, faulting with a replayable witness if the convention were ever
-wrong.  :func:`brute_bk_e_closed` (each peak once, a direct min over the
-table) and :func:`brute_eps_phi_0` are the closed form and the 0-data from
-the same enumeration, the DP's oracles.  :class:`CTuple` validates tuples
-given from outside and types the result of :func:`extremal_c`.
+calls.  :func:`extremal_c` returns the coordinatewise extreme of the
+table's minimizers, which is again a tuple of the family and comparable
+with every minimizer, so its one check is whether that tuple minimizes.
+It reads the tuple's value from :func:`delta`, whose row-slice sum the
+table does not share, so every call checks the table against the
+definition at the tuple it returns, faulting with a replayable witness on
+a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
+the table) and :func:`brute_eps_phi_0` (the table's minimum) are the closed
+form and the 0-data from the same enumeration, the DP's oracles.
+:class:`CTuple` validates tuples given from outside.
 """
 
 from itertools import accumulate, combinations
@@ -63,7 +64,7 @@ class CTuple:
     """Strictly increasing tuple from 1 to n+1 selecting one column per row.
 
     The validator for tuples given from outside; the family itself
-    (:func:`all_ctuples`) is plain tuples.
+    (:func:`all_ctuples`) and :func:`extremal_c` use plain tuples.
     """
 
     def __init__(self, shape, values):
@@ -166,19 +167,14 @@ def _family_deltas(b):
     }
 
 
-def _below(a, c):
-    """Coordinatewise a <= c."""
-    return all(x <= y for x, y in zip(a, c))
-
-
 def extremal_c(b, which):
-    """Coordinatewise-extremal minimizer of the column functional.
+    """Coordinatewise-extremal minimizer of the column functional, as a plain tuple.
 
-    The returned tuple is re-checked against the defining inequalities on
-    every call; a violation raises :class:`CrystalFault` since it would
-    mean the tuple family convention is wrong.  The candidate's value is
-    read from :func:`delta`, not from the table, so every call also checks
-    the table against the definition at the tuple it returns.
+    The coordinatewise min (``"e"``) or max (``"f"``) of the minimizers is
+    again a tuple of the family, comparable with every minimizer, so the
+    one check that can fail is whether it minimizes.  Its value is read
+    from :func:`delta`, not from the table, so a mismatch with the table's
+    minimum raises :class:`CrystalFault` with a replayable witness.
     """
     if which not in ("e", "f"):
         raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
@@ -192,19 +188,7 @@ def extremal_c(b, which):
             "coordinatewise %s of the minimizers is not a minimizer" % which,
             witness={"point": point_to_json(b), "candidate": candidate},
         )
-    for c, v in values.items():
-        comparable = _below(candidate, c) if which == "e" else _below(c, candidate)
-        if comparable and not best <= v:
-            raise CrystalFault(
-                "minimality violated",
-                witness={"point": point_to_json(b), "candidate": candidate, "c": c},
-            )
-        if not comparable and not best < v:
-            raise CrystalFault(
-                "strict minimality violated against incomparable tuple",
-                witness={"point": point_to_json(b), "candidate": candidate, "c": c},
-            )
-    return CTuple(b.shape, candidate)
+    return candidate
 
 
 def eps_phi_0(b):
@@ -220,30 +204,22 @@ def eps_phi_0(b):
 
 
 def brute_eps_phi_0(b):
-    """Oracle for :func:`eps_phi_0`: delta at both enumerated extremal tuples."""
+    """Oracle for :func:`eps_phi_0`: the least delta over the enumerated table."""
     shape = b.shape
-    ce = extremal_c(b, "e")
-    cf = extremal_c(b, "f")
-    eps = -b.get(shape.k, shape.n + 1) - delta(b, ce)
-    phi = -b.get(1, 1) - delta(b, cf)
-    return eps, phi
+    least = min(_family_deltas(b).values())
+    return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
 
 
 def zero_ops(b, op):
     """Raising/lowering step along the extremal tuple (the 0-operators)."""
     if op not in ("e", "f"):
         raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
+    step = 1 if op == "e" else -1
+    c = extremal_c(b, op)
     entries = dict(b.entries)
-    if op == "e":
-        ce = extremal_c(b, "e")
-        for j in range(1, b.shape.k + 1):
-            entries[(j, ce[j - 1])] -= 1
-            entries[(j, ce[j])] += 1
-    else:
-        cf = extremal_c(b, "f")
-        for j in range(1, b.shape.k + 1):
-            entries[(j, cf[j])] -= 1
-            entries[(j, cf[j - 1])] += 1
+    for j in range(1, b.shape.k + 1):
+        entries[(j, c[j - 1])] -= step
+        entries[(j, c[j])] += step
     return BElement(b.shape, entries)
 
 

@@ -28,15 +28,16 @@ the action moves row l by ``num_l / num_(l+1)``; one prefix and one suffix
 sum give every num_l, with ``add`` only, as max-plus has no subtraction.
 The reflection's ``f(p) = gamma_i / dval(p)`` use the same factor the
 other way, ``f(p) = f(p-1) * x(p,i) x(p-1,i) / (x(p,i-1) x(p-1,i+1))``.
-The x-chart's 0-action and 0-reflection instead build, for every moved
-entry, two region combinations ``U_(l-1) + c * V_l`` from the memoized
-path sums of :func:`region_sums`.
+The x-chart's 0-action instead builds, for every moved entry, two region
+combinations ``U_(l-1) + c * V_l`` from the memoized path sums of
+:func:`region_sums`, and the x-chart's 0-reflection is that action at
+``1/gamma_0``.
 
 These pairs are compared by the suites and stay independent routes:
-:func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma; the
-closed form keeps its own f-values and never calls :func:`act_e`), and
-:func:`act_e`/:func:`epsilon` on integer points against
-:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`,
+:func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma) at
+i = 1..n, where the closed form keeps its own f-values and never calls
+:func:`act_e`; :func:`act_e`/:func:`epsilon` on integer points against
+:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`;
 and the x-chart's 0-action against the y-chart's through the chart change
 (the ``intertwine`` suite at i = 0), so this module never calls the chart maps.
 """
@@ -207,27 +208,24 @@ def act_e(x, i, c):
 
 
 def weyl_s(x, i):
-    """Simple reflection, in closed form; equals act_e(x, i, 1/gamma_i(x))."""
-    shape, sr = x.shape, x.semiring
-    entries = dict(x.entries)
+    """Simple reflection, in closed form; equals act_e(x, i, 1/gamma_i(x)).
+
+    The x-chart's 0-reflection is that action itself: its closed form would
+    only put ``1/gamma_0 = x(1,n) x(k,1)`` into the 0-action's formulas.
+    """
+    sr = x.semiring
     if _x_zero(x, i):
-        scale = sr.mul(x.get(1, shape.n), x.get(shape.k, 1))
-        for (l, m) in shape.l1_indices:
-            if (l, m) == (1, shape.n):
-                entries[(l, m)] = sr.inv(x.get(shape.k, 1))
-            else:
-                ratio = sr.ratio(_alpha(x, l, m, scale), _alpha(x, l + 1, m, scale))
-                entries[(l, m)] = sr.mul(x.get(l, m), ratio)
-    else:
-        a, b = _bounds(x, i)
-        steps = _row_steps(x, i, a, b)
-        # f(p) = gamma_i / dval(p, i), one step per row up from row a
-        first = sr.ratio(x.get(a, i), sr.mul(x.get(a, i - 1), x.get(a - 1, i + 1)))
-        fvals = list(accumulate(steps, sr.mul, initial=first))
-        ratios = _ratios(sr, fvals, _inv_dvals(x, i, b, steps))
-        for l, ratio in zip(range(a, b + 1), ratios):
-            entries[(l, i)] = sr.mul(x.get(l, i), ratio)
-    return type(x)(shape, entries)
+        return act_e(x, i, sr.inv(gamma(x, i)))
+    entries = dict(x.entries)
+    a, b = _bounds(x, i)
+    steps = _row_steps(x, i, a, b)
+    # f(p) = gamma_i / dval(p, i), one step per row up from row a
+    first = sr.ratio(x.get(a, i), sr.mul(x.get(a, i - 1), x.get(a - 1, i + 1)))
+    fvals = list(accumulate(steps, sr.mul, initial=first))
+    ratios = _ratios(sr, fvals, _inv_dvals(x, i, b, steps))
+    for l, ratio in zip(range(a, b + 1), ratios):
+        entries[(l, i)] = sr.mul(x.get(l, i), ratio)
+    return type(x)(x.shape, entries)
 
 
 def weyl_s_def(x, i):

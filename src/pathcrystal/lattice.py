@@ -67,12 +67,7 @@ class LatticeShape:
     """The pair (n, k) together with the index sets of both lattices and the array."""
 
     def __init__(self, n, k):
-        if not _is_int(n) or not _is_int(k):
-            raise ValidationError("n and k must be integers")
-        if n < 2:
-            raise ValidationError("n must be at least 2, got %r" % (n,))
-        if not 1 <= k <= n:
-            raise ValidationError("k must satisfy 1 <= k <= n, got k=%r with n=%r" % (k, n))
+        _check_shape(n, k)
         self.n = n
         self.k = k
         self.kprime = n + 1 - k
@@ -109,6 +104,15 @@ class LatticeShape:
 
     def __repr__(self):
         return "LatticeShape(n=%d, k=%d)" % (self.n, self.k)
+
+
+def _check_shape(n, k):
+    if not _is_int(n) or not _is_int(k):
+        raise ValidationError("n and k must be integers")
+    if n < 2:
+        raise ValidationError("n must be at least 2, got %r" % (n,))
+    if not 1 <= k <= n:
+        raise ValidationError("k must satisfy 1 <= k <= n, got k=%r with n=%r" % (k, n))
 
 
 def _is_int(value):
@@ -160,9 +164,10 @@ class _BasePoint:
             found = set(self._entries)
             missing = sorted(domain - found)
             extra = sorted(found - domain)
+            # a few keys of each, so the message stays short at any shape
             raise ValidationError(
-                "%s entries do not match the index set (missing %r, extra %r)"
-                % (type(self).__name__, missing, extra)
+                "%s entries do not match the index set (%d missing, first %r; %d extra, first %r)"
+                % (type(self).__name__, len(missing), missing[:4], len(extra), extra[:4])
             )
 
     def get(self, l, m):
@@ -356,13 +361,23 @@ def point_from_json(data):
         raise ValidationError("unknown point kind %r" % (kind,))
     if not isinstance(raw, dict):
         raise ValidationError("entries must be an object with 'l,m' keys")
-    shape = make_shape(n, k)
+    # the count before the shape: building the index sets costs O(n*k)
+    _check_shape(n, k)
+    kprime = n + 1 - k
+    size = k * (kprime + 1 if cls.side == "b" else kprime)
+    if len(raw) != size:
+        raise ValidationError(
+            "%s point at n=%d, k=%d has %d entries, got %d" % (kind, n, k, size, len(raw))
+        )
     entries = {}
     for key, value in raw.items():
         try:
             l_s, m_s = key.split(",")
             lm = (int(l_s), int(m_s))
         except ValueError:
+            lm = None
+        # only point_to_json's spelling, so no two keys ("1,2", "01,2", " 1,2") name one entry
+        if lm is None or "%d,%d" % lm != key:
             raise ValidationError("bad entry key %r, expected 'l,m'" % (key,))
         entries[lm] = value
-    return cls(shape, entries)
+    return cls(make_shape(n, k), entries)

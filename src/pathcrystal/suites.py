@@ -228,9 +228,10 @@ def suite_weyl(shape, trials, seed, bound):
             ("array", bkinf.weyl_s_tilde, b),
         )
         for i in range(shape.n + 1):
-            checks["geometric-closed-form"].record(
-                geom.weyl_s(x, i) == geom.weyl_s_def(x, i), x, i=i
-            )
+            if i:  # at i = 0, weyl_s is weyl_s_def's own route: the action at 1/gamma
+                checks["geometric-closed-form"].record(
+                    geom.weyl_s(x, i) == geom.weyl_s_def(x, i), x, i=i
+                )
             checks["array-closed-form"].record(
                 bkinf.weyl_s_tilde(b, i) == bkinf.bk_e(b, i, -bkinf.wt(b, i)), b, i=i
             )
@@ -247,12 +248,14 @@ def suite_weyl(shape, trials, seed, bound):
 
 
 def suite_extremal(shape, trials, seed, bound):
-    """Extremal-tuple machinery: minimality, inequalities, equal minima.
+    """Extremal-tuple machinery: both extremal tuples attain the least delta.
 
-    ``eps-phi-from-tuples`` compares the DP's 0-data with delta at the
-    enumerated extremal tuples.
+    ``extremal-tuples`` fails when an :func:`~pathcrystal.bkinf.extremal_c`
+    call faults: each checks its tuple's delta against the same table's
+    minimum.  ``eps-phi-from-tuples`` compares the DP's 0-data with delta
+    at the enumerated extremal tuples.
     """
-    checks = _checks("extremal-tuples", "equal-minima", "eps-phi-from-tuples")
+    checks = _checks("extremal-tuples", "eps-phi-from-tuples")
     for t in range(trials):
         b = bkinf.sample_belement(shape, seed + t, bound)
         try:
@@ -263,11 +266,8 @@ def suite_extremal(shape, trials, seed, bound):
             continue
         checks["extremal-tuples"].record(True)
         delta_e, delta_f = bkinf.delta(b, ce), bkinf.delta(b, cf)
-        checks["equal-minima"].record(delta_e == delta_f, b, ce=ce.values, cf=cf.values)
         from_tuples = (-b.get(shape.k, shape.n + 1) - delta_e, -b.get(1, 1) - delta_f)
-        checks["eps-phi-from-tuples"].record(
-            bkinf.eps_phi_0(b) == from_tuples, b, ce=ce.values, cf=cf.values
-        )
+        checks["eps-phi-from-tuples"].record(bkinf.eps_phi_0(b) == from_tuples, b, ce=ce, cf=cf)
     return list(checks.values())
 
 

@@ -69,7 +69,7 @@ def test_c09_weyl_relations():
 
 
 def test_c10_extremal_tuple_machinery():
-    _run(10, "extremal tuples minimize and satisfy both inequalities, 200 els",
+    _run(10, "extremal tuples minimize delta and give the DP's eps_0, phi_0; 200 els",
          "extremal", 200)
 
 

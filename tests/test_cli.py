@@ -258,6 +258,20 @@ def test_map_malformed_json(capsys, tmp_path, point_file):
         assert code == 2, data
 
 
+def test_map_rejects_a_second_spelling_of_an_entry_key(capsys, point_file):
+    x21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1", "01,2": "5/1"}}
+    code, out = run(capsys, "map", "--map", "sigma", "--point", point_file(x21))
+    assert (code, out) == (2, "")
+
+
+def test_map_rejects_a_short_file_for_a_large_shape_briefly(capsys, point_file):
+    big = {"n": 300, "k": 150, "kind": "x", "entries": {}}
+    assert main(["map", "--map", "sigma", "--point", point_file(big)]) == 2
+    err = capsys.readouterr().err
+    assert "has 22650 entries, got 0" in err
+    assert len(err) < 200
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
     reason="no int-string digit limit in this interpreter",

@@ -195,3 +195,47 @@ def test_json_schema_violations():
     for data in MALFORMED_POINTS:
         with pytest.raises(ValidationError):
             point_from_json(data)
+
+
+@pytest.mark.parametrize("entries", [
+    {"1,1": "2/1", "01,2": "3/1"},             # one entry under a second spelling
+    {"1,1": "2/1", "1,2": "3/1", "01,2": "5/1"},
+    {"1,1": "2/1", " 1,2": "3/1"},
+    {"1,1": "2/1", "1,+2": "3/1"},
+    {"1,1": "2/1", "1_0,2": "3/1"},
+    {"1,1": "2/1", "1,2,": "3/1"},
+])
+def test_json_reads_only_canonical_entry_keys(entries):
+    with pytest.raises(ValidationError):
+        point_from_json({"n": 2, "k": 1, "kind": "x", "entries": entries})
+
+
+def _refuse_shape(n, k):
+    raise AssertionError("a wrong entry count must be rejected before the shape is built")
+
+
+@pytest.mark.parametrize("kind,size", [("x", 4), ("y", 4), ("trop", 4), ("b", 6)])
+def test_json_entry_count_is_checked_before_the_shape_is_built(monkeypatch, kind, size):
+    # k*k' entries on the lattices and k*(k'+1) in the array: 4 and 6 at (3, 2)
+    shape = make_shape(3, 2)
+    point = sample_belement(shape, 1, 3) if kind == "b" else sample_point(shape, 1, 3, kind=kind)
+    data = point_to_json(point)
+    assert len(data["entries"]) == size
+    del data["entries"][min(data["entries"])]
+    monkeypatch.setattr("pathcrystal.lattice.make_shape", _refuse_shape)
+    with pytest.raises(ValidationError, match="has %d entries, got %d" % (size, size - 1)):
+        point_from_json(data)
+    # about 62.5 billion index pairs at (500000, 250000), never built
+    huge = 250000 * (250001 + (kind == "b"))
+    with pytest.raises(ValidationError, match="has %d entries, got 0" % huge):
+        point_from_json({"n": 500000, "k": 250000, "kind": kind, "entries": {}})
+
+
+def test_mismatched_entries_name_a_few_keys_and_their_counts():
+    shape = make_shape(40, 20)
+    with pytest.raises(ValidationError) as info:
+        XPoint(shape, {(0, m): 1 for m in range(420)})
+    message = str(info.value)
+    assert "420 missing, first [(1, 20), (1, 21), (1, 22), (1, 23)]" in message
+    assert "420 extra, first [(0, 0), (0, 1), (0, 2), (0, 3)]" in message
+    assert len(message) < 200
