@@ -2,25 +2,28 @@
 
 Elements (:class:`.lattice.BElement`) are arrays ``b[j][i]`` for rows
 1..k and columns j..j+k' whose rows sum to zero; reads outside that range
-return 0.  The operators indexed 1..n move one unit between adjacent
-columns of a selected row; the 0-indexed operators move units along an
-extremal increasing tuple chosen by minimizing a column functional
-(:func:`delta`).
+return 0.  At every index i in 0..n the crystal data follow one rule: take
+the least value of a functional over a candidate set, then e_i acts at the
+first minimizer and f_i at the last.  At i >= 1 the candidates are the rows
+that can move a unit between columns i and i+1 (:func:`_moved_sums`); at
+i = 0 they are the increasing tuples, valued by :func:`delta`, and units
+move along the extremal tuple.  :func:`eps_phi` and :func:`kashiwara` take
+every index; at i = 0 they are :func:`eps_phi_0` and :func:`zero_ops`.
 
 The increasing tuples are taken with first entry 1 and last entry n+1
 fixed, which makes their count match the number of full lattice paths and
 keeps the 0-operators compatible with the tropical side.
 
-The 0-operators have two routes: the ``weyl`` suite's ``array-closed-form``
-compares them directly, and ``iso`` compares each with the tropical side.
-The closed form :func:`bk_e_closed` at i = 0 is a min-plus DP over the
-states (row j, column c[j]) of the array: one forward and one backward pass
-over integer prefix sums of the rows give the least delta through each
-state, in O(k*n) operations.  It never touches the tropical path engine.
-:func:`eps_phi_0` reads the least delta off the same forward pass, at its
-sink state.  The unit steps (:func:`zero_ops`, hence :func:`bk_e`) and
-:func:`extremal_c` keep the enumerated definition over all
-binomial(n-1, k-1) tuples.  Each enumerating call builds one table
+The d-fold operator has two routes: the unit steps (:func:`bk_e`) and the
+closed form (:func:`bk_e_closed`), which reads one split-minimum kernel
+(:func:`_cut_peaks`) at every index.  The ``weyl`` suite's
+``array-closed-form`` compares them, and ``iso`` compares each with the
+tropical side.  At i = 0 the kernel reads a min-plus DP over the states
+(row j, column c[j]) that never touches the tropical path engine;
+:func:`eps_phi_0` reads the least delta off the DP's forward pass.
+
+The unit 0-steps and :func:`extremal_c` keep the enumerated definition over
+all binomial(n-1, k-1) tuples.  Each enumerating call builds one table
 ``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`)
 from the rows' prefix sums, taken once per call; nothing is kept across
 calls.  :func:`extremal_c` returns the coordinatewise extreme of the
@@ -31,8 +34,8 @@ table does not share, so every call checks the table against the
 definition at the tuple it returns, faulting with a replayable witness on
 a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
 the table) and :func:`brute_eps_phi_0` (the table's minimum) are the closed
-form and the 0-data from the same enumeration, the DP's oracles.
-:class:`CTuple` validates tuples given from outside.
+form and the 0-data from the same enumeration, the DP's oracles; neither
+calls the kernel.  :class:`CTuple` validates tuples given from outside.
 """
 
 from itertools import accumulate, combinations
@@ -90,55 +93,50 @@ def all_ctuples(shape):
     return [first + middle + last for middle in combinations(range(2, shape.n + 1), shape.k - 1)]
 
 
-def _col_range(shape, i):
-    beta = max(0, i - shape.kprime)
-    gamma_row = min(shape.k, i)
-    return beta, gamma_row
+def _moved_sums(b, i):
+    """The first row the i-th unit steps can move, and the running sums S.
 
-
-def _gamma_profile(b, i):
-    """Partial alternating sums indexed by rows beta+1..gamma."""
-    beta, gamma_row = _col_range(b.shape, i)
-    profile = {}
-    acc = 0
-    for c in range(beta + 1, gamma_row + 1):
-        profile[c] = acc
-        acc += b.get(c, i) - b.get(c + 1, i + 1)
-    return profile
+    ``S[m]`` sums ``b(j, i) - b(j+1, i+1)`` over the rows j = beta..beta+m,
+    beta = max(0, i - k'), up to the last row min(k, i).  ``S[:-1]`` is
+    indexed by the movable rows beta+1..min(k, i), and ``S[-1]`` is wt_i.
+    """
+    beta = max(0, i - b.shape.kprime)
+    rows = range(beta, min(b.shape.k, i) + 1)
+    return beta + 1, list(accumulate(b.get(j, i) - b.get(j + 1, i + 1) for j in rows))
 
 
 def eps_phi(b, i):
-    """The pair (eps_i, phi_i) for i in 1..n."""
-    if not 1 <= i <= b.shape.n:
-        raise ValidationError("index i must be in 1..n, got %r" % (i,))
-    beta, gamma_row = _col_range(b.shape, i)
-    c0, c1 = _argmin_rows(b, i)
-    eps = sum(b.get(j + 1, i + 1) - b.get(j, i) for j in range(beta, c0))
-    phi = sum(b.get(j, i) - b.get(j + 1, i + 1) for j in range(c1, gamma_row + 1))
-    return eps, phi
+    """The pair (eps_i, phi_i) for i in 0..n; at i = 0 it is :func:`eps_phi_0`.
 
-
-def _argmin_rows(b, i):
-    profile = _gamma_profile(b, i)
-    lowest = min(profile.values())
-    rows = [c for c, v in profile.items() if v == lowest]
-    return min(rows), max(rows)
+    At i >= 1, eps_i = -min S[:-1] and phi_i = eps_i + S[-1] for the
+    running sums S of :func:`_moved_sums`.
+    """
+    b.shape.check_index(i)
+    if i == 0:
+        return eps_phi_0(b)
+    _, sums = _moved_sums(b, i)
+    eps = -min(sums[:-1])
+    return eps, eps + sums[-1]
 
 
 def kashiwara(b, op, i):
-    """Single raising (e) or lowering (f) step for i in 1..n."""
+    """Single raising (e) or lowering (f) step for i in 0..n.
+
+    At i = 0 it is :func:`zero_ops`.  At i >= 1, e_i moves one unit from column i+1 to column i in the first
+    row attaining min S[:-1], and f_i moves it back in the last such row.
+    """
     if op not in ("e", "f"):
         raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
-    if not 1 <= i <= b.shape.n:
-        raise ValidationError("index i must be in 1..n, got %r" % (i,))
-    c0, c1 = _argmin_rows(b, i)
+    b.shape.check_index(i)
+    if i == 0:
+        return zero_ops(b, op)
+    first, sums = _moved_sums(b, i)
+    lowest = min(sums[:-1])
+    rows = [first + r for r, v in enumerate(sums[:-1]) if v == lowest]
+    row, step = (rows[0], 1) if op == "e" else (rows[-1], -1)
     entries = dict(b.entries)
-    if op == "e":
-        entries[(c0, i)] += 1
-        entries[(c0, i + 1)] -= 1
-    else:
-        entries[(c1, i)] -= 1
-        entries[(c1, i + 1)] += 1
+    entries[(row, i)] += step
+    entries[(row, i + 1)] -= step
     return BElement(b.shape, entries)
 
 
@@ -228,23 +226,34 @@ def wt(b, i):
     shape.check_index(i)
     if i == 0:
         return -b.get(1, 1) + b.get(shape.k, shape.n + 1)
-    beta, gamma_row = _col_range(shape, i)
-    return sum(b.get(j, i) - b.get(j + 1, i + 1) for j in range(beta, gamma_row + 1))
+    rows = range(max(0, i - shape.kprime), min(shape.k, i) + 1)
+    return sum(b.get(j, i) - b.get(j + 1, i + 1) for j in rows)
 
 
 def bk_e(b, i, d):
-    """d-fold raising (negative d lowers), one unit step at a time."""
+    """d-fold raising (negative d lowers), one :func:`kashiwara` step at a time."""
     b.shape.check_index(i)
     step = "e" if d >= 0 else "f"
     out = b
     for _ in range(abs(d)):
-        out = zero_ops(out, step) if i == 0 else kashiwara(out, step, i)
+        out = kashiwara(out, step, i)
     return out
 
 
 def _least(a, b):
     """min(a, b) where None stands for an empty side."""
     return b if a is None else a if b is None else min(a, b)
+
+
+def _cut_peaks(values, d):
+    """``-min(min(values[:c]) - d, min(values[c:]))`` at every cut c in 0..len(values).
+
+    The split-minimum kernel of both closed forms; None marks an empty side
+    (or, in :func:`_peak_table`, an unreachable state).
+    """
+    left = [None] + list(accumulate(values, _least))
+    right = list(accumulate(reversed(values), _least))[::-1] + [None]
+    return [-_least(None if lo is None else lo - d, hi) for lo, hi in zip(left, right)]
 
 
 def _forward_minima(rows):
@@ -286,26 +295,20 @@ def _peak_table(b, d):
     A min-plus DP over the states (row j, entry c[j]) that reads only the
     array: the forward pass, and the same pass on the array turned around
     (row j -> k+1-j, column i -> n+2-i), give the least delta over the
-    tuples through each state.  Prefix and suffix minima over the column
-    then split the tuples at c[j] <= col.
+    tuples through each state.  :func:`_cut_peaks` then splits the tuples at
+    c[j] <= col, the cut after column col.
     """
-    n, k = b.shape.n, b.shape.k
+    k = b.shape.k
     rows = _rows(b)
     ahead = _forward_minima(rows)
     behind = _forward_minima([_turned(row) for row in reversed(rows)])
-    peak = []
-    for j in range(k + 1):
-        through = [
+    return [
+        _cut_peaks([
             None if f is None or g is None else f + g
             for f, g in zip(ahead[j], _turned(behind[k - j]))
-        ]
-        left = list(accumulate(through, _least))
-        right = list(accumulate(reversed(through), _least))[::-1] + [None]
-        peak.append([
-            -_least(None if left[col] is None else left[col] - d, right[col + 1])
-            for col in range(n + 2)
-        ])
-    return peak
+        ], d)[1:]
+        for j in range(k + 1)
+    ]
 
 
 def _apply_peaks(b, peak):
@@ -333,24 +336,19 @@ def bk_e_closed(b, i, d):
     """Closed form of the d-fold operator; must agree with iteration.
 
     At i = 0 it costs O(k*n) integer operations (see :func:`_peak_table`).
+    At i >= 1, row first+r moves by the change of :func:`_cut_peaks` over
+    S[:-1] between cuts r and r+1, in O(rows).
     """
-    shape = b.shape
-    shape.check_index(i)
+    b.shape.check_index(i)
     if i == 0:
         return _apply_peaks(b, _peak_table(b, d))
+    first, sums = _moved_sums(b, i)
+    peaks = _cut_peaks(sums[:-1], d)
     entries = dict(b.entries)
-    beta, gamma_row = _col_range(shape, i)
-    profile = _gamma_profile(b, i)
-
-    def cut_min(cut):
-        # min(min over rows >= cut, (min over rows < cut) - d)
-        return min(v - d if p < cut else v for p, v in profile.items())
-
-    for l in range(beta + 1, gamma_row + 1):
-        shift = cut_min(l + 1) - cut_min(l)
-        entries[(l, i)] -= shift
-        entries[(l, i + 1)] += shift
-    return BElement(shape, entries)
+    for row, (lo, hi) in enumerate(zip(peaks, peaks[1:]), first):
+        entries[(row, i)] += hi - lo
+        entries[(row, i + 1)] -= hi - lo
+    return BElement(b.shape, entries)
 
 
 def weyl_s_tilde(b, i):

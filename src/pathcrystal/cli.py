@@ -40,7 +40,8 @@ def _load_point(path):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past int()'s digit limit
+    # JSONDecodeError, an integer literal past int()'s digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ValidationError("malformed JSON in %s: %s" % (path, exc))
     return point_from_json(data)
 

@@ -2,8 +2,9 @@
 
 Basis vectors are strictly increasing k-tuples in {1..n+1} (one-column
 tableaux); vectors are sparse rational combinations.  Generators act by
-moving a single entry, so operators are applied rule-by-rule instead of
-through matrices.
+moving a single entry one step along the cycle 1 -> 2 -> ... -> n+1 -> 1,
+the same rule at every index 0..n, so operators are applied rule-by-rule
+instead of through matrices.
 
 ``proportionality_probe`` compares the vector built from the x-chart with
 the one built from the mapped y-chart: whether they are exactly
@@ -94,23 +95,17 @@ def unit_vector(shape, key):
 
 
 def _gen_key_image(shape, key, gen, i):
-    """Image basis key under a raising/lowering generator, or None."""
+    """Image basis key under a raising/lowering generator, or None.
+
+    f_i replaces entry i by i+1 and e_i does the reverse, with i = 0 read as
+    n+1 on the affine cycle 1 -> 2 -> ... -> n+1 -> 1: f_0 turns n+1 into 1.
+    """
+    low = i or shape.n + 1
+    high = low % (shape.n + 1) + 1
+    old, new = (low, high) if gen == "f" else (high, low)
     members = set(key)
-    n = shape.n
-    if i == 0:
-        if gen == "f":
-            if 1 not in members and (n + 1) in members:
-                return (1,) + key[:-1]
-            return None
-        if 1 in members and (n + 1) not in members:
-            return key[1:] + (n + 1,)
-        return None
-    if gen == "f":
-        if i in members and (i + 1) not in members:
-            return tuple(sorted(members - {i} | {i + 1}))
-        return None
-    if (i + 1) in members and i not in members:
-        return tuple(sorted(members - {i + 1} | {i}))
+    if old in members and new not in members:
+        return tuple(sorted(members - {old} | {new}))
     return None
 
 
@@ -124,7 +119,7 @@ def _alpha_exponent(shape, key, i):
 
 
 def apply_gen(v, gen, i, c=None):
-    """Apply e_i, f_i or the torus element at parameter c, linearly."""
+    """Apply e_i, f_i or the torus element at parameter c, linearly, at any i in 0..n."""
     shape = v.shape
     shape.check_index(i)
     if gen in ("e", "f"):

@@ -64,11 +64,6 @@ class CartanA1n:
             return -1
         return 0
 
-    @property
-    def entries(self):
-        size = self.n + 1
-        return [[self.a(i, j) for j in range(size)] for i in range(size)]
-
 
 def bounds_row1(shape, i):
     """Row range of the entries moved by the i-th action on the x-chart."""

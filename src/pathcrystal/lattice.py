@@ -43,10 +43,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo, hi):
-        """Uniform integer in [lo, hi], by rejection to avoid modulo bias."""
+        """Uniform integer in [lo, hi], by rejection to avoid modulo bias.
+
+        One draw covers at most 2**64 values, so a wider range is rejected.
+        """
         span = hi - lo + 1
         if span <= 0:
             raise ValidationError("empty range [%d, %d]" % (lo, hi))
+        if span > 1 << 64:
+            raise ValidationError("range [%d, %d] is wider than 2**64" % (lo, hi))
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             r = self.next64()

@@ -28,7 +28,9 @@ from pathcrystal import (
     CrystalFault,
     bkinf,
     omega,
+    omega_inv,
     sample_point,
+    trop_e,
     trop_eps,
     trop_weyl,
 )
@@ -67,11 +69,10 @@ def test_zero_element_has_zero_data():
 def test_weight_is_phi_minus_eps(shape):
     for t in range(5):
         b = sample_belement(shape, 20 + t, 8)
-        for i in range(1, shape.n + 1):
+        for i in range(shape.n + 1):
             eps, phi = eps_phi(b, i)
             assert wt(b, i) == phi - eps
-        eps0, phi0 = eps_phi_0(b)
-        assert wt(b, 0) == phi0 - eps0 == -b.get(1, 1) + b.get(shape.k, shape.n + 1)
+        assert wt(b, 0) == -b.get(1, 1) + b.get(shape.k, shape.n + 1)
 
 
 def test_kashiwara_example():
@@ -84,15 +85,22 @@ def test_kashiwara_inverse_and_axioms(shape):
     cart = CartanA1n(shape.n)
     for t in range(5):
         b = sample_belement(shape, 30 + t, 8)
-        for i in range(1, shape.n + 1):
+        for i in range(shape.n + 1):
             up = kashiwara(b, "e", i)
             assert kashiwara(up, "f", i) == b
             eps, phi = eps_phi(b, i)
             eps_up, phi_up = eps_phi(up, i)
             assert eps_up == eps - 1
             assert phi_up == phi + 1
-            for j in range(1, shape.n + 1):
+            for j in range(shape.n + 1):
                 assert wt(up, j) == wt(b, j) + cart.a(i, j)
+
+
+def test_index_zero_takes_the_zero_operators(shape):
+    b = sample_belement(shape, 35, 8)
+    assert eps_phi(b, 0) == eps_phi_0(b)
+    assert kashiwara(b, "e", 0) == zero_ops(b, "e")
+    assert kashiwara(b, "f", 0) == zero_ops(b, "f")
 
 
 def test_row_sums_preserved_by_all_operators(shape):
@@ -262,6 +270,19 @@ def test_closed_zero_operator_matches_enumeration(nk):
                 assert bk_e_closed(b, 0, d) == brute_bk_e_closed(b, d), (seed, bound, d)
 
 
+@pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
+def test_closed_step_matches_tropical_at_saturating_d(nk):
+    # |d| = 10**6 moves every cut of the split-minimum kernel to one side
+    shape = make_shape(*nk)
+    for seed in range(2):
+        for bound in (1, 4, 12):
+            b = sample_belement(shape, 800 + seed, bound)
+            for i in range(1, shape.n + 1):
+                for d in (10**6, -10**6):
+                    expected = omega(trop_e(omega_inv(b), i, d))
+                    assert bk_e_closed(b, i, d) == expected, (seed, bound, i, d)
+
+
 def _refuse(*args):
     raise AssertionError("the closed 0-operator must not enumerate tuples")
 
@@ -353,6 +374,10 @@ def test_weight_rejects_index_outside_0_to_n():
     for i in (-1, 4, 7):
         with pytest.raises(ValidationError, match=r"0\.\.n"):
             wt(b, i)
+        with pytest.raises(ValidationError, match=r"0\.\.n"):
+            eps_phi(b, i)
+        with pytest.raises(ValidationError, match=r"0\.\.n"):
+            kashiwara(b, "e", i)
 
 
 def test_weyl_fixes_zero_element(shape):

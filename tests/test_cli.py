@@ -287,6 +287,24 @@ def test_overlong_integer_literal_is_malformed_json(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_point_file_is_malformed_json(capsys, tmp_path):
+    # nesting past the interpreter's stack makes json.load raise RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["map", "--map", "sigma", "--point", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed JSON in %s" % deep in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "birational"], ["conjecture"]],
+                         ids=lambda c: c[0])
+def test_bound_wider_than_one_draw_exits_2(capsys, command):
+    argv = command + ["--n", "3", "--k", "2", "--trials", "1", "--bound", str(10**20)]
+    assert main(argv) == 2
+    assert "wider than 2**64" in capsys.readouterr().err
+
+
 def test_conjecture_report(capsys):
     code, out = run(
         capsys, "conjecture", "--n", "2", "--k", "1", "--trials", "4",

@@ -112,8 +112,7 @@ def test_data_intertwining_random(shape):
         b = omega(x)
         for i in range(shape.n + 1):
             assert trop_wt(x, i) == wt(b, i)
-            eps_b = eps_phi_0(b)[0] if i == 0 else eps_phi(b, i)[0]
-            assert trop_eps(x, i) == eps_b
+            assert trop_eps(x, i) == eps_phi(b, i)[0]
             for d in (-2, 1, 3):
                 assert omega(trop_e(x, i, d)) == bk_e(b, i, d)
             assert omega(trop_weyl(x, i)) == weyl_s_tilde(b, i)

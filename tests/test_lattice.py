@@ -19,7 +19,7 @@ from pathcrystal import (
     sample_belement,
     sample_point,
 )
-from pathcrystal.lattice import parse_rational
+from pathcrystal.lattice import SplitMix64, parse_rational
 
 
 def test_smallest_shape_index_sets():
@@ -148,6 +148,15 @@ def test_sampling_is_deterministic(shape):
     assert a == b
     assert sample_point(shape, 7, 16, kind="trop") == sample_point(shape, 7, 16, kind="trop")
     assert sample_point(shape, 8, 16, kind="x") != a
+
+
+def test_randint_rejects_a_range_wider_than_one_draw():
+    # one 64-bit draw covers at most 2**64 values; rejection sampling on a wider span never ends
+    for lo, hi in [(0, 2**64), (-(10**20), 10**20)]:
+        with pytest.raises(ValidationError, match=r"wider than 2\*\*64"):
+            SplitMix64(1).randint(lo, hi)
+    # the widest range accepted keeps its stream: the draw itself, shifted by lo
+    assert SplitMix64(1).randint(-(2**63), 2**63 - 1) == SplitMix64(1).next64() - 2**63
 
 
 def test_sampling_positivity_and_bounds(shape):
