@@ -9,7 +9,6 @@ points with exact rational arithmetic.
 
 from .birational import sigma_map, xi_map
 from .bkinf import (
-    CTuple,
     all_ctuples,
     b_infinity,
     bk_e,
@@ -57,7 +56,6 @@ from .lattice import (
     sample_point,
 )
 from .paths import (
-    Path,
     brute_epsilon,
     brute_partial_sum,
     brute_region_sums,

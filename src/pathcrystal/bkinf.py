@@ -35,14 +35,15 @@ definition at the tuple it returns, faulting with a replayable witness on
 a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
 the table) and :func:`brute_eps_phi_0` (the table's minimum) are the closed
 form and the 0-data from the same enumeration, the DP's oracles; neither
-calls the kernel.  :class:`CTuple` validates tuples given from outside.
+calls the kernel.  :func:`.iso.pi_correspondence` checks tuples given from
+outside.
 """
 
 from itertools import accumulate, combinations
 from operator import getitem
 
 from .errors import CrystalFault, ValidationError
-from .lattice import BElement, SplitMix64, _is_int, _mix_tag, point_to_json
+from .lattice import BElement, SplitMix64, _mix_tag, point_to_json
 
 
 def b_infinity(shape):
@@ -61,30 +62,6 @@ def sample_belement(shape, seed, bound):
             acc += v
         entries[(j, j + shape.kprime)] = -acc
     return BElement(shape, entries)
-
-
-class CTuple:
-    """Strictly increasing tuple from 1 to n+1 selecting one column per row.
-
-    The validator for tuples given from outside; the family itself
-    (:func:`all_ctuples`) and :func:`extremal_c` use plain tuples.
-    """
-
-    def __init__(self, shape, values):
-        values = tuple(values)
-        if len(values) != shape.k + 1:
-            raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(values)))
-        if not all(map(_is_int, values)):
-            raise ValidationError("tuple entries must be integers, got %r" % (values,))
-        if values[0] != 1 or values[-1] != shape.n + 1:
-            raise ValidationError("tuple must run from 1 to n+1, got %r" % (values,))
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValidationError("tuple must be strictly increasing, got %r" % (values,))
-        self.shape = shape
-        self.values = values
-
-    def __getitem__(self, idx):
-        return self.values[idx]
 
 
 def all_ctuples(shape):

@@ -5,14 +5,16 @@ coordinates as 0), its inverse takes prefix sums; row sums vanish by
 telescoping.  The companion correspondence sends each increasing tuple to
 the full lattice path whose row runs are delimited by the tuple, under
 which the column functional of an image array equals the negated tropical
-path weight.  :func:`pathcrystal.suites.suite_iso` checks that the
-bijection intertwines all crystal data.
+path weight.  Tuples and paths are plain tuples, so this module imports
+neither the array crystal nor the path engine, and the ``iso`` suite's
+``delta-path`` (``bkinf.delta`` against ``paths.path_weight`` of this
+correspondence) compares modules that do not import one another.
+:func:`pathcrystal.suites.suite_iso` checks that the bijection intertwines
+all crystal data.
 """
 
-from .bkinf import CTuple
 from .errors import ValidationError
-from .lattice import BElement, TropPoint
-from .paths import Path
+from .lattice import BElement, TropPoint, _is_int
 
 
 def omega(x):
@@ -38,12 +40,19 @@ def omega_inv(b):
 
 
 def pi_correspondence(shape, c):
-    """Full path whose run on each row is delimited by the tuple entries."""
-    if not isinstance(c, CTuple):
-        c = CTuple(shape, c)
-    points = []
-    for j in range(1, shape.k + 1):
-        row = shape.k - j + 1
-        for m in range(c[j - 1], c[j]):
-            points.append((row, m))
-    return Path(tuple(points))
+    """Full path, as a tuple of points, whose run on each row is delimited by ``c``.
+
+    ``c`` is a strictly increasing tuple of k+1 integers from 1 to n+1.
+    """
+    c = tuple(c)
+    if len(c) != shape.k + 1:
+        raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(c)))
+    if not all(map(_is_int, c)):
+        raise ValidationError("tuple entries must be integers, got %r" % (c,))
+    if c[0] != 1 or c[-1] != shape.n + 1:
+        raise ValidationError("tuple must run from 1 to n+1, got %r" % (c,))
+    if any(a >= b for a, b in zip(c, c[1:])):
+        raise ValidationError("tuple must be strictly increasing, got %r" % (c,))
+    return tuple(
+        (shape.k - j + 1, m) for j in range(1, shape.k + 1) for m in range(c[j - 1], c[j])
+    )

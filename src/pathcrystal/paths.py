@@ -5,7 +5,8 @@ weights.  Everything is computed twice in this library: once by dynamic
 programming (the functions below) and once by explicit path enumeration
 (the ``brute_*`` oracles), and the two must agree exactly in both
 semirings.  The enumeration oracle is part of the shipped API, not a
-test-only helper.
+test-only helper.  It builds each path, a plain tuple of points, from its
+choice of crossing steps (:func:`enumerate_paths`).
 
 A path steps one column right, either along its row, (l, m) -> (l, m+1),
 or across to the next row down, (l, m) -> (l-1, m+1).  One step kind per
@@ -34,33 +35,13 @@ two birational maps reads ``Y*`` one column past the lattice, and the
 round trip is the identity exactly when that read is 1.
 """
 
-from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from .errors import ValidationError
+from .lattice import _is_int
 
 PATH_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class Path:
-    """A monotone shortest path, stored as its full point sequence."""
-
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValidationError("a path needs at least one point")
-        for (l0, m0), (l1, m1) in zip(self.points, self.points[1:]):
-            horizontal = (l1, m1) == (l0, m0 + 1)
-            vertical = (l1, m1) == (l0 - 1, m0 + 1)
-            if not (horizontal or vertical):
-                raise ValidationError(
-                    "illegal step (%d,%d) -> (%d,%d)" % (l0, m0, l1, m1)
-                )
-
-    def rows_at(self, l):
-        """m-indices of the path's points on row l."""
-        return [m for (r, m) in self.points if r == l]
 
 
 def _check_side(side):
@@ -69,33 +50,37 @@ def _check_side(side):
 
 
 def enumerate_paths(shape, side, src, dst):
-    """All monotone shortest paths from src to dst, each exactly once."""
+    """All monotone shortest paths from src to dst, each once, in increasing order.
+
+    A path is the tuple of its points.  It is fixed by which of its steps
+    cross to the next row down, so the paths are the choices of ``drop``
+    crossing steps among ``advance``, built in the order of
+    ``itertools.combinations``, which is the order of the point tuples.
+    Each one stays on the lattice: along a path l never rises and l + m
+    never falls, and each lattice is a range in l and a range in l + m.
+    """
     _check_side(side)
     domain = shape.domain(side)
-    if tuple(src) not in domain:
-        raise ValidationError("source %r not on lattice L%d" % (src, side))
-    if tuple(dst) not in domain:
-        raise ValidationError("destination %r not on lattice L%d" % (dst, side))
-    drop = src[0] - dst[0]
-    advance = dst[1] - src[1]
-    if drop < 0 or advance < 0 or drop > advance:
+    src, dst = tuple(src), tuple(dst)
+    for name, node in (("source", src), ("destination", dst)):
+        if not (all(map(_is_int, node)) and node in domain):
+            raise ValidationError("%s %r not on lattice L%d" % (name, node, side))
+    l, m = src
+    drop = l - dst[0]
+    advance = dst[1] - m
+    if not 0 <= drop <= advance:
         return []
+    if comb(advance, drop) > PATH_CAP:
+        raise ValidationError("more than %d paths" % PATH_CAP)
     out = []
-    stack = [(src,)]
-    while stack:
-        prefix = stack.pop()
-        l, m = prefix[-1]
-        if (l, m) == dst:
-            out.append(Path(prefix))
-            if len(out) > PATH_CAP:
-                raise ValidationError("more than %d paths" % PATH_CAP)
-            continue
-        if m >= dst[1]:
-            continue
-        for nxt in ((l, m + 1), (l - 1, m + 1)):
-            if nxt in domain and nxt[0] >= dst[0] and nxt[0] - dst[0] <= dst[1] - nxt[1]:
-                stack.append(prefix + (nxt,))
-    out.sort(key=lambda p: p.points)
+    for crossings in combinations(range(advance), drop):
+        row = l
+        points = [src]
+        for step in range(advance):
+            if step in crossings:
+                row -= 1
+            points.append((row, m + step + 1))
+        out.append(tuple(points))
     return out
 
 
@@ -115,15 +100,24 @@ def _point_side(point):
 
 
 def path_weight(point, path):
-    """Semiring product of the strip weights of ``path`` under ``point``."""
+    """Semiring product of the strip weights of ``path`` under ``point``.
+
+    ``path`` is a sequence of (l, m) points: at least one, each on the
+    point's lattice, and each step one column right, along its row or to
+    the next row down.  This is the one check of a path given from outside.
+    """
     side = _point_side(point)
     domain = point.shape.domain(side)
-    for pt in path.points:
+    if not path:
+        raise ValidationError("a path needs at least one point")
+    for pt in path:
         if pt not in domain:
             raise ValidationError("path point %r is off lattice L%d" % (pt, side))
     sr = point.semiring
     weight = sr.one
-    for (l0, m0), (l1, m1) in zip(path.points, path.points[1:]):
+    for (l0, m0), (l1, m1) in zip(path, path[1:]):
+        if m1 != m0 + 1 or l1 not in (l0, l0 - 1):
+            raise ValidationError("illegal step (%d,%d) -> (%d,%d)" % (l0, m0, l1, m1))
         if side == 1:
             if l1 == l0:  # horizontal strips carry the coordinate ratio
                 weight = sr.mul(weight, sr.ratio(point.get(l0, m0), point.get(l0, m0 + 1)))
@@ -317,11 +311,11 @@ def brute_region_sums(point, l, m):
     through = sr.bottom
     for p in enumerate_paths(shape, 1, src, dst):
         w = path_weight(point, p)
-        rows = p.rows_at(l)
+        rows = [j for (r, j) in p if r == l]
         if all(j > m for j in rows):
             upper = sr.add(upper, w)
         if all(j < m for j in rows):
             lower = sr.add(lower, w)
-        if (l, m) in p.points:
+        if (l, m) in p:
             through = sr.add(through, w)
     return upper, lower, through

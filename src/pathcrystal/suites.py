@@ -347,17 +347,20 @@ SUITES = {
     "conjecture": suite_conjecture,
 }
 
-DEFAULT_BOUNDS = {"iso": 10, "udprobe": 8, "extremal": 10}
+DEFAULT_BOUNDS = {"iso": 10, "extremal": 10}
 
 
 def suite_bound(name, bound=None):
     """The sampling bound a suite runs at, as its report states it.
 
     ``None`` selects the suite's default; the degree probe clamps to the
-    largest exponent it can read exactly.
+    largest exponent it can read exactly.  A bound below 1 is rejected for
+    every suite, including those that sample no point.
     """
     if bound is None:
         bound = DEFAULT_BOUNDS.get(name, 16)
+    if bound < 1:
+        raise ValidationError("bound must be at least 1, got %r" % (bound,))
     if name == "udprobe":
         bound = min(bound, tropical.PROBE_MAX_EXPONENT)
     return bound

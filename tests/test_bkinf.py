@@ -4,7 +4,6 @@ import pytest
 
 from pathcrystal import (
     BElement,
-    CTuple,
     ValidationError,
     all_ctuples,
     b_infinity,
@@ -113,8 +112,8 @@ def test_row_sums_preserved_by_all_operators(shape):
 
 
 def test_delta_examples():
-    assert delta(B21, CTuple(S21, (1, 3))) == 5
-    assert delta(b_infinity(S21), CTuple(S21, (1, 3))) == 0
+    assert delta(B21, (1, 3)) == 5
+    assert delta(b_infinity(S21), (1, 3)) == 0
 
 
 def test_ctuple_family():
@@ -123,18 +122,6 @@ def test_ctuple_family():
     assert all_ctuples(s32) == [(1, 2, 4), (1, 3, 4)]
     for n, k in [(4, 2), (5, 3), (6, 3)]:
         assert len(all_ctuples(make_shape(n, k))) == comb(n - 1, k - 1)
-
-
-def test_ctuple_validation():
-    with pytest.raises(ValidationError):
-        CTuple(S21, (2, 3))
-    with pytest.raises(ValidationError):
-        CTuple(S21, (1, 2))
-    with pytest.raises(ValidationError):
-        CTuple(make_shape(3, 2), (1, 1, 4))
-    for values in [(True, 2.0, 4), (1, 2.5, 4), (1, "2", 4), (1, False, 4)]:
-        with pytest.raises(ValidationError, match="integers"):
-            CTuple(make_shape(3, 2), values)
 
 
 def test_extremal_singleton_family():

@@ -7,6 +7,7 @@ from conftest import MALFORMED_POINTS, SHAPES
 from pathcrystal import cli
 from pathcrystal.cli import ACTIONS, MAPS, build_parser, main
 from pathcrystal.reporting import RelationCheck, all_ok
+from pathcrystal.suites import SUITES
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
 Y21 = {"n": 2, "k": 1, "kind": "y", "entries": {"1,0": "1/3", "1,1": "2/3"}}
@@ -431,9 +432,16 @@ def test_verify_all_reports_bounds_used(capsys):
     assert json.loads(out)["bound"] == 8
 
 
-def test_conjecture_rejects_bound_zero(capsys):
-    code, _ = run(capsys, "conjecture", "--n", "3", "--k", "1", "--bound", "0")
-    assert code == 2
+# every command that samples, and every suite, including those that sample no point
+BOUND_COMMANDS = [["conjecture"]] + [["verify", "--suite", s] for s in [*sorted(SUITES), "all"]]
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+@pytest.mark.parametrize("command", BOUND_COMMANDS, ids=lambda c: "-".join(c[::2]))
+def test_bound_below_one_exits_2(capsys, command, bound):
+    argv = command + ["--n", "3", "--k", "2", "--trials", "1", "--bound", bound]
+    assert main(argv) == 2
+    assert "bound must be at least 1" in capsys.readouterr().err
 
 
 PARSE_CASES = [

@@ -1,0 +1,54 @@
+"""Modules compared against each other must not import each other.
+
+Each row names a module and the package modules it may import.  The
+``iso`` suite's ``delta-path`` compares ``bkinf.delta`` with
+``paths.path_weight`` of ``iso.pi_correspondence``, and
+``test_path_correspondence_is_bijective`` compares ``enumerate_paths`` with
+that correspondence, so none of the three may reach another through an
+import.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pathcrystal
+
+PACKAGE = Path(pathcrystal.__file__).parent
+
+ALLOWED_IMPORTS = {
+    "bkinf": {"errors", "lattice"},
+    "iso": {"errors", "lattice"},
+    "paths": {"errors", "lattice"},
+}
+
+
+def package_imports(module):
+    """Names of the package modules that ``module`` imports, read with ``ast``."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[:1] != ["pathcrystal"]:
+                    continue
+                parts = parts[1:]
+            names.update(parts[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "pathcrystal" and len(parts) > 1:
+                    names.add(parts[1])
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_module_imports_only_what_it_may(module):
+    assert package_imports(module) <= ALLOWED_IMPORTS[module]
+
+
+def test_import_reader_sees_the_package_imports():
+    # suites imports modules both as names and from a module
+    assert package_imports("suites") >= {"bkinf", "fundrep", "geom", "iso", "tropical", "paths"}

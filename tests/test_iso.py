@@ -2,7 +2,6 @@ import pytest
 
 from pathcrystal import (
     BElement,
-    CTuple,
     TropPoint,
     ValidationError,
     all_ctuples,
@@ -71,24 +70,34 @@ def test_omega_requires_tropical_point():
 
 def test_path_correspondence_singleton():
     (p,) = enumerate_paths(S21, 1, (1, 1), (1, 2))
-    assert pi_correspondence(S21, CTuple(S21, (1, 3))) == p
+    assert pi_correspondence(S21, (1, 3)) == p
 
 
-@pytest.mark.parametrize("values", [(True, 2.0, 4), (1, 2.5, 4)])
+@pytest.mark.parametrize("values", [(True, 2.0, 4), (1, 2.5, 4), (1, "2", 4), (1, False, 4)])
 def test_path_correspondence_rejects_non_int_entries(values):
     with pytest.raises(ValidationError, match="integers"):
         pi_correspondence(S32, values)
 
 
+def test_path_correspondence_rejects_bad_tuples():
+    with pytest.raises(ValidationError):
+        pi_correspondence(S21, (2, 3))
+    with pytest.raises(ValidationError):
+        pi_correspondence(S21, (1, 2))
+    with pytest.raises(ValidationError):
+        pi_correspondence(S32, (1, 1, 4))
+    with pytest.raises(ValidationError):
+        pi_correspondence(S32, (1, 4))
+
+
 def test_path_correspondence_worked_example():
-    path = pi_correspondence(S32, CTuple(S32, (1, 2, 4)))
-    assert path.points == ((2, 1), (1, 2), (1, 3))
+    assert pi_correspondence(S32, (1, 2, 4)) == ((2, 1), (1, 2), (1, 3))
 
 
 def test_path_correspondence_is_bijective(shape):
     src, dst = full_path_endpoints(shape, 1)
-    all_paths = {p.points for p in enumerate_paths(shape, 1, src, dst)}
-    images = {pi_correspondence(shape, c).points for c in all_ctuples(shape)}
+    all_paths = set(enumerate_paths(shape, 1, src, dst))
+    images = {pi_correspondence(shape, c) for c in all_ctuples(shape)}
     assert images == all_paths
 
 

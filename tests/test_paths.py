@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from pathcrystal import (
-    Path,
     TropPoint,
     ValidationError,
     XPoint,
@@ -19,7 +18,7 @@ from pathcrystal import (
     region_sums,
     sample_point,
 )
-from pathcrystal.paths import full_path_endpoints
+from pathcrystal.paths import PATH_CAP, full_path_endpoints
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -28,11 +27,32 @@ X32 = XPoint(S32, {(2, 1): 1, (2, 2): 2, (1, 2): 3, (1, 3): 4})
 
 
 def test_path_step_validation():
-    Path(((2, 1), (2, 2), (1, 3)))
-    with pytest.raises(ValidationError):
-        Path(((1, 1), (1, 3)))
-    with pytest.raises(ValidationError):
-        Path(((1, 1), (2, 2)))
+    assert path_weight(X32, ((2, 1), (2, 2), (1, 3))) == Fraction(1, 2)
+    assert path_weight(X32, ((2, 1),)) == 1
+    with pytest.raises(ValidationError, match="at least one point"):
+        path_weight(X32, ())
+    # every point is on the lattice, so only the step check can reject these
+    x42 = sample_point(make_shape(4, 2), 1, 5)
+    x43 = sample_point(make_shape(4, 3), 1, 5)
+    bad = [
+        (X32, ((2, 1), (1, 3))),  # two columns at once, down a row
+        (x42, ((1, 2), (1, 4))),  # two columns at once, along a row
+        (x42, ((1, 2), (2, 3))),  # up a row
+        (x43, ((3, 2), (1, 3))),  # down two rows
+        (X32, ((2, 2), (1, 2))),  # straight up
+        (X32, ((2, 2), (2, 2))),  # standing still
+        (X32, ((1, 3), (1, 2))),  # a column left
+    ]
+    for point, path in bad:
+        assert set(path) <= point.shape.domain(1)
+        with pytest.raises(ValidationError, match="illegal step"):
+            path_weight(point, path)
+
+
+def test_path_weight_rejects_off_lattice_points():
+    for path in [((1, 2), (1, 4)), ((2, 1), (2, 0)), ((3, 1),)]:
+        with pytest.raises(ValidationError, match="off lattice"):
+            path_weight(X32, path)
 
 
 def test_enumerate_single_edge():
@@ -53,14 +73,50 @@ def test_enumerate_full_count_is_binomial():
         assert len(enumerate_paths(sh, 1, src, dst)) == comb(n - 1, k - 1)
 
 
+def test_enumerate_takes_list_endpoints():
+    expected = enumerate_paths(S32, 1, (2, 1), (1, 3))
+    assert len(expected) == 2
+    assert enumerate_paths(S32, 1, [2, 1], [1, 3]) == expected
+    assert enumerate_paths(S32, 1, (2, 1), [1, 3]) == expected
+
+
+def test_enumerated_paths_are_every_lattice_path_once():
+    # every pair of nodes on both lattices, every shape with n <= 6
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            sh = make_shape(n, k)
+            for side, kind in ((1, "x"), (2, "y")):
+                point = sample_point(sh, 3, 7, kind=kind)
+                nodes = sh.indices(side)
+                for src in nodes:
+                    for dst in nodes:
+                        paths = enumerate_paths(sh, side, src, dst)
+                        drop, advance = src[0] - dst[0], dst[1] - src[1]
+                        count = comb(advance, drop) if 0 <= drop <= advance else 0
+                        assert len(paths) == count
+                        assert all(a < b for a, b in zip(paths, paths[1:]))
+                        for p in paths:
+                            assert (p[0], p[-1]) == (src, dst)
+                            path_weight(point, p)
+
+
+def test_enumerate_rejects_more_paths_than_the_cap():
+    shape = make_shape(21, 10)
+    src, dst = full_path_endpoints(shape, 1)
+    assert comb(20, 9) > PATH_CAP
+    with pytest.raises(ValidationError, match="paths"):
+        enumerate_paths(shape, 1, src, dst)
+
+
 def test_enumerate_unreachable_is_empty():
     assert enumerate_paths(S32, 1, (1, 2), (2, 2)) == []
     assert enumerate_paths(S32, 1, (1, 3), (1, 2)) == []
 
 
 def test_enumerate_rejects_off_lattice_endpoints():
-    with pytest.raises(ValidationError):
-        enumerate_paths(S32, 1, (3, 1), (1, 3))
+    for src in [(3, 1), (2.0, 1), (2, True), (2, 1, 0)]:
+        with pytest.raises(ValidationError):
+            enumerate_paths(S32, 1, src, (1, 3))
 
 
 def test_path_weight_single_horizontal_strip():
