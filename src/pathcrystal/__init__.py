@@ -15,7 +15,6 @@ from .bkinf import (
     bk_e_closed,
     brute_bk_e_closed,
     brute_eps_phi_0,
-    crystal_graph_dot,
     delta,
     eps_phi,
     eps_phi_0,
@@ -23,12 +22,10 @@ from .bkinf import (
     kashiwara,
     sample_belement,
     weyl_s_tilde,
-    wt,
     zero_ops,
 )
 from .errors import CrystalFault, ValidationError
 from .fundrep import (
-    FundVector,
     apply_gen,
     basis_keys,
     chart_vector,
@@ -46,7 +43,6 @@ from .geom import (
 from .iso import omega, omega_inv, pi_correspondence
 from .lattice import (
     BElement,
-    LatticeShape,
     TropPoint,
     XPoint,
     YPoint,
@@ -65,8 +61,7 @@ from .paths import (
     path_weight,
     region_sums,
 )
-from .semiring import MAXPLUS, RATIONAL, SemiringSpec
-from .suites import SUITES, run_suite
+from .suites import run_suite
 from .tropical import trop_dbar, trop_e, trop_eps, trop_weyl, trop_wt, ud_degree_probe
 
 __version__ = "0.1.0"

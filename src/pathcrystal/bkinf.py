@@ -29,21 +29,21 @@ from the rows' prefix sums, taken once per call; nothing is kept across
 calls.  :func:`extremal_c` returns the coordinatewise extreme of the
 table's minimizers, which is again a tuple of the family and comparable
 with every minimizer, so its one check is whether that tuple minimizes.
-It reads the tuple's value from :func:`delta`, whose row-slice sum the
-table does not share, so every call checks the table against the
-definition at the tuple it returns, faulting with a replayable witness on
-a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
+It reads the tuple's value from the body of :func:`delta`, whose
+row-slice sum the table does not share, so every call checks the table
+against the definition at the tuple it returns, faulting with a
+replayable witness on a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
 the table) and :func:`brute_eps_phi_0` (the table's minimum) are the closed
 form and the 0-data from the same enumeration, the DP's oracles; neither
-calls the kernel.  :func:`.iso.pi_correspondence` checks tuples given from
-outside.
+calls the kernel.  :func:`delta` and :func:`.iso.pi_correspondence` check
+a tuple given from outside, by one rule in :mod:`.lattice`.
 """
 
 from itertools import accumulate, combinations
 from operator import getitem
 
 from .errors import CrystalFault, ValidationError
-from .lattice import BElement, SplitMix64, _mix_tag, point_to_json
+from .lattice import BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
 
 
 def b_infinity(shape):
@@ -123,7 +123,15 @@ def _between(row, u, v):
 
 
 def delta(b, c):
-    """Sum of the row entries strictly between consecutive tuple columns."""
+    """Sum of the row entries strictly between consecutive tuple columns.
+
+    ``c`` is checked as a tuple of the family; :func:`extremal_c` checks its
+    own candidate through the unchecked body :func:`_delta`.
+    """
+    return _delta(b, _check_ctuple(b.shape, c))
+
+
+def _delta(b, c):
     return sum(map(_between, _rows(b), c, c[1:]))
 
 
@@ -148,8 +156,9 @@ def extremal_c(b, which):
     The coordinatewise min (``"e"``) or max (``"f"``) of the minimizers is
     again a tuple of the family, comparable with every minimizer, so the
     one check that can fail is whether it minimizes.  Its value is read
-    from :func:`delta`, not from the table, so a mismatch with the table's
-    minimum raises :class:`CrystalFault` with a replayable witness.
+    from the body of :func:`delta`, not from the table, so a mismatch with
+    the table's minimum raises :class:`CrystalFault` with a replayable
+    witness.
     """
     if which not in ("e", "f"):
         raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
@@ -158,7 +167,7 @@ def extremal_c(b, which):
     argmin = [c for c, v in values.items() if v == best]
     pick = min if which == "e" else max
     candidate = tuple(map(pick, zip(*argmin)))
-    if delta(b, candidate) != best:
+    if _delta(b, candidate) != best:
         raise CrystalFault(
             "coordinatewise %s of the minimizers is not a minimizer" % which,
             witness={"point": point_to_json(b), "candidate": candidate},

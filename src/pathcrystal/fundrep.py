@@ -1,10 +1,13 @@
 """The minuscule-style module on k-subsets and the proportionality probe.
 
-Basis vectors are strictly increasing k-tuples in {1..n+1} (one-column
-tableaux); vectors are sparse rational combinations.  Generators act by
-moving a single entry one step along the cycle 1 -> 2 -> ... -> n+1 -> 1,
-the same rule at every index 0..n, so operators are applied rule-by-rule
-instead of through matrices.
+Basis keys are strictly increasing k-tuples in {1..n+1} (one-column
+tableaux); a vector is a plain dict ``{key: Fraction}``.  One key rule
+(:func:`_cycle_step`) moves a single entry one step along the cycle
+1 -> 2 -> ... -> n+1 -> 1, the same at every index 0..n: f_i moves it
+forward and e_i back.  It serves :func:`apply_gen` and the lowering passes
+of :func:`chart_vector` alike, so operators are applied rule-by-rule
+instead of through matrices.  The library builds every key itself;
+:func:`unit_vector` checks a key given from outside.
 
 ``proportionality_probe`` compares the vector built from the x-chart with
 the one built from the mapped y-chart: whether they are exactly
@@ -17,49 +20,9 @@ from itertools import combinations
 from math import comb
 
 from .birational import sigma_map
-from .errors import CrystalFault, ValidationError
+from .errors import ValidationError
 
 PROBE_DIMENSION_CAP = 10_000
-
-
-class FundVector:
-    """Sparse vector keyed by strictly increasing k-tuples."""
-
-    def __init__(self, shape, coeffs):
-        self.shape = shape
-        self.coeffs = {}
-        for key, value in dict(coeffs).items():
-            key = tuple(key)
-            _validate_key(shape, key)
-            value = Fraction(value)
-            if value != 0:
-                self.coeffs[key] = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FundVector)
-            and self.shape == other.shape
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return FundVector(self.shape, {k: v * factor for k, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return FundVector(self.shape, out)
-
-    def __repr__(self):
-        body = " + ".join(
-            "%s*%s" % (v, "".join(map(str, k))) for k, v in sorted(self.coeffs.items())
-        )
-        return "FundVector(%s)" % (body or "0")
 
 
 def _validate_key(shape, key):
@@ -91,67 +54,49 @@ def highest_u2(shape):
 
 
 def unit_vector(shape, key):
-    return FundVector(shape, {tuple(key): Fraction(1)})
+    """The basis vector of ``key``, the one check of a key given from outside."""
+    key = tuple(key)
+    _validate_key(shape, key)
+    return {key: Fraction(1)}
 
 
-def _gen_key_image(shape, key, gen, i):
-    """Image basis key under a raising/lowering generator, or None.
+def _cycle_step(shape, i):
+    """The pair (low, high): f_i turns entry low into high, e_i does the reverse.
 
-    f_i replaces entry i by i+1 and e_i does the reverse, with i = 0 read as
-    n+1 on the affine cycle 1 -> 2 -> ... -> n+1 -> 1: f_0 turns n+1 into 1.
+    Steps run along the cycle 1 -> 2 -> ... -> n+1 -> 1 with i = 0 read as
+    n+1, so f_0 turns n+1 into 1.
     """
     low = i or shape.n + 1
-    high = low % (shape.n + 1) + 1
-    old, new = (low, high) if gen == "f" else (high, low)
-    members = set(key)
-    if old in members and new not in members:
-        return tuple(sorted(members - {old} | {new}))
-    return None
+    return low, low % (shape.n + 1) + 1
 
 
-def _alpha_exponent(shape, key, i):
-    # weight +1 exactly when the lowering generator applies, -1 for raising
-    if _gen_key_image(shape, key, "f", i) is not None:
-        return 1
-    if _gen_key_image(shape, key, "e", i) is not None:
-        return -1
-    return 0
+def _moved(key, old, new):
+    return tuple(sorted(new if entry == old else entry for entry in key))
 
 
-def apply_gen(v, gen, i, c=None):
-    """Apply e_i, f_i or the torus element at parameter c, linearly, at any i in 0..n."""
-    shape = v.shape
+def apply_gen(shape, v, gen, i):
+    """Apply e_i or f_i linearly to the vector ``v``, at any i in 0..n.
+
+    Each generator is injective on the keys it moves (the other one undoes
+    the move), so no two terms land on one key and nothing cancels.
+    """
     shape.check_index(i)
-    if gen in ("e", "f"):
-        out = {}
-        for key, value in v.coeffs.items():
-            image = _gen_key_image(shape, key, gen, i)
-            if image is not None:
-                out[image] = out.get(image, Fraction(0)) + value
-        return FundVector(shape, out)
-    if gen == "alpha":
-        if c is None or Fraction(c) <= 0:
-            raise ValidationError("the torus parameter must be positive")
-        c = Fraction(c)
-        return FundVector(
-            shape,
-            {key: value * c ** _alpha_exponent(shape, key, i) for key, value in v.coeffs.items()},
-        )
-    raise ValidationError("unknown generator %r" % (gen,))
-
-
-def lowering_factor(v, i, c):
-    """One product factor: torus at c followed by 1 + (1/c) f_i."""
-    c = Fraction(c)
-    scaled = apply_gen(v, "alpha", i, c)
-    return scaled + apply_gen(scaled, "f", i).scaled(1 / c)
+    if gen not in ("e", "f"):
+        raise ValidationError("unknown generator %r" % (gen,))
+    low, high = _cycle_step(shape, i)
+    old, new = (low, high) if gen == "f" else (high, low)
+    return {_moved(key, old, new): a for key, a in v.items() if old in key and new not in key}
 
 
 def chart_vector(point):
     """Vector attached to an x- or y-chart point.
 
-    The highest vector of the point's side, lowered by one factor per
-    coordinate in index order; on the y-chart index 0 participates.
+    The highest vector of the point's side, lowered by one pass per
+    coordinate c at index m in index order (on the y-chart index 0
+    participates): the torus at c, then 1 + (1/c) f_m.  The torus weight is
+    +1 exactly where f_m applies and -1 exactly where e_m applies, so a key
+    that f_m moves keeps c*a and its image gains a, a key that e_m moves
+    keeps a/c, and any other key keeps a.
     """
     if point.kind not in ("x", "y"):
         raise ValidationError("chart_vector takes an x or y point, got kind %r" % (point.kind,))
@@ -159,7 +104,20 @@ def chart_vector(point):
     highest = highest_u1 if point.side == 1 else highest_u2
     v = unit_vector(shape, highest(shape))
     for l, m in shape.indices(point.side):
-        v = lowering_factor(v, m, point.get(l, m))
+        c = point.get(l, m)
+        low, high = _cycle_step(shape, m)
+        out, images = {}, {}
+        for key, a in v.items():
+            if low in key and high not in key:
+                out[key] = c * a
+                images[_moved(key, low, high)] = a
+            elif high in key and low not in key:
+                out[key] = a / c
+            else:
+                out[key] = a
+        for key, a in images.items():
+            out[key] = out.get(key, 0) + a
+        v = out
     return v
 
 
@@ -171,10 +129,8 @@ def proportionality_probe(x):
     _check_dimension(x.shape, "probe")
     v1 = chart_vector(x)
     v2 = chart_vector(sigma_map(x))
-    if v1.is_zero() or v2.is_zero():
-        raise CrystalFault("probe vectors must be nonzero for positive points")
-    if set(v1.coeffs) == set(v2.coeffs):
-        ratios = {v2.coeffs[key] / v1.coeffs[key] for key in v1.coeffs}
+    if v1.keys() == v2.keys():
+        ratios = {v2[key] / v1[key] for key in v1}
         if len(ratios) == 1:
             return {"proportional": True, "ratio": ratios.pop()}
     return {"proportional": False, "ratio": None}

@@ -14,7 +14,7 @@ all crystal data.
 """
 
 from .errors import ValidationError
-from .lattice import BElement, TropPoint, _is_int
+from .lattice import BElement, TropPoint, _check_ctuple
 
 
 def omega(x):
@@ -44,15 +44,7 @@ def pi_correspondence(shape, c):
 
     ``c`` is a strictly increasing tuple of k+1 integers from 1 to n+1.
     """
-    c = tuple(c)
-    if len(c) != shape.k + 1:
-        raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(c)))
-    if not all(map(_is_int, c)):
-        raise ValidationError("tuple entries must be integers, got %r" % (c,))
-    if c[0] != 1 or c[-1] != shape.n + 1:
-        raise ValidationError("tuple must run from 1 to n+1, got %r" % (c,))
-    if any(a >= b for a, b in zip(c, c[1:])):
-        raise ValidationError("tuple must be strictly increasing, got %r" % (c,))
+    c = _check_ctuple(shape, c)
     return tuple(
         (shape.k - j + 1, m) for j in range(1, shape.k + 1) for m in range(c[j - 1], c[j])
     )

@@ -125,6 +125,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ctuple(shape, c):
+    """``c`` as a tuple, checked to be k+1 strictly increasing integers from 1 to n+1."""
+    c = tuple(c)
+    if len(c) != shape.k + 1:
+        raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(c)))
+    if not all(map(_is_int, c)):
+        raise ValidationError("tuple entries must be integers, got %r" % (c,))
+    if c[0] != 1 or c[-1] != shape.n + 1:
+        raise ValidationError("tuple must run from 1 to n+1, got %r" % (c,))
+    if any(a >= b for a, b in zip(c, c[1:])):
+        raise ValidationError("tuple must be strictly increasing, got %r" % (c,))
+    return c
+
+
 def make_shape(n, k):
     return LatticeShape(n, k)
 

@@ -5,7 +5,9 @@ Each row names a module and the package modules it may import.  The
 ``paths.path_weight`` of ``iso.pi_correspondence``, and
 ``test_path_correspondence_is_bijective`` compares ``enumerate_paths`` with
 that correspondence, so none of the three may reach another through an
-import.
+import.  The k-subset module is the independent route for the geometric
+actions, so ``fundrep`` imports neither ``geom`` nor ``paths``; only its
+proportionality probe reaches the chart change, through ``birational``.
 """
 
 import ast
@@ -19,6 +21,7 @@ PACKAGE = Path(pathcrystal.__file__).parent
 
 ALLOWED_IMPORTS = {
     "bkinf": {"errors", "lattice"},
+    "fundrep": {"birational", "errors"},
     "iso": {"errors", "lattice"},
     "paths": {"errors", "lattice"},
 }

@@ -90,6 +90,18 @@ def test_path_correspondence_rejects_bad_tuples():
         pi_correspondence(S32, (1, 4))
 
 
+@pytest.mark.parametrize(
+    "c", [(1, 9, 4), (3, 2, 1), (1, 2), (1, 2, 3, 4), (True, 2, 4), (1, 2.5, 4)]
+)
+def test_delta_and_correspondence_reject_the_same_tuples(c):
+    # one tuple rule: delta gave a number, or a TypeError, for each of these
+    b = sample_belement(S32, 1, 5)
+    with pytest.raises(ValidationError):
+        delta(b, c)
+    with pytest.raises(ValidationError):
+        pi_correspondence(S32, c)
+
+
 def test_path_correspondence_worked_example():
     assert pi_correspondence(S32, (1, 2, 4)) == ((2, 1), (1, 2), (1, 3))
 
