@@ -45,6 +45,8 @@ from operator import getitem
 from .errors import CrystalFault, ValidationError
 from .lattice import BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
 
+GRAPH_NODE_CAP = 10_000
+
 
 def b_infinity(shape):
     return BElement(shape, dict.fromkeys(shape.b_indices, 0))
@@ -354,7 +356,10 @@ def crystal_graph_dot(center, radius):
 
     Arrows follow the lowering operators and are labeled by the index; the
     raising operators are their reversals, so one arrow family carries the
-    whole local structure.
+    whole local structure.  Before each level is expanded, the ball plus
+    every neighbor its frontier could add (2(n+1) each) must stay within
+    :data:`GRAPH_NODE_CAP` nodes, so the walk and the DOT text are bounded
+    for every legal radius.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -363,6 +368,11 @@ def crystal_graph_dot(center, radius):
     frontier = [center]
     edges = set()
     for dist in range(radius):
+        if len(seen) + 2 * (shape.n + 1) * len(frontier) > GRAPH_NODE_CAP:
+            raise ValidationError(
+                "graph radius %d: level %d could take the ball past %d nodes"
+                % (radius, dist + 1, GRAPH_NODE_CAP)
+            )
         nxt = []
         for b in frontier:
             for i in range(shape.n + 1):

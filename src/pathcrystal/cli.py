@@ -8,6 +8,13 @@ experiment) and ``graph`` (DOT export of an array-crystal neighborhood).
 Exit codes: 0 all checks pass, 1 verification or domain failure, 2 bad
 usage or malformed input.  Reports are deterministic given the seed; the
 wall-time field is the only exception.
+
+Each call builds only the parser it needs (:func:`parse_args`).  When the
+first argument names a subcommand, the parser has that subcommand's
+options alone; any other call gets the full parser (:func:`build_parser`).
+Adding every subcommand's options took most of a short call's time.  No
+parser is cached: a ``pathcrystal`` process makes one call, so a cache
+would help only in-process callers, as state shared by all of them.
 """
 
 import argparse
@@ -206,82 +213,112 @@ def cmd_graph(args):
     return EXIT_OK
 
 
-def build_parser(argv=None):
-    """The parser for the call ``argv``; ``None`` gives the parser for any call.
+def _verify_options(p):
+    p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_verify)
 
-    Every subcommand is listed, so help and usage errors read the same, but
-    only those named in ``argv`` get their options and ``-h``: argparse
-    parses with one subcommand, and adding options takes most of a short
-    call's time.
+
+def _act_options(p):
+    p.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
+    p.add_argument("--op", required=True, choices=["e", "f", "s"])
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--c", type=str, default=None, help="rational parameter P/Q")
+    p.add_argument("--d", type=int, default=1, help="integer step count")
+    p.add_argument("--point", required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_act)
+
+
+def _map_options(p):
+    p.add_argument("--map", required=True, choices=list(MAPS))
+    p.add_argument("--point", required=True)
+    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--d", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_map)
+
+
+def _conjecture_options(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bound", type=int, default=16)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_conjecture)
+
+
+def _graph_options(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--center", default="b_inf")
+    p.add_argument("--radius", type=int, default=1)
+    p.set_defaults(func=cmd_graph)
+
+
+# subcommand -> (help line, function adding its options); each of those sets
+# ``func`` to the module's ``cmd_*`` name as it is bound when the parser is
+# built, so a tool that rebinds module names (perfbench's tracer) sees the call
+SUBCOMMANDS = {
+    "verify": ("run a verification suite", _verify_options),
+    "act": ("apply a crystal operation to a point file", _act_options),
+    "map": ("apply a chart change or probe", _map_options),
+    "conjecture": ("run the proportionality experiment", _conjecture_options),
+    "graph": ("DOT export of an array-crystal ball", _graph_options),
+}
+
+
+def build_parser():
+    """The parser with every subcommand and all their options.
+
+    A call gets this parser only when its first argument names no
+    subcommand (no arguments, ``-h``, ``--help act``, ``--``, an unknown
+    or abbreviated command), or when the called subcommand meets arguments
+    it does not know; a call naming a subcommand first is parsed by that
+    subcommand's parser alone (:func:`parse_args`).  Help and usage errors
+    read the same either way.  The parser is built afresh for each call
+    and never cached, since a ``pathcrystal`` process makes one call.
     """
     parser = argparse.ArgumentParser(
         prog="pathcrystal",
         description="Exact verification of the lattice-path crystal construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, help_text):
-        called = argv is None or name in argv
-        p = sub.add_parser(name, help=help_text, add_help=called)
-        return p if called else None
-
-    p_verify = subcommand("verify", "run a verification suite")
-    if p_verify:
-        p_verify.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-        p_verify.add_argument("--n", type=int, required=True)
-        p_verify.add_argument("--k", type=int, required=True)
-        p_verify.add_argument("--trials", type=int, default=20)
-        p_verify.add_argument("--seed", type=int, default=0)
-        p_verify.add_argument("--bound", type=int, default=None)
-        p_verify.add_argument("--json", action="store_true")
-        p_verify.set_defaults(func=cmd_verify)
-
-    p_act = subcommand("act", "apply a crystal operation to a point file")
-    if p_act:
-        p_act.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
-        p_act.add_argument("--op", required=True, choices=["e", "f", "s"])
-        p_act.add_argument("--i", type=int, required=True)
-        p_act.add_argument("--c", type=str, default=None, help="rational parameter P/Q")
-        p_act.add_argument("--d", type=int, default=1, help="integer step count")
-        p_act.add_argument("--point", required=True)
-        p_act.add_argument("--json", action="store_true")
-        p_act.set_defaults(func=cmd_act)
-
-    p_map = subcommand("map", "apply a chart change or probe")
-    if p_map:
-        p_map.add_argument("--map", required=True, choices=list(MAPS))
-        p_map.add_argument("--point", required=True)
-        p_map.add_argument("--i", type=int, default=None)
-        p_map.add_argument("--d", type=int, default=0)
-        p_map.add_argument("--json", action="store_true")
-        p_map.set_defaults(func=cmd_map)
-
-    p_conj = subcommand("conjecture", "run the proportionality experiment")
-    if p_conj:
-        p_conj.add_argument("--n", type=int, required=True)
-        p_conj.add_argument("--k", type=int, required=True)
-        p_conj.add_argument("--trials", type=int, default=25)
-        p_conj.add_argument("--seed", type=int, default=0)
-        p_conj.add_argument("--bound", type=int, default=16)
-        p_conj.add_argument("--json", action="store_true")
-        p_conj.set_defaults(func=cmd_conjecture)
-
-    p_graph = subcommand("graph", "DOT export of an array-crystal ball")
-    if p_graph:
-        p_graph.add_argument("--n", type=int, required=True)
-        p_graph.add_argument("--k", type=int, required=True)
-        p_graph.add_argument("--center", default="b_inf")
-        p_graph.add_argument("--radius", type=int, default=1)
-        p_graph.set_defaults(func=cmd_graph)
-
+    for name, (help_text, add_options) in SUBCOMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
     return parser
+
+
+def parse_args(argv):
+    """Parse one call as :func:`build_parser`'s parser would.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built, as ``pathcrystal <name>``, and it parses ``argv[1:]`` into a
+    namespace that already holds ``command``.  Any other ``argv``, or
+    arguments the subcommand does not know, go to the full parser, which
+    words the error.
+    """
+    name = argv[0] if argv else None
+    if name in SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog="pathcrystal " + name)
+        SUBCOMMANDS[name][1](parser)
+        args, unknown = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -28,6 +28,8 @@ PROBE_DIMENSION_CAP = 10_000
 def _validate_key(shape, key):
     if len(key) != shape.k:
         raise ValidationError("basis key %r must have %d entries" % (key, shape.k))
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in key):
+        raise ValidationError("basis key %r must have integer entries" % (key,))
     if any(not 1 <= v <= shape.n + 1 for v in key):
         raise ValidationError("basis key %r has entries outside 1..n+1" % (key,))
     if any(a >= b for a, b in zip(key, key[1:])):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import MALFORMED_POINTS, SHAPES
 from pathcrystal import cli
-from pathcrystal.cli import ACTIONS, MAPS, build_parser, main
+from pathcrystal.cli import ACTIONS, MAPS, build_parser, main, parse_args
 from pathcrystal.reporting import RelationCheck, all_ok
 from pathcrystal.suites import SUITES
 
@@ -376,6 +376,15 @@ def test_graph_export(capsys):
     assert '[label="0"]' in out and '[label="3"]' in out
 
 
+def test_graph_ball_past_the_node_cap_exits_2(capsys):
+    # at (8,4), radius 4 would already hold 9,412 nodes and radius 5 50,002
+    code = main(["graph", "--n", "8", "--k", "4", "--radius", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "level 4 could take the ball past 10000 nodes" in captured.err
+
+
 def test_witness_replay_through_act(capsys, point_file):
     # a kept failure encodes its point and parameters; replaying the point
     # through `act` must reproduce the recorded relation (here: the x-chart's
@@ -464,22 +473,32 @@ PARSE_CASES = [
     ["graph", "--n", "3", "--k", "2", "--radius", "1"],
     ["act", "--point", "verify"],
     ["--help", "act"],
+    ["-h"],
+    ["ac"],
+    ["act", "-h"],
+    ["verify"],
+    ["act", "--sid", "geom"],
+    ["--", "act"],
+    ["graph", "--radius"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_parser_for_a_call_parses_like_the_full_parser(capsys, monkeypatch, argv):
-    # build_parser(argv) leaves out the options of subcommands not named in argv
+    # main's route builds only the called subcommand's parser when argv[0] names one
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
 
-    def parse(parser):
+    def parse(parse_call):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse_call(argv)), None
         except SystemExit as exc:
-            result = exc.code
+            result = None, exc.code
         return result, capsys.readouterr()
 
-    full = parse(build_parser())
-    assert parse(build_parser(argv)) == full
-    if "--help" in argv:
-        assert full[0] == 0 and full[1].out.startswith("usage: pathcrystal")
+    full = parse(build_parser().parse_args)
+    assert parse(parse_args) == full
+    (namespace, code), printed = full
+    if namespace is not None:
+        assert namespace["command"] == argv[0]
+    if {"-h", "--help"} & set(argv):
+        assert code == 0 and printed.out.startswith("usage: pathcrystal")

@@ -168,6 +168,9 @@ def test_unit_vector_validation():
         unit_vector(S32, (2, 2))
     with pytest.raises(ValidationError):
         unit_vector(S32, (1, 2, 3))
+    for key in ((1.5, 3), (True, 3), ("1", 3)):
+        with pytest.raises(ValidationError, match="integer entries"):
+            unit_vector(S32, key)
 
 
 def test_broken_key_rule_fails_a_relation(monkeypatch):
