@@ -32,7 +32,6 @@ from .fundrep import (
     proportionality_probe,
 )
 from .geom import (
-    CartanA1n,
     act_e,
     dval,
     epsilon,

@@ -364,11 +364,11 @@ def crystal_graph_dot(center, radius):
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     shape = center.shape
-    seen = {center: 0}
+    ids = {center: _node_id(center)}  # each node's DOT id, built once
     frontier = [center]
     edges = set()
     for dist in range(radius):
-        if len(seen) + 2 * (shape.n + 1) * len(frontier) > GRAPH_NODE_CAP:
+        if len(ids) + 2 * (shape.n + 1) * len(frontier) > GRAPH_NODE_CAP:
             raise ValidationError(
                 "graph radius %d: level %d could take the ball past %d nodes"
                 % (radius, dist + 1, GRAPH_NODE_CAP)
@@ -378,14 +378,14 @@ def crystal_graph_dot(center, radius):
             for i in range(shape.n + 1):
                 for d in (-1, 1):
                     neighbor = bk_e(b, i, d)
-                    if neighbor not in seen:
-                        seen[neighbor] = dist + 1
+                    if neighbor not in ids:
+                        ids[neighbor] = _node_id(neighbor)
                         nxt.append(neighbor)
                     lo, hi = (b, neighbor) if d < 0 else (neighbor, b)
-                    edges.add((_node_id(lo), _node_id(hi), i))
+                    edges.add((ids[lo], ids[hi], i))
         frontier = nxt
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for node in sorted(_node_id(b) for b in seen):
+    for node in sorted(ids.values()):
         lines.append('  "%s";' % node)
     for src, dst, i in sorted(edges):
         lines.append('  "%s" -> "%s" [label="%d"];' % (src, dst, i))

@@ -6,9 +6,10 @@ induced 0-action; the chart carrying y-coordinates has actions indexed by
 relations :func:`pathcrystal.suites.suite_axioms` checks at random points.
 :func:`dval`, :func:`gamma`, :func:`epsilon`, :func:`act_e` and
 :func:`weyl_s` take a point of either chart: they use the same
-diagonal-product formulas and differ only in the rows an index moves
-(:func:`bounds_row1` or :func:`bounds_row2`, chosen by the point's
-``side``); only the x-chart's 0-action has formulas of its own.
+diagonal-product formulas and differ only in the rows an index moves,
+which the shape gives as ``shape.column(x.side, i)``; only the x-chart's
+0-action has formulas of its own.  The Cartan matrix these actions obey
+is ``shape.cartan``.
 
 Everything indexed by 1..n is written against the generic semiring of the
 point, so the same code yields the exact rational action on an ``x`` point
@@ -36,10 +37,11 @@ combinations ``U_(l-1) + c * V_l`` from the memoized path sums of
 These pairs are compared by the suites and stay independent routes:
 :func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma) at
 i = 1..n, where the closed form keeps its own f-values and never calls
-:func:`act_e`; :func:`act_e`/:func:`epsilon` on integer points against
-:func:`pathcrystal.tropical.trop_e`/:func:`~pathcrystal.tropical.trop_eps`;
-and the x-chart's 0-action against the y-chart's through the chart change
-(the ``intertwine`` suite at i = 0), so this module never calls the chart maps.
+:func:`act_e`; :func:`act_e` on integer points against
+:func:`pathcrystal.tropical.trop_e` at i = 1..n (the ``udprobe`` suite's
+``maxplus-action``); and the x-chart's 0-action against the y-chart's
+through the chart change (the ``intertwine`` suite at i = 0), so this
+module never calls the chart maps.
 """
 
 from functools import reduce
@@ -47,43 +49,6 @@ from itertools import accumulate
 
 from .errors import ValidationError
 from .paths import epsilon_total, region_sums
-
-
-class CartanA1n:
-    """Cartan data of the affine family on index set {0, ..., n}."""
-
-    def __init__(self, n):
-        if n < 2:
-            raise ValidationError("the Cartan matrix needs n >= 2")
-        self.n = n
-
-    def a(self, i, j):
-        if i == j:
-            return 2
-        if (i - j) % (self.n + 1) in (1, self.n):
-            return -1
-        return 0
-
-
-def bounds_row1(shape, i):
-    """Row range of the entries moved by the i-th action on the x-chart."""
-    if not 1 <= i <= shape.n:
-        raise ValidationError("index i must be in 1..n, got %r" % (i,))
-    return max(shape.k - i + 1, 1), min(shape.k, shape.n - i + 1)
-
-
-def bounds_row2(shape, i):
-    """Row range of the entries moved by the i-th action on the y-chart."""
-    if not 0 <= i <= shape.n - 1:
-        raise ValidationError("index i must be in 0..n-1, got %r" % (i,))
-    return max(shape.k - i, 1), min(shape.k, shape.n - i)
-
-
-def _bounds(x, i):
-    """Row range of the entries moved by the i-th action on the chart of x."""
-    if x.side == 1:
-        return bounds_row1(x.shape, i)
-    return bounds_row2(x.shape, i)
 
 
 def _x_zero(x, i):
@@ -102,7 +67,7 @@ def _prod(sr, factors):
 def dval(x, l, i):
     """Diagonal product at row l in column i (off-lattice factors read as 1)."""
     sr = x.semiring
-    a, b = _bounds(x, i)
+    a, b = x.shape.column(x.side, i)
     if not a <= l <= b:
         raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, a, b, i))
     num = _prod(sr, [x.get(j, i) for j in range(l + 1, b + 1)])
@@ -119,7 +84,7 @@ def gamma(x, i):
     shape, sr = x.shape, x.semiring
     if _x_zero(x, i):
         return sr.inv(sr.mul(x.get(1, shape.n), x.get(shape.k, 1)))
-    a, b = _bounds(x, i)
+    a, b = shape.column(x.side, i)
     num = _prod(sr, [x.get(j, i) for j in range(a, b + 1)])
     num = sr.mul(num, num)
     den = sr.mul(
@@ -164,7 +129,7 @@ def epsilon(x, i):
     shape, sr = x.shape, x.semiring
     if _x_zero(x, i):
         return sr.mul(x.get(1, shape.n), epsilon_total(x))
-    a, b = _bounds(x, i)
+    a, b = shape.column(x.side, i)
     return sr.add_all(_inv_dvals(x, i, b, _row_steps(x, i, a, b)))
 
 
@@ -190,7 +155,7 @@ def act_e(x, i, c):
                 ratio = sr.ratio(_alpha(x, l, m, c), _alpha(x, l + 1, m, c))
                 entries[(l, m)] = sr.mul(x.get(l, m), ratio)
     else:
-        a, b = _bounds(x, i)
+        a, b = shape.column(x.side, i)
         terms = _inv_dvals(x, i, b, _row_steps(x, i, a, b))
         ratios = _ratios(sr, terms, [sr.mul(c, t) for t in terms])
         for l, ratio in zip(range(a, b + 1), ratios):
@@ -212,7 +177,7 @@ def weyl_s(x, i):
     if _x_zero(x, i):
         return act_e(x, i, sr.inv(gamma(x, i)))
     entries = dict(x.entries)
-    a, b = _bounds(x, i)
+    a, b = x.shape.column(x.side, i)
     steps = _row_steps(x, i, a, b)
     # f(p) = gamma_i / dval(p, i), one step per row up from row a
     first = sr.ratio(x.get(a, i), sr.mul(x.get(a, i - 1), x.get(a - 1, i + 1)))

@@ -69,7 +69,7 @@ def _mix_tag(*parts):
 
 
 class LatticeShape:
-    """The pair (n, k) together with the index sets of both lattices and the array."""
+    """The pair (n, k): the index sets of both lattices and the array, and the index rules."""
 
     def __init__(self, n, k):
         _check_shape(n, k)
@@ -100,6 +100,23 @@ class LatticeShape:
         """Reject a crystal index outside 0..n."""
         if not 0 <= i <= self.n:
             raise ValidationError("index i must be in 0..n, got %r" % (i,))
+
+    def column(self, side, i):
+        """Rows (a, b) of the entries (l, i) the i-th action moves on lattice 1 or 2.
+
+        Column i of the first lattice (1..n) has the rows of column i-1 of the second (0..n-1).
+        """
+        shift = {1: 1, 2: 0}[side]
+        j = i - shift
+        if not 0 <= j <= self.n - 1:
+            raise ValidationError("index i must be in %s, got %r" % (("0..n-1", "1..n")[shift], i))
+        return max(self.k - j, 1), min(self.k, self.n - j)
+
+    def cartan(self, i, j):
+        """Entry (i, j) of the Cartan matrix of the affine family on 0..n."""
+        if i == j:
+            return 2
+        return -1 if (i - j) % (self.n + 1) in (1, self.n) else 0
 
     def __eq__(self, other):
         return isinstance(other, LatticeShape) and (self.n, self.k) == (other.n, other.k)

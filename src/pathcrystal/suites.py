@@ -123,7 +123,6 @@ def suite_axioms(shape, trials, seed, bound):
     once per (point, i).
     """
     act_e, epsilon, gamma = geom.act_e, geom.epsilon, geom.gamma
-    cartan = geom.CartanA1n(shape.n)
     index_set = range(shape.n + 1)
     checks = _checks(
         "identity-at-1", "parameter-group-law", "gamma-scaling", "epsilon-scaling",
@@ -145,10 +144,10 @@ def suite_axioms(shape, trials, seed, bound):
                 checks["epsilon-scaling"].record(epsilon(xi, i) == epsilon(x, i) / c, x, i=i, c=c)
                 for j in index_set:
                     checks["gamma-scaling"].record(
-                        gamma(xi, j) == c ** cartan.a(i, j) * gamma(x, j), x, i=i, j=j, c=c
+                        gamma(xi, j) == c ** shape.cartan(i, j) * gamma(x, j), x, i=i, j=j, c=c
                     )
                 for j in range(i + 1, shape.n + 1):
-                    if cartan.a(i, j) == 0:
+                    if shape.cartan(i, j) == 0:
                         checks["commutation"].record(
                             act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d),
                             x, i=i, j=j, c=c, d=d,
@@ -173,7 +172,10 @@ def suite_iso(shape, trials, seed, bound):
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="trop")
         b = iso.omega(x)
-        checks["round-trip"].record(iso.omega_inv(b) == x and iso.omega(iso.omega_inv(b)) == b, x)
+        checks["round-trip"].record(iso.omega_inv(b) == x, x)
+        # the other direction from an array of its own: omega(omega_inv(omega(x))) is omega(x)
+        a = bkinf.sample_belement(shape, seed + t, bound)
+        checks["round-trip"].record(iso.omega(iso.omega_inv(a)) == a, a)
         for c in family:
             checks["delta-path"].record(
                 bkinf.delta(b, c) == -path_weight(x, iso.pi_correspondence(shape, c)),
@@ -197,21 +199,27 @@ def suite_udprobe(shape, trials, seed, bound):
 
     A witness names one probe call: replaying its point through
     ``map --map ud-probe --i I --d D`` reports all three pairs.
+    ``maxplus-action`` compares that tropical action with ``geom.act_e`` on the
+    integer point at i = 1..n (at i = 0 both read the max-plus path engine).
     """
-    checks = _checks("probe-gamma", "probe-epsilon", "probe-action")
+    checks = _checks("probe-gamma", "probe-epsilon", "probe-action", "maxplus-action")
     rng = SplitMix64(_mix_tag(seed, 0xDE))
     for t in range(trials):
         exponents = sample_point(shape, seed + t, bound, kind="trop")
         for i in range(shape.n + 1):
             d = rng.randint(-3, 3)
-            for quantity, (probe, form) in tropical.probe_pairs(exponents, i, d).items():
+            pairs = tropical.probe_pairs(exponents, i, d)
+            for quantity, (probe, form) in pairs.items():
                 checks["probe-" + quantity].record(probe == form, exponents, i=i, d=d)
+            if i:
+                checks["maxplus-action"].record(
+                    geom.act_e(exponents, i, d) == pairs["action"][1], exponents, i=i, d=d
+                )
     return list(checks.values())
 
 
 def suite_weyl(shape, trials, seed, bound):
     """Reflection relations on all three realizations, closed vs defining."""
-    cartan = geom.CartanA1n(shape.n)
     checks = _checks(
         "geometric-closed-form", "geometric-involution", "geometric-braid", "geometric-commute",
         "tropical-involution", "tropical-braid", "tropical-commute",
@@ -237,7 +245,7 @@ def suite_weyl(shape, trials, seed, bound):
             for label, refl, value in realizations:
                 checks[label + "-involution"].record(refl(refl(value, i), i) == value, value, i=i)
                 for j in range(i + 1, shape.n + 1):
-                    if cartan.a(i, j) == 0:
+                    if shape.cartan(i, j) == 0:
                         ok = refl(refl(value, i), j) == refl(refl(value, j), i)
                         checks[label + "-commute"].record(ok, value, i=i, j=j)
                     else:

@@ -4,7 +4,9 @@ These are the closed forms of the ultra-discretized structure, written
 directly in integer arithmetic.  For everything indexed 1..n they are an
 independent second route beside the semiring-generic code in
 :mod:`pathcrystal.geom` (same formulas, different code path); the 0-indexed
-operations lean on the max-plus path engine for their region maxima.
+operations lean on the max-plus path engine for their region maxima.  The
+closed forms call nothing in ``geom``; like it, they read the moved rows
+from ``shape.column``.  Only the degree probe below calls ``geom``.
 
 ``ud_degree_probe`` ties the tropical side back to the rational one: it
 evaluates a named rational quantity at coordinates ``t**exponent`` with
@@ -31,8 +33,7 @@ PROBE_MAX_PATHS = 70
 
 def trop_dbar(x, l, i):
     """Negated ultra-discretization of the diagonal product at (l, i)."""
-    shape = x.shape
-    a, b = geom.bounds_row1(shape, i)
+    a, b = x.shape.column(1, i)
     if not a <= l <= b:
         raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, a, b, i))
     return (
@@ -48,7 +49,7 @@ def trop_wt(x, i):
     shape.check_index(i)
     if i == 0:
         return -x.get(1, shape.n) - x.get(shape.k, 1)
-    a, b = geom.bounds_row1(shape, i)
+    a, b = shape.column(1, i)
     return (
         2 * sum(x.get(j, i) for j in range(a, b + 1))
         - sum(x.get(j, i - 1) for j in range(a, b + 2))
@@ -61,7 +62,7 @@ def trop_eps(x, i):
     shape.check_index(i)
     if i == 0:
         return x.get(1, shape.n) + epsilon_total(x)
-    a, b = geom.bounds_row1(shape, i)
+    a, b = shape.column(1, i)
     return max(trop_dbar(x, l, i) for l in range(a, b + 1))
 
 
@@ -82,7 +83,7 @@ def trop_e(x, i, d):
             den = MAXPLUS.add(up_lo, MAXPLUS.mul(d, lo_lo))
             entries[(l, m)] = x.get(l, m) + num - den
     else:
-        a, b = geom.bounds_row1(shape, i)
+        a, b = shape.column(1, i)
         dbar = {p: trop_dbar(x, p, i) for p in range(a, b + 1)}
         for l in range(a, b + 1):
             num = max(

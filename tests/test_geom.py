@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from pathcrystal import (
-    CartanA1n,
     TropPoint,
     ValidationError,
     XPoint,
@@ -18,7 +17,6 @@ from pathcrystal import (
     weyl_s_def,
     xi_map,
 )
-from pathcrystal.geom import bounds_row1, bounds_row2
 from pathcrystal.lattice import SplitMix64, sample_rational
 from pathcrystal.paths import region_sums
 from pathcrystal.reporting import all_ok
@@ -31,13 +29,20 @@ X32 = XPoint(S32, {(2, 1): 1, (2, 2): 2, (1, 2): 3, (1, 3): 4})
 
 
 def test_cartan_matrix():
-    cart = CartanA1n(4)
-    assert cart.a(2, 2) == 2
-    assert cart.a(0, 1) == cart.a(1, 0) == -1
-    assert cart.a(0, 4) == -1  # wrap-around adjacency
-    assert cart.a(1, 3) == 0
-    small = CartanA1n(2)
-    assert all(small.a(i, j) == -1 for i in range(3) for j in range(3) if i != j)
+    cart = make_shape(4, 2).cartan
+    assert cart(2, 2) == 2
+    assert cart(0, 1) == cart(1, 0) == -1
+    assert cart(0, 4) == -1  # wrap-around adjacency
+    assert cart(1, 3) == 0
+    small = make_shape(2, 1).cartan
+    assert all(small(i, j) == -1 for i in range(3) for j in range(3) if i != j)
+    # affine type: symmetric, and every row sums to zero, at every k
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            cart = make_shape(n, k).cartan
+            index_set = range(n + 1)
+            assert all(cart(i, j) == cart(j, i) for i in index_set for j in index_set)
+            assert all(sum(cart(i, j) for j in index_set) == 0 for i in index_set)
 
 
 def test_dval_examples():
@@ -50,7 +55,7 @@ def test_dval_examples():
 def test_dval_consecutive_ratio_identity(shape):
     x = sample_point(shape, 21, 9, kind="x")
     for i in range(1, shape.n + 1):
-        a, b = bounds_row1(shape, i)
+        a, b = shape.column(1, i)
         for l in range(a, b):
             expect = (
                 dval(x, l, i)
@@ -106,13 +111,12 @@ def test_action_parameter_is_read_by_the_point_kind():
 
 
 def test_gamma_scaling_all_pairs(shape):
-    cart = CartanA1n(shape.n)
     x = sample_point(shape, 32, 9, kind="x")
     c = Fraction(7, 3)
     for i in range(shape.n + 1):
         moved = act_e(x, i, c)
         for j in range(shape.n + 1):
-            assert gamma(moved, j) == c ** cart.a(i, j) * gamma(x, j)
+            assert gamma(moved, j) == c ** shape.cartan(i, j) * gamma(x, j)
 
 
 def test_epsilon_scaling(shape):
@@ -169,11 +173,10 @@ def test_weyl_closed_form_and_involution(shape):
 
 
 def test_weyl_braid_and_commutation(shape):
-    cart = CartanA1n(shape.n)
     x = sample_point(shape, 900, 9, kind="x")
     for i in range(shape.n + 1):
         for j in range(i + 1, shape.n + 1):
-            if cart.a(i, j) == 0:
+            if shape.cartan(i, j) == 0:
                 assert weyl_s(weyl_s(x, i), j) == weyl_s(weyl_s(x, j), i)
             else:
                 lhs = weyl_s(weyl_s(weyl_s(x, i), j), i)
@@ -204,7 +207,7 @@ KERNEL_SHAPES = [(n, k) for n in range(2, 7) for k in range(1, n + 1)] + [(12, 6
 def _moved_by_sums(x, i, lower, upper):
     """Column i times num_l / den_l, each sum built from scratch for every row l."""
     sr = x.semiring
-    a, b = (bounds_row1 if x.side == 1 else bounds_row2)(x.shape, i)
+    a, b = x.shape.column(x.side, i)
     entries = dict(x.entries)
     for l in range(a, b + 1):
         num = sr.add_all([lower[p] for p in range(a, l)] + [upper[p] for p in range(l, b + 1)])
@@ -217,7 +220,7 @@ def _moved_by_sums(x, i, lower, upper):
 
 def _inv_dvals_by_definition(x, i):
     sr = x.semiring
-    a, b = (bounds_row1 if x.side == 1 else bounds_row2)(x.shape, i)
+    a, b = x.shape.column(x.side, i)
     return {p: sr.inv(dval(x, p, i)) for p in range(a, b + 1)}
 
 

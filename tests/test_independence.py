@@ -8,6 +8,8 @@ that correspondence, so none of the three may reach another through an
 import.  The k-subset module is the independent route for the geometric
 actions, so ``fundrep`` imports neither ``geom`` nor ``paths``; only its
 proportionality probe reaches the chart change, through ``birational``.
+The tropical closed forms are the second route beside ``geom``'s generic
+actions, so they call nothing in ``geom``; only the degree probe does.
 """
 
 import ast
@@ -55,3 +57,10 @@ def test_module_imports_only_what_it_may(module):
 def test_import_reader_sees_the_package_imports():
     # suites imports modules both as names and from a module
     assert package_imports("suites") >= {"bkinf", "fundrep", "geom", "iso", "tropical", "paths"}
+
+
+@pytest.mark.parametrize("form", ["trop_dbar", "trop_wt", "trop_eps", "trop_e", "trop_weyl"])
+def test_tropical_closed_forms_do_not_read_geom(form):
+    tree = ast.parse((PACKAGE / "tropical.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == form]
+    assert "geom" not in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}

@@ -143,5 +143,5 @@ def test_verify_iso_all_green(shape):
     checks = run_suite("iso", shape, 10, 77)
     assert all_ok(checks)
     by_name = {c.name: c for c in checks}
-    assert by_name["round-trip"].passes == 10
+    assert by_name["round-trip"].passes == 20  # both directions, every trial
     assert by_name["step-intertwine"].fails == 0

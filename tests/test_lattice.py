@@ -51,6 +51,30 @@ def test_cardinality_formula():
             assert len(shape.l2_indices) == k * (n + 1 - k)
 
 
+def test_columns_are_the_index_set_columns():
+    # the first lattice's columns are 1..n, the second's 0..n-1
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            shape = make_shape(n, k)
+            for side, first in ((1, 1), (2, 0)):
+                domain = shape.domain(side)
+                assert {m for _, m in domain} == set(range(first, first + n))
+                for i in range(first, first + n):
+                    a, b = shape.column(side, i)
+                    assert sorted(l for l, m in domain if m == i) == list(range(a, b + 1))
+
+
+@pytest.mark.parametrize(
+    "side,bad,allowed", [(1, (-1, 0, 4, 99), "1..n"), (2, (-1, 3, 4, 99), "0..n-1")]
+)
+def test_column_rejects_an_index_outside_its_lattice(side, bad, allowed):
+    shape = make_shape(3, 2)
+    for i in bad:
+        message = "index i must be in %s, got %d" % (allowed, i)
+        with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+            shape.column(side, i)
+
+
 def test_x_get_on_and_off_domain():
     shape = make_shape(2, 1)
     x = XPoint(shape, {(1, 1): 2, (1, 2): 3})

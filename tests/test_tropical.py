@@ -51,15 +51,12 @@ def test_step_group_law(shape):
 
 
 def test_step_scaling_laws(shape):
-    from pathcrystal import CartanA1n
-
-    cart = CartanA1n(shape.n)
     x = sample_point(shape, 6, 10, kind="trop")
     for i in range(shape.n + 1):
         moved = trop_e(x, i, 3)
         assert trop_eps(moved, i) == trop_eps(x, i) - 3
         for j in range(shape.n + 1):
-            assert trop_wt(moved, j) == trop_wt(x, j) + 3 * cart.a(i, j)
+            assert trop_wt(moved, j) == trop_wt(x, j) + 3 * shape.cartan(i, j)
 
 
 def test_weyl_examples():
