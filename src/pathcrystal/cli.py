@@ -6,7 +6,8 @@ bijection, the degree probe), ``conjecture`` (the proportionality
 experiment) and ``graph`` (DOT export of an array-crystal neighborhood).
 
 Exit codes: 0 all checks pass, 1 verification or domain failure, 2 bad
-usage or malformed input.  Reports are deterministic given the seed; the
+usage or malformed input.  A reader that closes stdout early (``| head``)
+changes none of them.  Reports are deterministic given the seed; the
 wall-time field is the only exception.
 
 Each call builds only the parser it needs (:func:`parse_args`).  When the
@@ -19,6 +20,7 @@ would help only in-process callers, as state shared by all of them.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -53,11 +55,10 @@ def _load_point(path):
     return point_from_json(data)
 
 
-def _emit(obj, as_json):
+def _dumps(obj, as_json):
     if as_json:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _verify_text(report):
@@ -99,11 +100,10 @@ def cmd_verify(args):
             "elapsed_s": elapsed,
         })
     if args.json:
-        print(json.dumps(reports[0] if len(reports) == 1 else reports, sort_keys=True))
+        text = json.dumps(reports[0] if len(reports) == 1 else reports, sort_keys=True)
     else:
-        for r in reports:
-            print(_verify_text(r))
-    return EXIT_OK if all(r["ok"] for r in reports) else EXIT_FAIL
+        text = "\n".join(map(_verify_text, reports))
+    return EXIT_OK if all(r["ok"] for r in reports) else EXIT_FAIL, text
 
 
 def _parameter(args):
@@ -143,8 +143,7 @@ def _require_kind(path, kind, what):
 
 
 def _emit_point(point, args):
-    _emit(point_to_json(point), args.json)
-    return EXIT_OK
+    return EXIT_OK, _dumps(point_to_json(point), args.json)
 
 
 def cmd_act(args):
@@ -179,8 +178,7 @@ def _probe_report(exponents, args):
         for lm in exponents.shape.l1_indices
     }
     report["match"] = all(p == f for p, f in pairs.values())
-    _emit(report, args.json)
-    return EXIT_OK if report["match"] else EXIT_FAIL
+    return EXIT_OK if report["match"] else EXIT_FAIL, _dumps(report, args.json)
 
 
 def cmd_conjecture(args):
@@ -197,8 +195,7 @@ def cmd_conjecture(args):
         "outcomes": outcomes,
         "ratio_ok": ratio_ok,
     }
-    _emit(report, args.json)
-    return EXIT_OK if ratio_ok else EXIT_FAIL
+    return EXIT_OK if ratio_ok else EXIT_FAIL, _dumps(report, args.json)
 
 
 def cmd_graph(args):
@@ -209,8 +206,7 @@ def cmd_graph(args):
         center = _require_kind(args.center, "b", "graph center")
         if center.shape != shape:
             raise ValidationError("center shape does not match --n/--k")
-    print(bkinf.crystal_graph_dot(center, args.radius))
-    return EXIT_OK
+    return EXIT_OK, bkinf.crystal_graph_dot(center, args.radius)
 
 
 def _verify_options(p):
@@ -314,6 +310,25 @@ def parse_args(argv):
     return build_parser().parse_args(argv)
 
 
+def _finish(code, text):
+    """Print a command's text and return its exit code.
+
+    Each ``cmd_*`` returns ``(code, text)``, so this is the one place that
+    writes a command's output.  A reader that has closed stdout
+    (``pathcrystal ... | head``) does not turn a verdict into a failure:
+    fd 1 is pointed at the null device, so the interpreter's last flush
+    stays quiet, and ``code`` stands.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -322,7 +337,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return _finish(*args.func(args))
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

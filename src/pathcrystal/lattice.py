@@ -26,6 +26,9 @@ from .semiring import MAXPLUS, RATIONAL
 
 PRNG_ID = "splitmix64"
 
+# the array's k*(k'+1) entries, the largest index set of a shape; (630, 315) fits
+ARRAY_ENTRY_CAP = 100_000
+
 _M64 = (1 << 64) - 1
 
 
@@ -73,6 +76,11 @@ class LatticeShape:
 
     def __init__(self, n, k):
         _check_shape(n, k)
+        if k * (n + 2 - k) > ARRAY_ENTRY_CAP:
+            raise ValidationError(
+                "shape (%d, %d) has %d array entries, more than %d"
+                % (n, k, k * (n + 2 - k), ARRAY_ENTRY_CAP)
+            )
         self.n = n
         self.k = k
         self.kprime = n + 1 - k

@@ -1,6 +1,6 @@
 import pytest
 
-from pathcrystal import make_shape
+from pathcrystal.lattice import make_shape
 
 # the shape battery used by the randomized identity checks
 SHAPES = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)]

@@ -9,7 +9,7 @@ exact under its stated operating bounds.
 """
 
 from conftest import SHAPES
-from pathcrystal import make_shape
+from pathcrystal.lattice import make_shape
 from pathcrystal.suites import run_suite
 
 SEED = 20260808

@@ -2,19 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from pathcrystal import (
-    TropPoint,
-    ValidationError,
-    XPoint,
-    YPoint,
-    act_e,
-    b_infinity,
-    make_shape,
-    partial_sum,
-    sample_point,
-    sigma_map,
-    xi_map,
-)
+from pathcrystal.birational import sigma_map, xi_map
+from pathcrystal.bkinf import b_infinity
+from pathcrystal.errors import ValidationError
+from pathcrystal.geom import act_e
+from pathcrystal.lattice import TropPoint, XPoint, YPoint, make_shape, sample_point
+from pathcrystal.paths import enumerate_paths, partial_sum
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -46,8 +39,6 @@ def test_forward_map_top_row_is_path_sum():
 
 
 def test_all_ones_point_counts_paths():
-    from pathcrystal import enumerate_paths
-
     shape = make_shape(5, 3)
     x = XPoint(shape, {key: 1 for key in shape.l1_indices})
     y = sigma_map(x)

@@ -2,38 +2,30 @@ import json
 
 import pytest
 
-from pathcrystal import (
-    BElement,
-    ValidationError,
+from pathcrystal import bkinf
+from pathcrystal.bkinf import (
     all_ctuples,
     b_infinity,
     bk_e,
     bk_e_closed,
     brute_bk_e_closed,
     brute_eps_phi_0,
+    crystal_graph_dot,
     delta,
     eps_phi,
     eps_phi_0,
     extremal_c,
     kashiwara,
-    make_shape,
-    point_from_json,
-    point_to_json,
+    sample_belement,
     weyl_s_tilde,
+    wt,
     zero_ops,
 )
-from pathcrystal import (
-    CrystalFault,
-    bkinf,
-    omega,
-    omega_inv,
-    sample_point,
-    trop_e,
-    trop_eps,
-    trop_weyl,
-)
-from pathcrystal.bkinf import crystal_graph_dot, sample_belement, wt
 from pathcrystal.cli import main
+from pathcrystal.errors import CrystalFault, ValidationError
+from pathcrystal.iso import omega, omega_inv
+from pathcrystal.lattice import BElement, make_shape, point_from_json, point_to_json, sample_point
+from pathcrystal.tropical import trop_e, trop_eps, trop_weyl
 from math import comb
 
 S21 = make_shape(2, 1)
@@ -391,6 +383,19 @@ def test_json_round_trip(shape):
     assert point_from_json(point_to_json(b)) == b
     with pytest.raises(ValidationError):
         point_from_json({"n": shape.n, "k": shape.k, "kind": "x", "entries": {}})
+
+
+@pytest.mark.parametrize("call", [kashiwara, lambda b, op, i: zero_ops(b, op),
+                                  lambda b, op, i: extremal_c(b, op)],
+                         ids=["kashiwara", "zero_ops", "extremal_c"])
+def test_ops_other_than_e_and_f_rejected(call):
+    with pytest.raises(ValidationError, match="must be 'e' or 'f', got 's'"):
+        call(B21, "s", 0)
+
+
+def test_graph_rejects_a_negative_radius():
+    with pytest.raises(ValidationError, match="radius must be nonnegative"):
+        crystal_graph_dot(B21, -1)
 
 
 def test_graph_export_structure():

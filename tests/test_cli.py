@@ -1,13 +1,22 @@
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import MALFORMED_POINTS, SHAPES
-from pathcrystal import cli
+from pathcrystal import bkinf, cli, fundrep, geom
+from pathcrystal.birational import sigma_map
+from pathcrystal.bkinf import crystal_graph_dot, sample_belement
 from pathcrystal.cli import ACTIONS, MAPS, build_parser, main, parse_args
+from pathcrystal.errors import CrystalFault, ValidationError
+from pathcrystal.geom import act_e
+from pathcrystal.lattice import make_shape, point_from_json, point_to_json
 from pathcrystal.reporting import RelationCheck, all_ok
-from pathcrystal.suites import SUITES
+from pathcrystal.suites import PARAMS, SUITES, run_suite
 
 X21 = {"n": 2, "k": 1, "kind": "x", "entries": {"1,1": "2/1", "1,2": "3/1"}}
 Y21 = {"n": 2, "k": 1, "kind": "y", "entries": {"1,0": "1/3", "1,1": "2/3"}}
@@ -90,6 +99,8 @@ def test_verify_fundrep_dimension_cap(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nope", "--n", "2", "--k", "1")
     assert code == 2
+    with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+        run_suite("nope", make_shape(2, 1), 1, 0)
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -320,8 +331,6 @@ def test_conjecture_report(capsys):
 
 def test_conjecture_gates_the_ratio_at_every_k(capsys, monkeypatch):
     # a probe reporting twice the scalar must fail the suite and the subcommand at k = 2
-    from pathcrystal import fundrep
-
     probe = fundrep.proportionality_probe
 
     def doubled(x):
@@ -343,11 +352,6 @@ def test_conjecture_gates_the_ratio_at_every_k(capsys, monkeypatch):
 def test_intertwine_catches_a_wrong_closed_zero_action(capsys, monkeypatch, point_file):
     # with 1/c in the 0-action's region combination, only i = 0 fails, and
     # replaying the witness through `act` shows the two routes apart
-    from fractions import Fraction
-
-    from pathcrystal import act_e, geom, make_shape, point_from_json, sigma_map
-    from pathcrystal.suites import PARAMS, run_suite
-
     alpha = geom._alpha
     monkeypatch.setattr(geom, "_alpha", lambda x, l, m, c: alpha(x, l, m, x.semiring.inv(c)))
     trials = 4
@@ -385,15 +389,19 @@ def test_graph_ball_past_the_node_cap_exits_2(capsys):
     assert "level 4 could take the ball past 10000 nodes" in captured.err
 
 
+def test_graph_past_the_array_entry_cap_exits_2(capsys):
+    # (700, 350) has 123,200 array entries: rejected before its index sets are built
+    code = main(["graph", "--n", "700", "--k", "350", "--radius", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "has 123200 array entries, more than 100000" in captured.err
+
+
 def test_witness_replay_through_act(capsys, point_file):
     # a kept failure encodes its point and parameters; replaying the point
     # through `act` must reproduce the recorded relation (here: the x-chart's
     # 0-action intertwines with the y-chart's, so the replayed output matches
     # the direct call)
-    from fractions import Fraction
-
-    from pathcrystal import act_e, point_from_json, point_to_json, sigma_map
-
     check = RelationCheck("action-intertwine")
     check.record(False, point_from_json(X21), i=0, c=Fraction(7, 3))
     (witness,) = check.witnesses
@@ -410,9 +418,6 @@ def test_witness_replay_through_act(capsys, point_file):
 
 
 def test_array_witness_decodes():
-    from pathcrystal import point_from_json
-    from pathcrystal.reporting import RelationCheck
-
     b = point_from_json(B21)
     check = RelationCheck("array-involution")
     check.record(True, b, i=0)
@@ -502,3 +507,92 @@ def test_parser_for_a_call_parses_like_the_full_parser(capsys, monkeypatch, argv
         assert namespace["command"] == argv[0]
     if {"-h", "--help"} & set(argv):
         assert code == 0 and printed.out.startswith("usage: pathcrystal")
+
+
+# a child whose stdout pipe has no reader: its first flush fails with EPIPE
+CLOSED_STDOUT_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pathcrystal import cli
+from pathcrystal.reporting import RelationCheck
+if sys.argv[2] == "vacuous":
+    cli.run_suite = lambda *args: [RelationCheck("commutation")]
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("mode,argv,code", [
+    ("plain", ["verify", "--suite", "all", "--n", "4", "--k", "2", "--trials", "2", "--json"], 0),
+    ("plain", ["graph", "--n", "3", "--k", "2", "--radius", "2"], 0),
+    ("plain", ["--help"], 0),
+    ("vacuous", ["verify", "--suite", "axioms", "--n", "2", "--k", "1", "--trials", "1"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(mode, argv, code):
+    src = str(Path(cli.__file__).parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so no write can race a reader
+    try:
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", CLOSED_STDOUT_CHILD, src, mode, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (code, "")
+
+
+def test_unreadable_point_file_exits_2(capsys, tmp_path):
+    # a directory opens with IsADirectoryError, an OSError like a missing file
+    code = main(["map", "--map", "sigma", "--point", str(tmp_path)])
+    assert code == 2
+    assert "cannot read %s" % tmp_path in capsys.readouterr().err
+
+
+def test_text_report_prints_each_witness(capsys, monkeypatch):
+    check = RelationCheck("commutation")
+    check.record(False, point_from_json(B21), i=0)
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [check])
+    code, out = run(capsys, "verify", "--suite", "axioms", "--n", "2", "--k", "1", "--trials", "1")
+    assert code == 1
+    assert "[FAIL] commutation" in out
+    assert "    witness: %s" % json.dumps({"i": 0, "point": B21}, sort_keys=True) in out
+
+
+def test_ud_probe_needs_an_index(capsys, point_file):
+    code = main(["map", "--map", "ud-probe", "--point", point_file(T21), "--d", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "ud-probe needs --i" in captured.err
+
+
+def test_graph_around_a_center_file(capsys, point_file):
+    b = sample_belement(make_shape(4, 2), 3, 5)
+    center = point_file(point_to_json(b))
+    code, out = run(capsys, "graph", "--n", "4", "--k", "2", "--center", center, "--radius", "1")
+    assert (code, out) == (0, crystal_graph_dot(b, 1) + "\n")
+    code = main(["graph", "--n", "5", "--k", "2", "--center", center, "--radius", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "center shape does not match --n/--k" in captured.err
+
+
+def test_extremal_fault_fails_the_suite(capsys, monkeypatch):
+    def faulty(b, which):
+        raise CrystalFault("planted fault at %s" % which)
+
+    monkeypatch.setattr(bkinf, "extremal_c", faulty)
+    code, out = run(capsys, "verify", "--suite", "extremal", "--n", "3", "--k", "2",
+                    "--trials", "2", "--json")
+    assert code == 1
+    checks = {c["relation"]: c for c in json.loads(out)["checks"]}
+    tuples = checks["extremal-tuples"]
+    assert (tuples["passes"], tuples["fails"]) == (0, 2)
+    assert tuples["witnesses"][0]["fault"] == "planted fault at e"
+    assert set(tuples["witnesses"][0]) == {"fault", "point"}
+
+
+def test_udprobe_past_its_path_cap_exits_2(capsys):
+    # binomial(11, 5) = 462 full paths at (12, 6), past the probe's 70
+    code = main(["verify", "--suite", "udprobe", "--n", "12", "--k", "6", "--trials", "1"])
+    assert code == 2
+    assert "at most 70 full paths" in capsys.readouterr().err

@@ -3,24 +3,20 @@ from math import comb
 
 import pytest
 
-from pathcrystal import (
-    ValidationError,
-    XPoint,
+from pathcrystal import fundrep
+from pathcrystal.birational import sigma_map
+from pathcrystal.bkinf import b_infinity
+from pathcrystal.errors import ValidationError
+from pathcrystal.fundrep import (
     apply_gen,
     basis_keys,
     chart_vector,
-    make_shape,
-    proportionality_probe,
-    sample_point,
-)
-from pathcrystal import fundrep
-from pathcrystal.fundrep import (
     highest_u1,
     highest_u2,
+    proportionality_probe,
     unit_vector,
 )
-from pathcrystal.birational import sigma_map
-from pathcrystal.bkinf import b_infinity
+from pathcrystal.lattice import XPoint, make_shape, sample_point
 from pathcrystal.suites import run_suite
 
 S21 = make_shape(2, 1)

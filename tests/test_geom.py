@@ -2,22 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from pathcrystal import (
+from pathcrystal.birational import sigma_map, xi_map
+from pathcrystal.errors import ValidationError
+from pathcrystal.geom import act_e, dval, epsilon, gamma, weyl_s, weyl_s_def
+from pathcrystal.lattice import (
+    SplitMix64,
     TropPoint,
-    ValidationError,
     XPoint,
-    act_e,
-    dval,
-    epsilon,
-    gamma,
     make_shape,
     sample_point,
-    sigma_map,
-    weyl_s,
-    weyl_s_def,
-    xi_map,
+    sample_rational,
 )
-from pathcrystal.lattice import SplitMix64, sample_rational
 from pathcrystal.paths import region_sums
 from pathcrystal.reporting import all_ok
 from pathcrystal.suites import run_suite

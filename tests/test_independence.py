@@ -10,9 +10,16 @@ actions, so ``fundrep`` imports neither ``geom`` nor ``paths``; only its
 proportionality probe reaches the chart change, through ``birational``.
 The tropical closed forms are the second route beside ``geom``'s generic
 actions, so they call nothing in ``geom``; only the degree probe does.
+
+These rules read the import statements, so they hold only while importing
+a module loads nothing else: the package root imports nothing, and each
+module loads exactly the modules its imports reach.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,8 @@ import pytest
 import pathcrystal
 
 PACKAGE = Path(pathcrystal.__file__).parent
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 ALLOWED_IMPORTS = {
     "bkinf": {"errors", "lattice"},
@@ -64,3 +73,41 @@ def test_tropical_closed_forms_do_not_read_geom(form):
     tree = ast.parse((PACKAGE / "tropical.py").read_text())
     (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == form]
     assert "geom" not in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def import_closure(module):
+    """``module`` and every package module its imports reach, transitively."""
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(package_imports(name))
+    return reached
+
+
+# imports each named module (the root for "") into a fresh package state and
+# prints the package modules it loaded
+LOADED_BY_EACH = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = {}
+for name in sys.argv[2:]:
+    for key in [m for m in sys.modules if m.split(".")[0] == "pathcrystal"]:
+        del sys.modules[key]
+    importlib.import_module("pathcrystal" + ("." + name if name else ""))
+    loaded[name] = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("pathcrystal."))
+print(json.dumps(loaded))
+"""
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_BY_EACH, str(PACKAGE.parent), "", *MODULES],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = json.loads(child.stdout)
+    assert loaded.pop("") == []
+    assert {name: set(mods) for name, mods in loaded.items()} == {
+        name: import_closure(name) for name in MODULES
+    }

@@ -1,30 +1,23 @@
 import pytest
 
-from pathcrystal import (
-    BElement,
-    TropPoint,
-    ValidationError,
+from pathcrystal.bkinf import (
     all_ctuples,
     b_infinity,
     bk_e,
     delta,
     eps_phi,
     eps_phi_0,
-    make_shape,
-    omega,
-    omega_inv,
-    pi_correspondence,
-    sample_point,
-    trop_e,
-    trop_eps,
-    trop_weyl,
-    trop_wt,
+    sample_belement,
     weyl_s_tilde,
+    wt,
 )
-from pathcrystal.bkinf import sample_belement, wt
+from pathcrystal.errors import ValidationError
+from pathcrystal.iso import omega, omega_inv, pi_correspondence
+from pathcrystal.lattice import BElement, TropPoint, make_shape, sample_point
 from pathcrystal.paths import enumerate_paths, full_path_endpoints, path_weight
 from pathcrystal.reporting import all_ok
 from pathcrystal.suites import run_suite
+from pathcrystal.tropical import trop_e, trop_eps, trop_weyl, trop_wt
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)

@@ -5,21 +5,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import MALFORMED_POINTS
-from pathcrystal import (
+from pathcrystal.bkinf import sample_belement
+from pathcrystal.errors import ValidationError
+from pathcrystal.lattice import (
+    ARRAY_ENTRY_CAP,
     BElement,
+    SplitMix64,
     TropPoint,
-    ValidationError,
     XPoint,
     YPoint,
-    brute_epsilon,
-    epsilon_total,
     make_shape,
+    parse_rational,
     point_from_json,
     point_to_json,
-    sample_belement,
     sample_point,
 )
-from pathcrystal.lattice import SplitMix64, parse_rational
+from pathcrystal.paths import brute_epsilon, epsilon_total
 
 
 def test_smallest_shape_index_sets():
@@ -41,6 +42,16 @@ def test_index_sets_enumerated_by_hand():
 def test_bad_shapes_rejected(n, k):
     with pytest.raises(ValidationError):
         make_shape(n, k)
+
+
+def test_shape_past_the_array_entry_cap_is_rejected():
+    # k*(k'+1) array entries: 1 * 100000 at (99999, 1) is the cap itself
+    assert len(make_shape(99999, 1).b_indices) == ARRAY_ENTRY_CAP == 100_000
+    with pytest.raises(ValidationError, match=r"shape \(100000, 1\) has 100001 array entries"):
+        make_shape(100000, 1)
+    # about 4*10**8 entries: rejected before any index set is built
+    with pytest.raises(ValidationError, match="has 400040000 array entries, more than 100000"):
+        make_shape(40000, 20000)
 
 
 def test_cardinality_formula():

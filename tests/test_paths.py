@@ -3,22 +3,20 @@ from math import comb
 
 import pytest
 
-from pathcrystal import (
-    TropPoint,
-    ValidationError,
-    XPoint,
+from pathcrystal.errors import ValidationError
+from pathcrystal.lattice import TropPoint, XPoint, make_shape, sample_point
+from pathcrystal.paths import (
+    PATH_CAP,
     brute_epsilon,
     brute_partial_sum,
     brute_region_sums,
     enumerate_paths,
     epsilon_total,
-    make_shape,
+    full_path_endpoints,
     partial_sum,
     path_weight,
     region_sums,
-    sample_point,
 )
-from pathcrystal.paths import PATH_CAP, full_path_endpoints
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)

@@ -1,10 +1,12 @@
 import pytest
 
-from pathcrystal import (
-    TropPoint,
-    ValidationError,
-    make_shape,
-    sample_point,
+from pathcrystal import geom
+from pathcrystal.errors import ValidationError
+from pathcrystal.lattice import SplitMix64, TropPoint, make_shape, sample_point
+from pathcrystal.tropical import (
+    degree_of,
+    probe_pairs,
+    probe_point,
     trop_dbar,
     trop_e,
     trop_eps,
@@ -12,9 +14,6 @@ from pathcrystal import (
     trop_wt,
     ud_degree_probe,
 )
-from pathcrystal import geom
-from pathcrystal.lattice import SplitMix64
-from pathcrystal.tropical import degree_of, probe_pairs, probe_point
 
 S21 = make_shape(2, 1)
 T21 = TropPoint(S21, {(1, 1): 0, (1, 2): 5})
