@@ -1,28 +1,20 @@
 """Command-line entry point.
 
-Subcommands: ``verify`` (run a named relation suite), ``act`` (apply a
-crystal operation to a point file), ``map`` (chart changes, the array
-bijection, the degree probe), ``conjecture`` (the proportionality
-experiment) and ``graph`` (DOT export of an array-crystal neighborhood).
-
 Exit codes: 0 all checks pass, 1 verification or domain failure, 2 bad
 usage or malformed input.  A reader that closes stdout early (``| head``)
 changes none of them.  Reports are deterministic given the seed; the
 wall-time field is the only exception.
 
-Each call builds only the parser it needs (:func:`parse_args`).  When the
-first argument names a subcommand, the parser has that subcommand's
-options alone; any other call gets the full parser (:func:`build_parser`).
-Adding every subcommand's options took most of a short call's time.  No
-parser is cached: a ``pathcrystal`` process makes one call, so a cache
-would help only in-process callers, as state shared by all of them.
+One option table, :data:`COMMANDS`, lists the subcommands and their
+options.  It parses every call (:func:`parse_args`) and writes every usage
+line and ``-h`` text.
 """
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import bkinf, tropical
 from .birational import sigma_map, xi_map
@@ -142,17 +134,13 @@ def _require_kind(path, kind, what):
     return point
 
 
-def _emit_point(point, args):
-    return EXIT_OK, _dumps(point_to_json(point), args.json)
-
-
 def cmd_act(args):
     if (args.side, args.op) not in ACTIONS:
         ops = sorted(op for side, op in ACTIONS if side == args.side)
         raise ValidationError("side %s supports ops %s" % (args.side, ", ".join(ops)))
     kind, operation = ACTIONS[args.side, args.op]
     point = _require_kind(args.point, kind, "side " + args.side)
-    return _emit_point(operation(point, args), args)
+    return EXIT_OK, _dumps(point_to_json(operation(point, args)), args.json)
 
 
 def cmd_map(args):
@@ -160,7 +148,7 @@ def cmd_map(args):
     point = _require_kind(args.point, kind, "map " + args.map)
     if function is None:
         return _probe_report(point, args)
-    return _emit_point(function(point), args)
+    return EXIT_OK, _dumps(point_to_json(function(point)), args.json)
 
 
 def _probe_report(exponents, args):
@@ -209,105 +197,129 @@ def cmd_graph(args):
     return EXIT_OK, bkinf.crystal_graph_dot(center, args.radius)
 
 
-def _verify_options(p):
-    p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
+FLAG = "flag"  # the converter of an option that takes no value: given, it reads True
+REQUIRED = object()  # the default of an option that every call must give
 
+# option -> (converter or FLAG, default or REQUIRED, choices or None, help text)
+_SHAPE = {"n": (int, REQUIRED, None, "shape parameter n >= 2"),
+          "k": (int, REQUIRED, None, "shape parameter k, 1 <= k <= n")}
 
-def _act_options(p):
-    p.add_argument("--side", required=True, choices=["geom", "trop", "bkinf"])
-    p.add_argument("--op", required=True, choices=["e", "f", "s"])
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--c", type=str, default=None, help="rational parameter P/Q")
-    p.add_argument("--d", type=int, default=1, help="integer step count")
-    p.add_argument("--point", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_act)
-
-
-def _map_options(p):
-    p.add_argument("--map", required=True, choices=list(MAPS))
-    p.add_argument("--point", required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_map)
-
-
-def _conjecture_options(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=16)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_conjecture)
-
-
-def _graph_options(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--center", default="b_inf")
-    p.add_argument("--radius", type=int, default=1)
-    p.set_defaults(func=cmd_graph)
-
-
-# subcommand -> (help line, function adding its options); each of those sets
-# ``func`` to the module's ``cmd_*`` name as it is bound when the parser is
-# built, so a tool that rebinds module names (perfbench's tracer) sees the call
-SUBCOMMANDS = {
-    "verify": ("run a verification suite", _verify_options),
-    "act": ("apply a crystal operation to a point file", _act_options),
-    "map": ("apply a chart change or probe", _map_options),
-    "conjecture": ("run the proportionality experiment", _conjecture_options),
-    "graph": ("DOT export of an array-crystal ball", _graph_options),
+# subcommand -> (help line, name of its cmd_* function, options); main looks
+# the function up by name at each call, so a tool that rebinds module names
+# (perfbench's tracer) sees the call
+COMMANDS = {
+    "verify": ("run a verification suite", "cmd_verify", {
+        "suite": (str, REQUIRED, sorted(SUITES) + ["all"], "suite to run, or all of them"),
+        **_SHAPE,
+        "trials": (int, 20, None, "random points per relation"),
+        "seed": (int, 0, None, "seed of the point sampler"),
+        "bound": (int, None, None, "sampling bound (default: the suite's own)"),
+        "json": (FLAG, False, None, "print the report as JSON"),
+    }),
+    "act": ("apply a crystal operation to a point file", "cmd_act", {
+        "side": (str, REQUIRED, ["geom", "trop", "bkinf"], "geometric, tropical or array crystal"),
+        "op": (str, REQUIRED, ["e", "f", "s"], "action e, lowering f or reflection s"),
+        "i": (int, REQUIRED, None, "index of the operation"),
+        "c": (str, None, None, "rational parameter P/Q of geom e"),
+        "d": (int, 1, None, "integer step count"),
+        "point": (str, REQUIRED, None, "JSON point file"),
+        "json": (FLAG, False, None, "print compact JSON"),
+    }),
+    "map": ("apply a chart change or probe", "cmd_map", {
+        "map": (str, REQUIRED, list(MAPS), "map to apply"),
+        "point": (str, REQUIRED, None, "JSON point file"),
+        "i": (int, None, None, "index of the degree probe"),
+        "d": (int, 0, None, "action exponent of the degree probe"),
+        "json": (FLAG, False, None, "print compact JSON"),
+    }),
+    "conjecture": ("run the proportionality experiment", "cmd_conjecture", {
+        **_SHAPE,
+        "trials": (int, 25, None, "random points"),
+        "seed": (int, 0, None, "seed of the point sampler"),
+        "bound": (int, 16, None, "sampling bound"),
+        "json": (FLAG, False, None, "print compact JSON"),
+    }),
+    "graph": ("DOT export of an array-crystal ball", "cmd_graph", {
+        **_SHAPE,
+        "center": (str, "b_inf", None, "b_inf, or an array point file"),
+        "radius": (int, 1, None, "steps from the center"),
+    }),
 }
 
 
-def build_parser():
-    """The parser with every subcommand and all their options.
+def _spelling(name, option):
+    """How an option is written: ``--i I``, ``--op {e,f,s}`` or ``--json``."""
+    convert, _, choices, _ = option
+    if convert is FLAG:
+        return "--" + name
+    return "--%s %s" % (name, "{%s}" % ",".join(choices) if choices else name.upper())
 
-    A call gets this parser only when its first argument names no
-    subcommand (no arguments, ``-h``, ``--help act``, ``--``, an unknown
-    or abbreviated command), or when the called subcommand meets arguments
-    it does not know; a call naming a subcommand first is parsed by that
-    subcommand's parser alone (:func:`parse_args`).  Help and usage errors
-    read the same either way.  The parser is built afresh for each call
-    and never cached, since a ``pathcrystal`` process makes one call.
-    """
-    parser = argparse.ArgumentParser(
-        prog="pathcrystal",
-        description="Exact verification of the lattice-path crystal construction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options) in SUBCOMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
-    return parser
+
+def _usage(command):
+    if command is None:
+        return "usage: pathcrystal [-h] {%s} ..." % ",".join(COMMANDS)
+    words = [("%s" if option[1] is REQUIRED else "[%s]") % _spelling(name, option)
+             for name, option in COMMANDS[command][2].items()]
+    return "usage: pathcrystal %s [-h] %s" % (command, " ".join(words))
+
+
+def _help(command):
+    """The ``-h`` text of a subcommand, or of the program for ``None``."""
+    if command is None:
+        head = ["Exact verification of the lattice-path crystal construction.", "", "commands:"]
+        rows = [(name, entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        head = [COMMANDS[command][0], "", "options:"]
+        rows = [("-h, --help", "show this help and exit")] + [
+            (_spelling(name, option), option[3] + " (required)" * (option[1] is REQUIRED))
+            for name, option in COMMANDS[command][2].items()
+        ]
+    return "\n".join([_usage(command), ""] + head + ["  %-22s  %s" % row for row in rows])
 
 
 def parse_args(argv):
-    """Parse one call as :func:`build_parser`'s parser would.
+    """Parse one call by :data:`COMMANDS`: a namespace, or the help text.
 
-    When ``argv[0]`` names a subcommand, only that subcommand's parser is
-    built, as ``pathcrystal <name>``, and it parses ``argv[1:]`` into a
-    namespace that already holds ``command``.  Any other ``argv``, or
-    arguments the subcommand does not know, go to the full parser, which
-    words the error.
+    ``argv[0]`` names the subcommand; each later word is ``--name value``,
+    ``--name=value`` or a flag.  A value option takes the next word even
+    when it starts with ``-``, a repeated option keeps its last value, and
+    names match exactly.  ``-h`` or ``--help`` anywhere asks for help.  Any
+    other bad call raises :class:`ValidationError`, ending in the usage line.
     """
-    name = argv[0] if argv else None
-    if name in SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog="pathcrystal " + name)
-        SUBCOMMANDS[name][1](parser)
-        args, unknown = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
-        if not unknown:
-            return args
-    return build_parser().parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        return _help(command)
+    try:
+        if command is None:
+            raise ValidationError("unknown subcommand %r" % argv[0] if argv else "no subcommand")
+        options = COMMANDS[command][2]
+        values = {name: option[1] for name, option in options.items()}
+        words = iter(argv[1:])
+        for word in words:
+            name, inline, text = word[2:].partition("=")
+            if not word.startswith("--") or name not in options:
+                raise ValidationError("unrecognized argument %r" % word)
+            convert, _, choices, _ = options[name]
+            if convert is FLAG:
+                if inline:
+                    raise ValidationError("--%s takes no value" % name)
+                values[name] = True
+                continue
+            text = text if inline else next(words, None)
+            if text is None:
+                raise ValidationError("--%s needs a value" % name)
+            try:
+                values[name] = convert(text)
+            except ValueError:
+                raise ValidationError("--%s: invalid %s value %r" % (name, convert.__name__, text))
+            if choices is not None and values[name] not in choices:
+                raise ValidationError("--%s: %r is not one of %s" % (name, text, ", ".join(choices)))
+        missing = ["--" + name for name, value in values.items() if value is REQUIRED]
+        if missing:
+            raise ValidationError("missing %s" % ", ".join(missing))
+    except ValidationError as exc:
+        raise ValidationError("%s\n%s" % (exc, _usage(command)))
+    return SimpleNamespace(command=command, **values)
 
 
 def _finish(code, text):
@@ -330,14 +342,11 @@ def _finish(code, text):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _finish(*args.func(args))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the help text
+            return _finish(EXIT_OK, args)
+        return _finish(*globals()[COMMANDS[args.command][1]](args))
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

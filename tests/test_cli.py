@@ -11,7 +11,7 @@ from conftest import MALFORMED_POINTS, SHAPES
 from pathcrystal import bkinf, cli, fundrep, geom
 from pathcrystal.birational import sigma_map
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement
-from pathcrystal.cli import ACTIONS, MAPS, build_parser, main, parse_args
+from pathcrystal.cli import ACTIONS, COMMANDS, MAPS, REQUIRED, main
 from pathcrystal.errors import CrystalFault, ValidationError
 from pathcrystal.geom import act_e
 from pathcrystal.lattice import make_shape, point_from_json, point_to_json
@@ -458,55 +458,159 @@ def test_bound_below_one_exits_2(capsys, command, bound):
     assert "bound must be at least 1" in capsys.readouterr().err
 
 
+# one call per subcommand that gives every option, with the values it parses to
+FULL_CALLS = {
+    "verify": {"suite": "iso", "n": 3, "k": 2, "trials": 4, "seed": 5, "bound": 6, "json": True},
+    "act": {"side": "geom", "op": "e", "i": 0, "c": "2/1", "d": 2, "point": "p.json", "json": True},
+    "map": {"map": "ud-probe", "point": "p.json", "i": 2, "d": 3, "json": True},
+    "conjecture": {"n": 3, "k": 1, "trials": 3, "seed": 2, "bound": 9, "json": True},
+    "graph": {"n": 3, "k": 2, "center": "b.json", "radius": 2},
+}
+# what an option a call leaves out reads; every other option is required
+DEFAULTS = {
+    "verify": {"trials": 20, "seed": 0, "bound": None, "json": False},
+    "act": {"c": None, "d": 1, "json": False},
+    "map": {"i": None, "d": 0, "json": False},
+    "conjecture": {"trials": 25, "seed": 0, "bound": 16, "json": False},
+    "graph": {"center": "b_inf", "radius": 1},
+}
+
+
+def option_words(values):
+    return [word for name, value in values.items()
+            for word in (["--" + name] if value is True else ["--" + name, str(value)])]
+
+
+def option_cases():
+    """(argv, expected) for every option of every subcommand."""
+    for command, values in FULL_CALLS.items():
+        parsed = dict(values, command=command)
+        yield [command, *option_words(values)], parsed
+        for name, value in values.items():
+            rest = option_words({other: v for other, v in values.items() if other != name})
+            if name in DEFAULTS[command]:
+                yield [command, *rest], dict(parsed, **{name: DEFAULTS[command][name]})
+            else:
+                yield [command, *rest], "error: missing --" + name
+            if value is True:
+                yield [command, *rest, "--%s=1" % name], "error: --%s takes no value" % name
+            else:
+                yield [command, *rest, "--%s=%s" % (name, value)], parsed
+            word = "--" + name
+            if type(value) is int:
+                yield [command, *rest, word, "x"], "error: %s: invalid int value 'x'" % word
+            if COMMANDS[command][2][name][2] is not None:
+                yield [command, *rest, word, "nope"], "error: %s: 'nope' is not one of" % word
+            if len(name) > 1:
+                abbreviated = option_words({name[:-1]: value})
+                yield [command, *rest, *abbreviated], "error: unrecognized argument %r" % word[:-1]
+
+
+# argv -> the values it parses to, the start of its help text, or its error line
 PARSE_CASES = [
-    [],
-    ["--help"],
-    ["nope"],
-    ["verify", "--help"],
-    ["verify", "--suite", "iso", "--n", "3"],
-    ["verify", "--suite", "iso", "--n", "3", "--k", "2", "--bound", "x"],
-    ["verify", "--suite", "iso", "--n", "3", "--k", "2"],
-    ["act", "--help"],
-    ["act", "--side", "geom", "--op", "e", "--i", "7"],
-    ["act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1", "--point", "p.json"],
-    ["map", "--help"],
-    ["map", "--map", "ud-probe", "--point", "p.json", "--i", "1", "--d", "2", "--json"],
-    ["map", "--map", "nope", "--point", "p.json"],
-    ["conjecture", "--help"],
-    ["conjecture", "--n", "3", "--k", "1", "--json"],
-    ["graph", "--help"],
-    ["graph", "--n", "3", "--k", "2", "--radius", "1"],
-    ["act", "--point", "verify"],
-    ["--help", "act"],
-    ["-h"],
-    ["ac"],
-    ["act", "-h"],
-    ["verify"],
-    ["act", "--sid", "geom"],
-    ["--", "act"],
-    ["graph", "--radius"],
+    ([], "error: no subcommand"),
+    (["--help"], "usage: pathcrystal [-h] {verify,act,map,conjecture,graph}"),
+    (["nope"], "error: unknown subcommand 'nope'"),
+    (["verify", "--help"], "usage: pathcrystal verify [-h] --suite"),
+    (["verify", "--suite", "iso", "--n", "3"], "error: missing --k"),
+    (["verify", "--suite", "iso", "--n", "3", "--k", "2", "--bound", "x"],
+     "error: --bound: invalid int value 'x'"),
+    (["verify", "--suite", "iso", "--n", "3", "--k", "2"],
+     {"command": "verify", "suite": "iso", "n": 3, "k": 2, **DEFAULTS["verify"]}),
+    (["act", "--help"], "usage: pathcrystal act [-h] --side"),
+    (["act", "--side", "geom", "--op", "e", "--i", "7"], "error: missing --point"),
+    (["act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1", "--point", "p.json"],
+     {"command": "act", "side": "geom", "op": "e", "i": 0, "c": "2/1", "d": 1, "point": "p.json",
+      "json": False}),
+    (["map", "--help"], "usage: pathcrystal map [-h] --map"),
+    (["map", "--map", "ud-probe", "--point", "p.json", "--i", "1", "--d", "2", "--json"],
+     {"command": "map", "map": "ud-probe", "point": "p.json", "i": 1, "d": 2, "json": True}),
+    (["map", "--map", "nope", "--point", "p.json"], "error: --map: 'nope' is not one of"),
+    (["conjecture", "--help"], "usage: pathcrystal conjecture [-h] --n"),
+    (["conjecture", "--n", "3", "--k", "1", "--json"],
+     {"command": "conjecture", "n": 3, "k": 1, **DEFAULTS["conjecture"], "json": True}),
+    (["graph", "--help"], "usage: pathcrystal graph [-h] --n"),
+    (["graph", "--n", "3", "--k", "2", "--radius", "1"],
+     {"command": "graph", "n": 3, "k": 2, "center": "b_inf", "radius": 1}),
+    (["act", "--point", "verify"], "error: missing --side, --op, --i"),
+    (["--help", "act"], "usage: pathcrystal [-h] {verify"),
+    (["-h"], "usage: pathcrystal [-h] {verify"),
+    (["ac"], "error: unknown subcommand 'ac'"),
+    (["act", "-h"], "usage: pathcrystal act [-h]"),
+    (["verify"], "error: missing --suite, --n, --k"),
+    (["act", "--sid", "geom"], "error: unrecognized argument '--sid'"),
+    (["--", "act"], "error: unknown subcommand '--'"),
+    (["graph", "--radius"], "error: --radius needs a value"),
+    # a value option takes the next word, even one that looks like an option
+    (["act", "--d", "-3", "--side", "trop", "--op", "e", "--i", "1", "--point", "-p.json"],
+     {"command": "act", "side": "trop", "op": "e", "i": 1, "c": None, "d": -3,
+      "point": "-p.json", "json": False}),
+    (["map", "--map", "omega", "--d", "-3", "--point", "--json"],
+     {"command": "map", "map": "omega", "point": "--json", "i": None, "d": -3, "json": False}),
+    # a repeated option keeps its last value; help wins wherever it stands
+    (["graph", "--n", "9", "--k", "2", "--n", "3", "--radius=0"],
+     {"command": "graph", "n": 3, "k": 2, "center": "b_inf", "radius": 0}),
+    (["graph", "--sid", "--help"], "usage: pathcrystal graph [-h]"),
+    (["act", "--side", "geom", "extra"], "error: unrecognized argument 'extra'"),
+    (["act", "-s", "geom"], "error: unrecognized argument '-s'"),
+    *option_cases(),
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_parser_for_a_call_parses_like_the_full_parser(capsys, monkeypatch, argv):
-    # main's route builds only the called subcommand's parser when argv[0] names one
-    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+def test_the_full_calls_give_every_option_in_the_table():
+    assert {command: list(values) for command, values in FULL_CALLS.items()} == {
+        command: list(entry[2]) for command, entry in COMMANDS.items()
+    }
 
-    def parse(parse_call):
-        try:
-            result = vars(parse_call(argv)), None
-        except SystemExit as exc:
-            result = None, exc.code
-        return result, capsys.readouterr()
 
-    full = parse(build_parser().parse_args)
-    assert parse(parse_args) == full
-    (namespace, code), printed = full
-    if namespace is not None:
-        assert namespace["command"] == argv[0]
-    if {"-h", "--help"} & set(argv):
-        assert code == 0 and printed.out.startswith("usage: pathcrystal")
+@pytest.mark.parametrize("argv,expected", PARSE_CASES, ids=[" ".join(a) for a, _ in PARSE_CASES])
+def test_the_table_parses_a_call(capsys, monkeypatch, argv, expected):
+    # main looks each cmd_* up by name, so a stand-in sees the parsed values
+    seen = []
+
+    def stand_in(args):
+        seen.append(vars(args))
+        return 0, "ran"
+
+    for _, function, _ in COMMANDS.values():
+        monkeypatch.setattr(cli, function, stand_in)
+    code = main(list(argv))
+    printed = capsys.readouterr()
+    if isinstance(expected, dict):
+        assert (code, printed.out, printed.err, seen) == (0, "ran\n", "", [expected])
+    elif expected.startswith("usage: pathcrystal"):
+        assert (code, printed.err, seen) == (0, "", [])
+        assert printed.out.startswith(expected)
+    else:
+        assert (code, printed.out, seen) == (2, "", [])
+        reason, usage = printed.err.rstrip("\n").split("\n")
+        assert reason.startswith(expected) and usage.startswith("usage: pathcrystal")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_option_with_its_help_text(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (_, default, _, text) in COMMANDS[command][2].items():
+        rows = [line for line in out.splitlines() if line.startswith("  --%s " % name)]
+        assert len(rows) == 1 and rows[0].endswith(text + " (required)" * (default is REQUIRED))
+
+
+def test_a_parameter_that_starts_with_a_dash_reaches_the_library(capsys, point_file):
+    argv = ["act", "--side", "geom", "--op", "e", "--i", "0", "--c", "-1/2"]
+    assert main(argv + ["--point", point_file(X21)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the action parameter must be positive\n"
+
+
+def test_a_point_file_whose_name_starts_with_a_dash(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-x.json").write_text(json.dumps(X21))
+    code, out = run(capsys, "act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2/1",
+                    "--point", "-x.json", "--json")
+    assert code == 0
+    assert json.loads(out)["entries"] == {"1,1": "1/1", "1,2": "3/2"}
 
 
 # a child whose stdout pipe has no reader: its first flush fails with EPIPE
