@@ -40,10 +40,11 @@ a tuple given from outside, by one rule in :mod:`.lattice`.
 """
 
 from itertools import accumulate, combinations
+from math import comb
 from operator import getitem
 
-from .errors import CrystalFault, ValidationError
-from .lattice import BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
+from .errors import CrystalFault, ValidationError, brief
+from .lattice import PATH_CAP, BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
 
 GRAPH_NODE_CAP = 10_000
 
@@ -67,7 +68,17 @@ def sample_belement(shape, seed, bound):
 
 
 def all_ctuples(shape):
-    """The full tuple family as plain tuples, binomial(n-1, k-1) of them."""
+    """The full tuple family as plain tuples, binomial(n-1, k-1) of them.
+
+    The tuples are in bijection with the full paths, so more than
+    :data:`~pathcrystal.lattice.PATH_CAP` of them are rejected, from their
+    count, before any is built.
+    """
+    if comb(shape.n - 1, shape.k - 1) > PATH_CAP:
+        raise ValidationError(
+            "more than %d increasing tuples: binomial(%d, %d) at shape (%d, %d)"
+            % (PATH_CAP, shape.n - 1, shape.k - 1, shape.n, shape.k)
+        )
     first, last = (1,), (shape.n + 1,)
     return [first + middle + last for middle in combinations(range(2, shape.n + 1), shape.k - 1)]
 
@@ -370,8 +381,8 @@ def crystal_graph_dot(center, radius):
     for dist in range(radius):
         if len(ids) + 2 * (shape.n + 1) * len(frontier) > GRAPH_NODE_CAP:
             raise ValidationError(
-                "graph radius %d: level %d could take the ball past %d nodes"
-                % (radius, dist + 1, GRAPH_NODE_CAP)
+                "graph radius %s: level %d could take the ball past %d nodes"
+                % (brief(radius), dist + 1, GRAPH_NODE_CAP)
             )
         nxt = []
         for b in frontier:

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from . import bkinf, tropical
 from .birational import sigma_map, xi_map
-from .errors import CrystalFault, ValidationError
+from .errors import CrystalFault, ValidationError, brief
 from .geom import act_e, weyl_s
 from .iso import omega, omega_inv
 from .lattice import (
@@ -39,11 +39,11 @@ def _load_point(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError("cannot read %s: %s" % (path, exc))
+    except OSError as exc:  # str(exc) would quote the path a second time
+        raise ValidationError("cannot read %s: %s" % (brief(path), exc.strerror))
     # JSONDecodeError, an integer literal past int()'s digit limit, or nesting past the stack
     except (ValueError, RecursionError) as exc:
-        raise ValidationError("malformed JSON in %s: %s" % (path, exc))
+        raise ValidationError("malformed JSON in %s: %s" % (brief(path), exc))
     return point_from_json(data)
 
 
@@ -291,14 +291,16 @@ def parse_args(argv):
         return _help(command)
     try:
         if command is None:
-            raise ValidationError("unknown subcommand %r" % argv[0] if argv else "no subcommand")
+            raise ValidationError(
+                "unknown subcommand %s" % brief(argv[0]) if argv else "no subcommand"
+            )
         options = COMMANDS[command][2]
         values = {name: option[1] for name, option in options.items()}
         words = iter(argv[1:])
         for word in words:
             name, inline, text = word[2:].partition("=")
             if not word.startswith("--") or name not in options:
-                raise ValidationError("unrecognized argument %r" % word)
+                raise ValidationError("unrecognized argument %s" % brief(word))
             convert, _, choices, _ = options[name]
             if convert is FLAG:
                 if inline:
@@ -311,9 +313,13 @@ def parse_args(argv):
             try:
                 values[name] = convert(text)
             except ValueError:
-                raise ValidationError("--%s: invalid %s value %r" % (name, convert.__name__, text))
+                raise ValidationError(
+                    "--%s: invalid %s value %s" % (name, convert.__name__, brief(text))
+                )
             if choices is not None and values[name] not in choices:
-                raise ValidationError("--%s: %r is not one of %s" % (name, text, ", ".join(choices)))
+                raise ValidationError(
+                    "--%s: %s is not one of %s" % (name, brief(text), ", ".join(choices))
+                )
         missing = ["--" + name for name, value in values.items() if value is REQUIRED]
         if missing:
             raise ValidationError("missing %s" % ", ".join(missing))

@@ -1,49 +1,41 @@
-"""The minuscule-style module on k-subsets and the proportionality probe.
+"""The k-subset module: a minuscule-style module on the k-subsets of 1..n+1.
 
 Basis keys are strictly increasing k-tuples in {1..n+1} (one-column
 tableaux); a vector is a plain dict ``{key: Fraction}``.  One key rule
 (:func:`_cycle_step`) moves a single entry one step along the cycle
 1 -> 2 -> ... -> n+1 -> 1, the same at every index 0..n: f_i moves it
-forward and e_i back.  It serves :func:`apply_gen` and the lowering passes
-of :func:`chart_vector` alike, so operators are applied rule-by-rule
-instead of through matrices.  The library builds every key itself;
-:func:`unit_vector` checks a key given from outside.
+forward and e_i back.  :func:`apply_gen` applies it, also in the lowering
+passes of :func:`chart_vector`, so operators act rule by rule instead of
+through matrices.  The library builds every key itself; :func:`unit_vector`
+checks a key given from outside by the increasing-tuple rule of :mod:`.lattice`.
 
-``proportionality_probe`` compares the vector built from the x-chart with
-the one built from the mapped y-chart: whether they are exactly
-proportional, and with which scalar.  The ``conjecture`` suite gates the
-scalar ``1/x_(1,n)`` at every k.
+The module imports only :mod:`.errors` and :mod:`.lattice`: it is a route
+of its own, beside the chart maps, the path engine and the geometric
+actions it is compared with.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .birational import sigma_map
 from .errors import ValidationError
+from .lattice import _check_increasing
 
-PROBE_DIMENSION_CAP = 10_000
-
-
-def _validate_key(shape, key):
-    if len(key) != shape.k:
-        raise ValidationError("basis key %r must have %d entries" % (key, shape.k))
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in key):
-        raise ValidationError("basis key %r must have integer entries" % (key,))
-    if any(not 1 <= v <= shape.n + 1 for v in key):
-        raise ValidationError("basis key %r has entries outside 1..n+1" % (key,))
-    if any(a >= b for a, b in zip(key, key[1:])):
-        raise ValidationError("basis key %r must be strictly increasing" % (key,))
+# basis vectors, binomial(n+1, k), of a module that is built
+DIMENSION_CAP = 10_000
 
 
-def _check_dimension(shape, what):
-    """Reject a module of dimension binomial(n+1, k) above :data:`PROBE_DIMENSION_CAP`."""
-    if comb(shape.n + 1, shape.k) > PROBE_DIMENSION_CAP:
-        raise ValidationError("%s limited to dimension at most %d" % (what, PROBE_DIMENSION_CAP))
+def _check_dimension(shape):
+    """Reject a module of dimension binomial(n+1, k) above :data:`DIMENSION_CAP`."""
+    if comb(shape.n + 1, shape.k) > DIMENSION_CAP:
+        raise ValidationError(
+            "k-subset module limited to dimension at most %d, got binomial(%d, %d)"
+            % (DIMENSION_CAP, shape.n + 1, shape.k)
+        )
 
 
 def basis_keys(shape):
-    _check_dimension(shape, "k-subset basis")
+    _check_dimension(shape)
     return [tuple(c) for c in combinations(range(1, shape.n + 2), shape.k)]
 
 
@@ -57,9 +49,7 @@ def highest_u2(shape):
 
 def unit_vector(shape, key):
     """The basis vector of ``key``, the one check of a key given from outside."""
-    key = tuple(key)
-    _validate_key(shape, key)
-    return {key: Fraction(1)}
+    return {_check_increasing(shape, key, shape.k): Fraction(1)}
 
 
 def _cycle_step(shape, i):
@@ -97,42 +87,28 @@ def chart_vector(point):
     coordinate c at index m in index order (on the y-chart index 0
     participates): the torus at c, then 1 + (1/c) f_m.  The torus weight is
     +1 exactly where f_m applies and -1 exactly where e_m applies, so a key
-    that f_m moves keeps c*a and its image gains a, a key that e_m moves
-    keeps a/c, and any other key keeps a.
+    that f_m moves keeps c*a, a key that e_m moves keeps a/c, any other key
+    keeps a, and ``apply_gen(shape, v, "f", m)`` is added.  The module's
+    dimension is capped before any key is built.
     """
     if point.kind not in ("x", "y"):
         raise ValidationError("chart_vector takes an x or y point, got kind %r" % (point.kind,))
     shape = point.shape
+    _check_dimension(shape)
     highest = highest_u1 if point.side == 1 else highest_u2
     v = unit_vector(shape, highest(shape))
     for l, m in shape.indices(point.side):
         c = point.get(l, m)
         low, high = _cycle_step(shape, m)
-        out, images = {}, {}
+        out = {}
         for key, a in v.items():
             if low in key and high not in key:
                 out[key] = c * a
-                images[_moved(key, low, high)] = a
             elif high in key and low not in key:
                 out[key] = a / c
             else:
                 out[key] = a
-        for key, a in images.items():
-            out[key] = out.get(key, 0) + a
+        for key, a in apply_gen(shape, v, "f", m).items():
+            out[key] = out[key] + a if key in out else a
         v = out
     return v
-
-
-def proportionality_probe(x):
-    """Compare v2 of the mapped point against v1.
-
-    Returns ``{"proportional": bool, "ratio": v2 / v1 or None}``.
-    """
-    _check_dimension(x.shape, "probe")
-    v1 = chart_vector(x)
-    v2 = chart_vector(sigma_map(x))
-    if v1.keys() == v2.keys():
-        ratios = {v2[key] / v1[key] for key in v1}
-        if len(ratios) == 1:
-            return {"proportional": True, "ratio": ratios.pop()}
-    return {"proportional": False, "ratio": None}

@@ -21,13 +21,16 @@ import re
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import ValidationError
+from .errors import ValidationError, brief
 from .semiring import MAXPLUS, RATIONAL
 
 PRNG_ID = "splitmix64"
 
 # the array's k*(k'+1) entries, the largest index set of a shape; (630, 315) fits
 ARRAY_ENTRY_CAP = 100_000
+# paths enumerated between two nodes, and so increasing tuples, which are in
+# bijection with the full paths
+PATH_CAP = 100_000
 
 _M64 = (1 << 64) - 1
 
@@ -52,9 +55,9 @@ class SplitMix64:
         """
         span = hi - lo + 1
         if span <= 0:
-            raise ValidationError("empty range [%d, %d]" % (lo, hi))
+            raise ValidationError("empty range [%s, %s]" % (brief(lo), brief(hi)))
         if span > 1 << 64:
-            raise ValidationError("range [%d, %d] is wider than 2**64" % (lo, hi))
+            raise ValidationError("range [%s, %s] is wider than 2**64" % (brief(lo), brief(hi)))
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             r = self.next64()
@@ -78,8 +81,8 @@ class LatticeShape:
         _check_shape(n, k)
         if k * (n + 2 - k) > ARRAY_ENTRY_CAP:
             raise ValidationError(
-                "shape (%d, %d) has %d array entries, more than %d"
-                % (n, k, k * (n + 2 - k), ARRAY_ENTRY_CAP)
+                "shape (%s, %s) has %s array entries, more than %d"
+                % (brief(n), brief(k), brief(k * (n + 2 - k)), ARRAY_ENTRY_CAP)
             )
         self.n = n
         self.k = k
@@ -107,7 +110,7 @@ class LatticeShape:
     def check_index(self, i):
         """Reject a crystal index outside 0..n."""
         if not 0 <= i <= self.n:
-            raise ValidationError("index i must be in 0..n, got %r" % (i,))
+            raise ValidationError("index i must be in 0..n, got %s" % brief(i))
 
     def column(self, side, i):
         """Rows (a, b) of the entries (l, i) the i-th action moves on lattice 1 or 2.
@@ -117,7 +120,8 @@ class LatticeShape:
         shift = {1: 1, 2: 0}[side]
         j = i - shift
         if not 0 <= j <= self.n - 1:
-            raise ValidationError("index i must be in %s, got %r" % (("0..n-1", "1..n")[shift], i))
+            where = ("0..n-1", "1..n")[shift]
+            raise ValidationError("index i must be in %s, got %s" % (where, brief(i)))
         return max(self.k - j, 1), min(self.k, self.n - j)
 
     def cartan(self, i, j):
@@ -140,9 +144,11 @@ def _check_shape(n, k):
     if not _is_int(n) or not _is_int(k):
         raise ValidationError("n and k must be integers")
     if n < 2:
-        raise ValidationError("n must be at least 2, got %r" % (n,))
+        raise ValidationError("n must be at least 2, got %s" % brief(n))
     if not 1 <= k <= n:
-        raise ValidationError("k must satisfy 1 <= k <= n, got k=%r with n=%r" % (k, n))
+        raise ValidationError(
+            "k must satisfy 1 <= k <= n, got k=%s with n=%s" % (brief(k), brief(n))
+        )
 
 
 def _is_int(value):
@@ -150,17 +156,25 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_increasing(shape, c, length):
+    """``c`` as a tuple, checked to be ``length`` strictly increasing integers in 1..n+1."""
+    c = tuple(c)
+    if len(c) != length:
+        raise ValidationError("expected %d entries, got %d" % (length, len(c)))
+    if not all(map(_is_int, c)):
+        raise ValidationError("entries must be integers, got %s" % brief(c))
+    if any(a >= b for a, b in zip(c, c[1:])):
+        raise ValidationError("entries must be strictly increasing, got %s" % brief(c))
+    if c[0] < 1 or c[-1] > shape.n + 1:
+        raise ValidationError("entries must lie in 1..n+1, got %s" % brief(c))
+    return c
+
+
 def _check_ctuple(shape, c):
     """``c`` as a tuple, checked to be k+1 strictly increasing integers from 1 to n+1."""
-    c = tuple(c)
-    if len(c) != shape.k + 1:
-        raise ValidationError("expected %d entries, got %d" % (shape.k + 1, len(c)))
-    if not all(map(_is_int, c)):
-        raise ValidationError("tuple entries must be integers, got %r" % (c,))
+    c = _check_increasing(shape, c, shape.k + 1)
     if c[0] != 1 or c[-1] != shape.n + 1:
-        raise ValidationError("tuple must run from 1 to n+1, got %r" % (c,))
-    if any(a >= b for a, b in zip(c, c[1:])):
-        raise ValidationError("tuple must be strictly increasing, got %r" % (c,))
+        raise ValidationError("tuple must run from 1 to n+1, got %s" % brief(c))
     return c
 
 
@@ -210,8 +224,9 @@ class _BasePoint:
             extra = sorted(found - domain)
             # a few keys of each, so the message stays short at any shape
             raise ValidationError(
-                "%s entries do not match the index set (%d missing, first %r; %d extra, first %r)"
-                % (type(self).__name__, len(missing), missing[:4], len(extra), extra[:4])
+                "%s entries do not match the index set (%d missing, first %s; %d extra, first %s)"
+                % (type(self).__name__, len(missing), brief(missing[:4]),
+                   len(extra), brief(extra[:4]))
             )
 
     def get(self, l, m):
@@ -244,13 +259,13 @@ class _RationalPoint(_BasePoint):
             try:
                 v = parse_rational(v)
             except ValidationError as exc:
-                where = "the action parameter" if key is None else "entry at %r" % (key,)
+                where = "the action parameter" if key is None else "entry at %s" % brief(key)
                 raise ValidationError("%s: %s" % (where, exc)) from None
         if v > 0:
             return v
         if key is None:
             raise ValidationError("the action parameter must be positive")
-        raise ValidationError("entry at %r must be positive, got %s" % (key, v))
+        raise ValidationError("entry at %s must be positive, got %s" % (brief(key), brief(v)))
 
 
 class XPoint(_RationalPoint):
@@ -282,7 +297,7 @@ class _IntPoint(_BasePoint):
             return v
         if key is None:
             raise ValidationError("the action parameter must be an integer")
-        raise ValidationError("%s entry at %r must be an integer" % (self.kind, key))
+        raise ValidationError("%s entry at %s must be an integer" % (self.kind, brief(key)))
 
     def get(self, l, m):
         # the literal max-plus unit: the array 0-operators read entries in their inner loop
@@ -310,7 +325,7 @@ class BElement(_IntPoint):
         for j in range(1, shape.k + 1):
             row_sum = sum(self._entries[(j, i)] for i in range(j, j + shape.kprime + 1))
             if row_sum != 0:
-                raise ValidationError("row %d sums to %d, expected 0" % (j, row_sum))
+                raise ValidationError("row %d sums to %s, expected 0" % (j, brief(row_sum)))
 
 
 _KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}
@@ -376,8 +391,8 @@ def parse_rational(text):
         try:
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
-            raise ValidationError("bad rational %r: %s" % (text, exc)) from None
-    raise ValidationError("bad rational %r: expected an integer or 'p/q'" % (text,))
+            raise ValidationError("bad rational %s: %s" % (brief(text), exc)) from None
+    raise ValidationError("bad rational %s: expected an integer or 'p/q'" % brief(text))
 
 
 def point_to_json(point):
@@ -402,7 +417,7 @@ def point_from_json(data):
         raise ValidationError("point object must carry n, k, kind, entries: %s" % exc)
     cls = _KIND_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValidationError("unknown point kind %r" % (kind,))
+        raise ValidationError("unknown point kind %s" % brief(kind))
     if not isinstance(raw, dict):
         raise ValidationError("entries must be an object with 'l,m' keys")
     # the count before the shape: building the index sets costs O(n*k)
@@ -411,7 +426,8 @@ def point_from_json(data):
     size = k * (kprime + 1 if cls.side == "b" else kprime)
     if len(raw) != size:
         raise ValidationError(
-            "%s point at n=%d, k=%d has %d entries, got %d" % (kind, n, k, size, len(raw))
+            "%s point at n=%s, k=%s has %s entries, got %d"
+            % (kind, brief(n), brief(k), brief(size), len(raw))
         )
     entries = {}
     for key, value in raw.items():
@@ -422,6 +438,6 @@ def point_from_json(data):
             lm = None
         # only point_to_json's spelling, so no two keys ("1,2", "01,2", " 1,2") name one entry
         if lm is None or "%d,%d" % lm != key:
-            raise ValidationError("bad entry key %r, expected 'l,m'" % (key,))
+            raise ValidationError("bad entry key %s, expected 'l,m'" % brief(key))
         entries[lm] = value
     return cls(make_shape(n, k), entries)

@@ -39,9 +39,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ValidationError
-from .lattice import _is_int
-
-PATH_CAP = 100_000
+from .lattice import PATH_CAP, _is_int
 
 
 def _check_side(side):

@@ -19,7 +19,7 @@ and must equal the tropical closed form.
 from fractions import Fraction
 from math import comb
 
-from .errors import CrystalFault, ValidationError
+from .errors import CrystalFault, ValidationError, brief
 from .lattice import TropPoint, XPoint
 from .paths import _table, epsilon_total, region_sums
 from .semiring import MAXPLUS
@@ -114,8 +114,8 @@ def _validate_probe(exponents):
     for key, e in exponents.entries.items():
         if abs(e) > PROBE_MAX_EXPONENT:
             raise ValidationError(
-                "probe exponent at %r is %d, outside [-%d, %d]"
-                % (key, e, PROBE_MAX_EXPONENT, PROBE_MAX_EXPONENT)
+                "probe exponent at %r is %s, outside [-%d, %d]"
+                % (key, brief(e), PROBE_MAX_EXPONENT, PROBE_MAX_EXPONENT)
             )
 
 
@@ -166,7 +166,9 @@ def ud_degree_probe(name, exponents, i, d=0):
     """
     if abs(d) > PROBE_MAX_EXPONENT:
         bound = PROBE_MAX_EXPONENT
-        raise ValidationError("probe parameter d is %d, outside [-%d, %d]" % (d, bound, bound))
+        raise ValidationError(
+            "probe parameter d is %s, outside [-%d, %d]" % (brief(d), bound, bound)
+        )
     big = probe_point(exponents)
     if name == "gamma":
         return degree_of(geom.gamma(big, i))

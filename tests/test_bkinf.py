@@ -24,7 +24,14 @@ from pathcrystal.bkinf import (
 from pathcrystal.cli import main
 from pathcrystal.errors import CrystalFault, ValidationError
 from pathcrystal.iso import omega, omega_inv
-from pathcrystal.lattice import BElement, make_shape, point_from_json, point_to_json, sample_point
+from pathcrystal.lattice import (
+    PATH_CAP,
+    BElement,
+    make_shape,
+    point_from_json,
+    point_to_json,
+    sample_point,
+)
 from pathcrystal.tropical import trop_e, trop_eps, trop_weyl
 from math import comb
 
@@ -112,6 +119,26 @@ def test_ctuple_family():
     assert all_ctuples(s32) == [(1, 2, 4), (1, 3, 4)]
     for n, k in [(4, 2), (5, 3), (6, 3)]:
         assert len(all_ctuples(make_shape(n, k))) == comb(n - 1, k - 1)
+
+
+def _refuse(*args):
+    raise AssertionError("a tuple family past the cap must be rejected before it is built")
+
+
+def test_ctuple_family_past_the_path_cap_is_rejected_before_it_is_built(monkeypatch):
+    # (28, 14) has 224 array entries and binomial(27, 13) = 20,058,300 tuples, one per full path
+    shape = make_shape(28, 14)
+    assert comb(27, 13) > PATH_CAP
+    monkeypatch.setattr(bkinf, "combinations", _refuse)
+    b = b_infinity(shape)
+    for call in (lambda: all_ctuples(shape), lambda: kashiwara(b, "e", 0),
+                 lambda: extremal_c(b, "f")):
+        with pytest.raises(ValidationError, match="more than 100000 increasing tuples"):
+            call()
+    # the closed 0-operator and the 0-data read the DP, not the family
+    assert weyl_s_tilde(b, 0) == b
+    assert bk_e_closed(b, 0, 3).get(1, 1) == -3
+    assert eps_phi_0(b) == (0, 0)
 
 
 def test_extremal_singleton_family():

@@ -12,7 +12,7 @@ from pathcrystal import bkinf, cli, fundrep, geom
 from pathcrystal.birational import sigma_map
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement
 from pathcrystal.cli import ACTIONS, COMMANDS, MAPS, REQUIRED, main
-from pathcrystal.errors import CrystalFault, ValidationError
+from pathcrystal.errors import CrystalFault, ValidationError, brief
 from pathcrystal.geom import act_e
 from pathcrystal.lattice import make_shape, point_from_json, point_to_json
 from pathcrystal.reporting import RelationCheck, all_ok
@@ -295,7 +295,7 @@ def test_overlong_integer_literal_is_malformed_json(capsys, tmp_path):
     argv = ["act", "--side", "trop", "--op", "e", "--i", "1", "--d", "1", "--point", str(big)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "malformed JSON in %s" % big in err
+    assert "malformed JSON in %s" % brief(str(big)) in err
     assert "Traceback" not in err
 
 
@@ -305,7 +305,7 @@ def test_deeply_nested_point_file_is_malformed_json(capsys, tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000)
     assert main(["map", "--map", "sigma", "--point", str(deep)]) == 2
     err = capsys.readouterr().err
-    assert "malformed JSON in %s" % deep in err
+    assert "malformed JSON in %s" % brief(str(deep)) in err
     assert "Traceback" not in err
 
 
@@ -330,14 +330,14 @@ def test_conjecture_report(capsys):
 
 
 def test_conjecture_gates_the_ratio_at_every_k(capsys, monkeypatch):
-    # a probe reporting twice the scalar must fail the suite and the subcommand at k = 2
-    probe = fundrep.proportionality_probe
+    # twice the y-chart vector doubles the scalar: the suite and the subcommand fail at k = 2
+    chart_vector = fundrep.chart_vector
 
-    def doubled(x):
-        result = probe(x)
-        return dict(result, ratio=2 * result["ratio"])
+    def doubled(point):
+        v = chart_vector(point)
+        return {key: 2 * a for key, a in v.items()} if point.kind == "y" else v
 
-    monkeypatch.setattr(fundrep, "proportionality_probe", doubled)
+    monkeypatch.setattr(fundrep, "chart_vector", doubled)
     code, out = run(capsys, "verify", "--suite", "conjecture", "--n", "3", "--k", "2",
                     "--trials", "3", "--json")
     assert code == 1
@@ -395,6 +395,70 @@ def test_graph_past_the_array_entry_cap_exits_2(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "has 123200 array entries, more than 100000" in captured.err
+
+
+def test_array_zero_step_past_the_tuple_cap_exits_2(capsys, point_file):
+    # (28, 14) has 224 array entries but binomial(27, 13) = 20,058,300 increasing tuples
+    zero = point_to_json(bkinf.b_infinity(make_shape(28, 14)))
+    act = ["act", "--side", "bkinf", "--i", "0", "--point", point_file(zero)]
+    code = main(act + ["--op", "e"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "more than 100000 increasing tuples" in captured.err
+    # the reflection reads the closed form's DP, not the tuple family
+    code, out = run(capsys, *act, "--op", "s", "--json")
+    assert code == 0 and json.loads(out) == zero
+
+
+DIGITS = "7" * 5000
+
+
+def _long_values(write, tmp_path):
+    """(argv, what the error line must say) per rejected value of thousands of characters."""
+    x, t = write(X21, "x.json"), write(T21, "t.json")
+    act = ["act", "--side", "geom", "--op", "e", "--i", "0"]
+    negative = dict(X21, entries={"1,1": "-" + DIGITS[:4000], "1,2": "3/1"})
+    long_n = {"n": int(DIGITS[:4000]), "k": 1, "kind": "x", "entries": {}}
+    # k*(k'+1) has about 8,000 digits, more than str() prints
+    long_nk = {"n": int(DIGITS[:4000]), "k": int(DIGITS[:3999]), "kind": "b", "entries": {}}
+    return {
+        "c": (act + ["--c", DIGITS + "/1", "--point", x], "the action parameter: bad rational"),
+        "d": (["act", "--side", "trop", "--op", "e", "--i", "0", "--d", DIGITS, "--point", t],
+              "--d: invalid int value"),
+        "suite": (["verify", "--suite", "s" * 3004, "--n", "3", "--k", "2"],
+                  "--suite: 'sssss"),
+        "point": (["map", "--map", "sigma", "--point", str(tmp_path / ("p" * 3000))],
+                  "ppppp' (%d characters): File name too long" % (len(str(tmp_path)) + 3003)),
+        "entry": (act + ["--c", "2/1", "--point", write(negative, "entry.json")],
+                  "entry at (1, 1) must be positive, got -7777"),
+        "n": (["map", "--map", "sigma", "--point", write(long_n, "n.json")],
+              "x point at n=7777"),
+        "n-and-k": (["graph", "--n", "3", "--k", "2", "--center", write(long_nk, "nk.json")],
+                    "has <a number too long to print> entries, got 0"),
+        "i": (["act", "--side", "trop", "--op", "e", "--i", DIGITS[:4000], "--point", t],
+              "index i must be in 0..n, got 7777"),
+        "bound": (["verify", "--suite", "birational", "--n", "3", "--k", "2",
+                   "--bound", DIGITS[:4000]], "is wider than 2**64"),
+        "trials": (["conjecture", "--n", "3", "--k", "2", "--trials", "-" + DIGITS[:4000]],
+                   "trials must be >= 1, got -7777"),
+        "subcommand": ([DIGITS], "unknown subcommand '7777"),
+        "argument": (["verify", "--" + DIGITS], "unrecognized argument '--777"),
+    }
+
+
+LONG_VALUES = ["c", "d", "suite", "point", "entry", "n", "n-and-k", "i", "bound", "trials",
+               "subcommand", "argument"]
+
+
+@pytest.mark.parametrize("case", LONG_VALUES)
+def test_an_error_line_quotes_a_long_value_briefly(capsys, tmp_path, point_file, case):
+    argv, says = _long_values(point_file, tmp_path)[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("error: ") and says in lines[0]
+    assert max(map(len, lines)) <= 300
 
 
 def test_witness_replay_through_act(capsys, point_file):
@@ -649,7 +713,7 @@ def test_unreadable_point_file_exits_2(capsys, tmp_path):
     # a directory opens with IsADirectoryError, an OSError like a missing file
     code = main(["map", "--map", "sigma", "--point", str(tmp_path)])
     assert code == 2
-    assert "cannot read %s" % tmp_path in capsys.readouterr().err
+    assert "cannot read %s: Is a directory" % brief(str(tmp_path)) in capsys.readouterr().err
 
 
 def test_text_report_prints_each_witness(capsys, monkeypatch):

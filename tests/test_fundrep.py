@@ -5,19 +5,20 @@ import pytest
 
 from pathcrystal import fundrep
 from pathcrystal.birational import sigma_map
-from pathcrystal.bkinf import b_infinity
+from pathcrystal.bkinf import b_infinity, delta
 from pathcrystal.errors import ValidationError
 from pathcrystal.fundrep import (
+    DIMENSION_CAP,
     apply_gen,
     basis_keys,
     chart_vector,
     highest_u1,
     highest_u2,
-    proportionality_probe,
     unit_vector,
 )
-from pathcrystal.lattice import XPoint, make_shape, sample_point
-from pathcrystal.suites import run_suite
+from pathcrystal.iso import pi_correspondence
+from pathcrystal.lattice import XPoint, make_shape, point_to_json, sample_point
+from pathcrystal.suites import conjecture_outcomes, run_suite
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -101,13 +102,26 @@ def test_v2_worked_example():
 
 
 def test_dimension_cap():
-    # binomial(17, 8) = 24310 basis vectors: the suite and the probe share one cap
+    # binomial(17, 8) = 24310 basis vectors: the basis and the chart vectors share one cap
     big = make_shape(16, 8)
-    with pytest.raises(ValidationError):
+    assert comb(17, 8) > DIMENSION_CAP == 10_000
+    message = r"k-subset module limited to dimension at most 10000, got binomial\(17, 8\)"
+    with pytest.raises(ValidationError, match=message):
         basis_keys(big)
-    with pytest.raises(ValidationError, match="probe limited to dimension at most 10000"):
-        proportionality_probe(sample_point(big, 1, 3, kind="x"))
+    with pytest.raises(ValidationError, match=message):
+        chart_vector(sample_point(big, 1, 3, kind="x"))
     assert len(basis_keys(make_shape(14, 7))) == comb(15, 7)
+
+
+def test_chart_vector_checks_the_cap_before_it_builds_a_key(monkeypatch):
+    def no_key(*args):
+        raise AssertionError("a key was built past the dimension cap")
+
+    for name in ("unit_vector", "apply_gen", "_moved"):
+        monkeypatch.setattr(fundrep, name, no_key)
+    for kind in ("x", "y"):
+        with pytest.raises(ValidationError, match="dimension at most"):
+            chart_vector(sample_point(make_shape(16, 8), 1, 3, kind=kind))
 
 
 def test_chart_vector_rejects_integer_kinds():
@@ -126,47 +140,67 @@ def test_vector_coefficients_positive(shape):
     assert all(c > 0 for c in w.values())
 
 
-def test_probe_smallest_shape():
-    result = proportionality_probe(X21)
-    assert result["proportional"] is True
-    assert result["ratio"] == Fraction(1, 3)
+def test_chart_vectors_are_proportional_at_the_smallest_shape():
+    v1, v2 = chart_vector(X21), chart_vector(sigma_map(X21))
+    assert v1.keys() == v2.keys()
+    assert {key: v2[key] / v1[key] for key in v1} == dict.fromkeys(v1, Fraction(1, 3))
 
 
-def test_probe_observed_scalar_at_k1():
+def test_conjecture_outcomes_give_the_observed_scalar_at_k1():
     for n in (2, 3, 4):
         shape = make_shape(n, 1)
-        for t in range(5):
+        for t, outcome in enumerate(conjecture_outcomes(shape, 5, 40, 9)):
             x = sample_point(shape, 40 + t, 9, kind="x")
-            result = proportionality_probe(x)
-            assert result["proportional"] is True
-            assert result["ratio"] == 1 / x.get(1, shape.n)
+            assert outcome["point"] == point_to_json(x)
+            assert outcome["proportional"] is True
+            assert Fraction(outcome["ratio"]) == 1 / x.get(1, shape.n)
 
 
-def test_probe_reports_without_asserting(shape):
-    # the probe only reports; the conjecture suite gates the ratio
-    x = sample_point(shape, 77, 9, kind="x")
-    result = proportionality_probe(x)
-    assert set(result) == {"proportional", "ratio"}
+def test_conjecture_outcomes_report_without_asserting(shape, monkeypatch):
+    # the outcomes only report; the conjecture suite gates the ratio, so a
+    # vector of other keys is recorded as not proportional, without a ratio
+    (outcome,) = conjecture_outcomes(shape, 1, 77, 9)
+    assert set(outcome) == {"point", "proportional", "ratio", "expected_ratio"}
+    chart_vector = fundrep.chart_vector
+    monkeypatch.setattr(
+        fundrep, "chart_vector",
+        lambda p: dict(chart_vector(p), extra=1) if p.kind == "y" else chart_vector(p),
+    )
+    (outcome,) = conjecture_outcomes(shape, 1, 77, 9)
+    assert (outcome["proportional"], outcome["ratio"]) == (False, None)
 
 
-def test_probe_all_ones_smoke(shape):
+def test_chart_vectors_agree_at_all_ones(shape):
+    # the scalar 1/x_(1,n) is 1 there
     x = XPoint(shape, {key: 1 for key in shape.l1_indices})
-    result = proportionality_probe(x)
-    if result["proportional"]:
-        assert result["ratio"] > 0
+    assert chart_vector(sigma_map(x)) == chart_vector(x)
 
 
-def test_unit_vector_validation():
+def test_unit_vector_takes_any_sequence():
     assert unit_vector(S32, [1, 3]) == {(1, 3): 1}
-    with pytest.raises(ValidationError):
-        unit_vector(S21, (0,))
-    with pytest.raises(ValidationError):
-        unit_vector(S32, (2, 2))
-    with pytest.raises(ValidationError):
-        unit_vector(S32, (1, 2, 3))
-    for key in ((1.5, 3), (True, 3), ("1", 3)):
-        with pytest.raises(ValidationError, match="integer entries"):
-            unit_vector(S32, key)
+
+
+# (what is wrong, a key at (3, 2), a tuple at (3, 2), the rule's message)
+BAD_ENTRIES = [
+    ("float", (1.5, 3), (1, 2.5, 4), "must be integers"),
+    ("bool", (True, 3), (True, 2, 4), "must be integers"),
+    ("string", ("1", 3), (1, "2", 4), "must be integers"),
+    ("repeat", (2, 2), (1, 1, 4), "strictly increasing"),
+    ("below-range", (0, 3), (0, 2, 4), r"lie in 1\.\.n\+1"),
+    ("above-range", (3, 5), (1, 2, 5), r"lie in 1\.\.n\+1"),
+    ("wrong-length", (1, 2, 3), (1, 4), "expected"),
+]
+
+
+@pytest.mark.parametrize("key,ctuple,message", [row[1:] for row in BAD_ENTRIES],
+                         ids=[row[0] for row in BAD_ENTRIES])
+def test_keys_and_tuples_are_checked_by_one_rule(key, ctuple, message):
+    with pytest.raises(ValidationError, match=message):
+        unit_vector(S32, key)
+    with pytest.raises(ValidationError, match=message):
+        delta(b_infinity(S32), ctuple)
+    with pytest.raises(ValidationError, match=message):
+        pi_correspondence(S32, ctuple)
 
 
 def test_broken_key_rule_fails_a_relation(monkeypatch):

@@ -5,9 +5,10 @@ Each row names a module and the package modules it may import.  The
 ``paths.path_weight`` of ``iso.pi_correspondence``, and
 ``test_path_correspondence_is_bijective`` compares ``enumerate_paths`` with
 that correspondence, so none of the three may reach another through an
-import.  The k-subset module is the independent route for the geometric
-actions, so ``fundrep`` imports neither ``geom`` nor ``paths``; only its
-proportionality probe reaches the chart change, through ``birational``.
+import.  The k-subset module is a route of its own beside the geometric
+actions, the path engine and the chart change, so ``fundrep`` imports none
+of ``geom``, ``paths`` or ``birational``: the ``conjecture`` suite, not the
+module, applies the chart change to the points whose vectors it compares.
 The tropical closed forms are the second route beside ``geom``'s generic
 actions, so they call nothing in ``geom``; only the degree probe does.
 
@@ -32,7 +33,7 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 ALLOWED_IMPORTS = {
     "bkinf": {"errors", "lattice"},
-    "fundrep": {"birational", "errors"},
+    "fundrep": {"errors", "lattice"},
     "iso": {"errors", "lattice"},
     "paths": {"errors", "lattice"},
 }
