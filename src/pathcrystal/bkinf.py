@@ -8,7 +8,7 @@ first minimizer and f_i at the last.  At i >= 1 the candidates are the rows
 that can move a unit between columns i and i+1 (:func:`_moved_sums`); at
 i = 0 they are the increasing tuples, valued by :func:`delta`, and units
 move along the extremal tuple.  :func:`eps_phi` and :func:`kashiwara` take
-every index; at i = 0 they are :func:`eps_phi_0` and :func:`zero_ops`.
+every index; at i = 0 :func:`eps_phi` is :func:`eps_phi_0`.
 
 The increasing tuples are taken with first entry 1 and last entry n+1
 fixed, which makes their count match the number of full lattice paths and
@@ -40,11 +40,10 @@ a tuple given from outside, by one rule in :mod:`.lattice`.
 """
 
 from itertools import accumulate, combinations
-from math import comb
 from operator import getitem
 
 from .errors import CrystalFault, ValidationError, brief
-from .lattice import PATH_CAP, BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
+from .lattice import BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
 
 GRAPH_NODE_CAP = 10_000
 
@@ -70,15 +69,11 @@ def sample_belement(shape, seed, bound):
 def all_ctuples(shape):
     """The full tuple family as plain tuples, binomial(n-1, k-1) of them.
 
-    The tuples are in bijection with the full paths, so more than
-    :data:`~pathcrystal.lattice.PATH_CAP` of them are rejected, from their
-    count, before any is built.
+    The tuples are in bijection with the full paths, so a shape with more
+    than :data:`~pathcrystal.lattice.PATH_CAP` full paths is rejected before
+    any tuple is built.
     """
-    if comb(shape.n - 1, shape.k - 1) > PATH_CAP:
-        raise ValidationError(
-            "more than %d increasing tuples: binomial(%d, %d) at shape (%d, %d)"
-            % (PATH_CAP, shape.n - 1, shape.k - 1, shape.n, shape.k)
-        )
+    shape.check_full_paths()
     first, last = (1,), (shape.n + 1,)
     return [first + middle + last for middle in combinations(range(2, shape.n + 1), shape.k - 1)]
 
@@ -112,21 +107,29 @@ def eps_phi(b, i):
 def kashiwara(b, op, i):
     """Single raising (e) or lowering (f) step for i in 0..n.
 
-    At i = 0 it is :func:`zero_ops`.  At i >= 1, e_i moves one unit from column i+1 to column i in the first
-    row attaining min S[:-1], and f_i moves it back in the last such row.
+    At i = 0 one unit moves in every row j between columns c[j-1] and c[j]
+    of the extremal tuple ``c = extremal_c(b, op)``: forward for e_0, back
+    for f_0.  At i >= 1, e_i moves one unit from column i+1 to column i in
+    the first row attaining min S[:-1], and f_i moves it back in the last
+    such row.
     """
     if op not in ("e", "f"):
         raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
     b.shape.check_index(i)
-    if i == 0:
-        return zero_ops(b, op)
-    first, sums = _moved_sums(b, i)
-    lowest = min(sums[:-1])
-    rows = [first + r for r, v in enumerate(sums[:-1]) if v == lowest]
-    row, step = (rows[0], 1) if op == "e" else (rows[-1], -1)
+    step = 1 if op == "e" else -1
     entries = dict(b.entries)
-    entries[(row, i)] += step
-    entries[(row, i + 1)] -= step
+    if i == 0:
+        c = extremal_c(b, op)
+        for j in range(1, b.shape.k + 1):
+            entries[(j, c[j - 1])] -= step
+            entries[(j, c[j])] += step
+    else:
+        first, sums = _moved_sums(b, i)
+        lowest = min(sums[:-1])
+        rows = [first + r for r, v in enumerate(sums[:-1]) if v == lowest]
+        row = rows[0] if op == "e" else rows[-1]
+        entries[(row, i)] += step
+        entries[(row, i + 1)] -= step
     return BElement(b.shape, entries)
 
 
@@ -205,19 +208,6 @@ def brute_eps_phi_0(b):
     shape = b.shape
     least = min(_family_deltas(b).values())
     return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
-
-
-def zero_ops(b, op):
-    """Raising/lowering step along the extremal tuple (the 0-operators)."""
-    if op not in ("e", "f"):
-        raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
-    step = 1 if op == "e" else -1
-    c = extremal_c(b, op)
-    entries = dict(b.entries)
-    for j in range(1, b.shape.k + 1):
-        entries[(j, c[j - 1])] -= step
-        entries[(j, c[j])] += step
-    return BElement(b.shape, entries)
 
 
 def wt(b, i):

@@ -19,6 +19,7 @@ here.
 
 import re
 from fractions import Fraction
+from math import comb
 from types import MappingProxyType
 
 from .errors import ValidationError, brief
@@ -28,8 +29,9 @@ PRNG_ID = "splitmix64"
 
 # the array's k*(k'+1) entries, the largest index set of a shape; (630, 315) fits
 ARRAY_ENTRY_CAP = 100_000
-# paths enumerated between two nodes, and so increasing tuples, which are in
-# bijection with the full paths
+# paths enumerated between two nodes, and full paths, which are in bijection
+# with the increasing tuples; the degree probe reads exactly while
+# 2 * PATH_CAP <= 2**32 (see pathcrystal.tropical)
 PATH_CAP = 100_000
 
 _M64 = (1 << 64) - 1
@@ -111,6 +113,15 @@ class LatticeShape:
         """Reject a crystal index outside 0..n."""
         if not 0 <= i <= self.n:
             raise ValidationError("index i must be in 0..n, got %s" % brief(i))
+
+    def check_full_paths(self):
+        """Reject more than PATH_CAP full paths (so increasing tuples) from their count."""
+        count = comb(self.n - 1, self.k - 1)
+        if count > PATH_CAP:
+            raise ValidationError(
+                "shape (%d, %d) has binomial(%d, %d) = %d full paths, more than %d"
+                % (self.n, self.k, self.n - 1, self.k - 1, count, PATH_CAP)
+            )
 
     def column(self, side, i):
         """Rows (a, b) of the entries (l, i) the i-th action moves on lattice 1 or 2.

@@ -276,13 +276,6 @@ def region_sums(point, l, m):
 # enumeration oracles
 
 
-def brute_epsilon(point):
-    side = _point_side(point)
-    src, dst = full_path_endpoints(point.shape, side)
-    sr = point.semiring
-    return sr.add_all(path_weight(point, p) for p in enumerate_paths(point.shape, side, src, dst))
-
-
 def brute_partial_sum(point, kind, l, m):
     """Oracle for :func:`partial_sum` on genuine lattice nodes."""
     shape = point.shape

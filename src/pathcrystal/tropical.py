@@ -10,14 +10,16 @@ from ``shape.column``.  Only the degree probe below calls ``geom``.
 
 ``ud_degree_probe`` ties the tropical side back to the rational one: it
 evaluates a named rational quantity at coordinates ``t**exponent`` with
-``t = 2**128`` and extracts the leading exponent.  With at most 70
-monomials per path sum and exponents bounded by 8, coefficient mass can
-never shift the leading power, so the rounded base-t logarithm is exact
-and must equal the tropical closed form.
+``t = 2**128`` and extracts the leading exponent, which must equal the
+tropical closed form.  Each probed quantity is a monomial times a ratio
+of subtraction-free sums of at most P monomials in t, each with
+coefficient 1, where P is the number of full paths, at most ``PATH_CAP``
+(``shape.check_full_paths``).  So its reduced fraction's bit-length
+difference stays within log2(P) + 1 < 18 bits of 128 * deg, below the
+32 bits at which :func:`degree_of` faults, and the rounding is exact.
 """
 
 from fractions import Fraction
-from math import comb
 
 from .errors import CrystalFault, ValidationError, brief
 from .lattice import TropPoint, XPoint
@@ -28,7 +30,6 @@ from . import geom
 PROBE_BASE_BITS = 128
 PROBE_BASE = 1 << PROBE_BASE_BITS
 PROBE_MAX_EXPONENT = 8
-PROBE_MAX_PATHS = 70
 
 
 def trop_dbar(x, l, i):
@@ -106,11 +107,7 @@ def trop_weyl(x, i):
 
 
 def _validate_probe(exponents):
-    shape = exponents.shape
-    if comb(shape.n - 1, shape.k - 1) > PROBE_MAX_PATHS:
-        raise ValidationError(
-            "degree probe limited to shapes with at most %d full paths" % PROBE_MAX_PATHS
-        )
+    exponents.shape.check_full_paths()
     for key, e in exponents.entries.items():
         if abs(e) > PROBE_MAX_EXPONENT:
             raise ValidationError(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_POINTS, SHAPES
-from pathcrystal import bkinf, cli, fundrep, geom
+from pathcrystal import bkinf, cli, fundrep, geom, tropical
 from pathcrystal.birational import sigma_map
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement
 from pathcrystal.cli import ACTIONS, COMMANDS, MAPS, REQUIRED, main
@@ -404,7 +404,7 @@ def test_array_zero_step_past_the_tuple_cap_exits_2(capsys, point_file):
     code = main(act + ["--op", "e"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert "more than 100000 increasing tuples" in captured.err
+    assert "shape (28, 14) has binomial(27, 13) = 20058300 full paths, more than 100000" in captured.err
     # the reflection reads the closed form's DP, not the tuple family
     code, out = run(capsys, *act, "--op", "s", "--json")
     assert code == 0 and json.loads(out) == zero
@@ -759,8 +759,14 @@ def test_extremal_fault_fails_the_suite(capsys, monkeypatch):
     assert set(tuples["witnesses"][0]) == {"fault", "point"}
 
 
-def test_udprobe_past_its_path_cap_exits_2(capsys):
-    # binomial(11, 5) = 462 full paths at (12, 6), past the probe's 70
-    code = main(["verify", "--suite", "udprobe", "--n", "12", "--k", "6", "--trials", "1"])
-    assert code == 2
-    assert "at most 70 full paths" in capsys.readouterr().err
+def test_udprobe_past_its_path_cap_exits_2(capsys, monkeypatch):
+    # binomial(20, 9) = 167,960 full paths at (21, 10), past PATH_CAP
+
+    def refuse(*args):
+        raise AssertionError("no probe point may be built past the path cap")
+
+    monkeypatch.setattr(tropical, "XPoint", refuse)
+    code = main(["verify", "--suite", "udprobe", "--n", "21", "--k", "10", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "shape (21, 10) has binomial(20, 9) = 167960 full paths, more than 100000" in captured.err

@@ -7,7 +7,6 @@ from pathcrystal.errors import ValidationError
 from pathcrystal.lattice import TropPoint, XPoint, make_shape, sample_point
 from pathcrystal.paths import (
     PATH_CAP,
-    brute_epsilon,
     brute_partial_sum,
     brute_region_sums,
     enumerate_paths,
@@ -201,7 +200,7 @@ def test_dp_matches_enumeration_side1(shape, kind):
         for l in range(0, shape.k + 2):
             for m in range(1, shape.n + 1):
                 assert region_sums(p, l, m) == brute_region_sums(p, l, m)
-        assert epsilon_total(p) == brute_epsilon(p)
+        assert epsilon_total(p) == brute_partial_sum(p, "X", p.shape.k, 1)
 
 
 def test_dp_matches_enumeration_side2(shape):
@@ -225,7 +224,7 @@ def test_dp_matches_enumeration_every_small_shape():
                 for l in range(0, k + 2):
                     for m in range(0, n + 2):
                         assert region_sums(p, l, m) == brute_region_sums(p, l, m)
-                assert epsilon_total(p) == brute_epsilon(p)
+                assert epsilon_total(p) == brute_partial_sum(p, "X", p.shape.k, 1)
             y = sample_point(sh, 6, 7, kind="y")
             for (l, m) in sh.l2_indices:
                 for sums in ("Y", "Ystar"):

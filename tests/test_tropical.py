@@ -1,9 +1,15 @@
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from pathcrystal import geom
 from pathcrystal.errors import ValidationError
-from pathcrystal.lattice import SplitMix64, TropPoint, make_shape, sample_point
+from pathcrystal.lattice import PATH_CAP, SplitMix64, TropPoint, make_shape, sample_point
+from pathcrystal.paths import epsilon_total
 from pathcrystal.tropical import (
+    PROBE_BASE,
+    PROBE_BASE_BITS,
     degree_of,
     probe_pairs,
     probe_point,
@@ -153,3 +159,27 @@ def test_probe_pairs_match_fresh_probes(shape):
         assert pairs["epsilon"][0] == ud_degree_probe("epsilon", fresh(), i)
         assert pairs["action"][0] == ud_degree_probe("e", fresh(), i, d)
     assert probe_point(z) is probe_point(z)
+
+
+S2010 = make_shape(20, 10)
+ZEROS2010 = TropPoint(S2010, dict.fromkeys(S2010.l1_indices, 0))
+
+
+def test_path_cap_keeps_the_probe_exact():
+    # the module docstring's bound: a ratio of sums of at most PATH_CAP unit
+    # monomials reads within log2(PATH_CAP) + 1 bits of 128 * deg, below the
+    # fault threshold of PROBE_BASE_BITS // 4 bits
+    assert 2 * PATH_CAP <= 2 ** (PROBE_BASE_BITS // 4)
+    assert degree_of(PATH_CAP * PROBE_BASE ** 3) == 3
+    assert degree_of(Fraction(PROBE_BASE ** 2, PATH_CAP)) == 2
+    # the worst case: at the all-zero point every full path weighs 1
+    assert epsilon_total(probe_point(ZEROS2010)) == comb(19, 9)
+
+
+@pytest.mark.parametrize("exponents", [ZEROS2010, sample_point(S2010, 7, 8, kind="trop")],
+                         ids=["all-zero", "sampled"])
+def test_probe_reads_exactly_at_twenty_ten(exponents):
+    # binomial(19, 9) = 92,378 full paths, close to the cap
+    for i in range(S2010.n + 1):
+        pairs = probe_pairs(exponents, i, i % 5 - 2)
+        assert all(probe == form for probe, form in pairs.values())
