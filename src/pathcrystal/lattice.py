@@ -30,8 +30,8 @@ PRNG_ID = "splitmix64"
 # the array's k*(k'+1) entries, the largest index set of a shape; (630, 315) fits
 ARRAY_ENTRY_CAP = 100_000
 # paths enumerated between two nodes, and full paths, which are in bijection
-# with the increasing tuples; the degree probe reads exactly while
-# 2 * PATH_CAP <= 2**32 (see pathcrystal.tropical)
+# with the increasing tuples; the degree probe's base grows with the count
+# (see pathcrystal.tropical.probe_bits)
 PATH_CAP = 100_000
 
 _M64 = (1 << 64) - 1
@@ -115,13 +115,14 @@ class LatticeShape:
             raise ValidationError("index i must be in 0..n, got %s" % brief(i))
 
     def check_full_paths(self):
-        """Reject more than PATH_CAP full paths (so increasing tuples) from their count."""
+        """The count of full paths (so increasing tuples); rejects more than PATH_CAP."""
         count = comb(self.n - 1, self.k - 1)
         if count > PATH_CAP:
             raise ValidationError(
                 "shape (%d, %d) has binomial(%d, %d) = %d full paths, more than %d"
                 % (self.n, self.k, self.n - 1, self.k - 1, count, PATH_CAP)
             )
+        return count
 
     def column(self, side, i):
         """Rows (a, b) of the entries (l, i) the i-th action moves on lattice 1 or 2.
@@ -272,7 +273,7 @@ class _RationalPoint(_BasePoint):
             except ValidationError as exc:
                 where = "the action parameter" if key is None else "entry at %s" % brief(key)
                 raise ValidationError("%s: %s" % (where, exc)) from None
-        if v > 0:
+        if v.numerator > 0:
             return v
         if key is None:
             raise ValidationError("the action parameter must be positive")
@@ -382,7 +383,7 @@ def sample_rational(rng, bound, avoid_one=False):
 
 
 def format_rational(q):
-    q = Fraction(q)
+    """A Fraction or an int as ``"p/q"``."""
     return "%d/%d" % (q.numerator, q.denominator)
 
 

@@ -16,9 +16,14 @@ lattice carries a weight: on the first lattice the step along a row weighs
 table, on both lattices and in both directions: toward the sink (``X``,
 ``Y``) it runs over the columns from the sink leftwards, from the source
 (``X*``, ``Y*``) from the source rightwards, and each node adds its two
-neighbours one column nearer the start.  The sweep computes the step
-weight itself and never calls :func:`path_weight`: that function belongs
-to the oracle, and sharing it would make the comparison a tautology.
+neighbours one column nearer the start.  Both directions read one step
+table per point, each weighted step's weight keyed by the step's left
+node, so each weight is one ``ratio`` per point.  The sweep never calls
+:func:`path_weight`, which computes its own weights: that function belongs
+to the oracle, and sharing the table with it would make the comparison a
+tautology.  The region table holds (U, V, R) at every row 0..k+1 of every
+column 1..n, each node's R the product of its two sum tables, so
+:func:`region_sums` answers every row the 0-actions read with one lookup.
 
 Boundary conventions of the partial sums (one layer only; point reads have
 their own off-lattice convention in :mod:`.lattice`):
@@ -38,7 +43,7 @@ round trip is the identity exactly when that read is 1.
 from itertools import combinations
 from math import comb
 
-from .errors import ValidationError
+from .errors import ValidationError, brief
 from .lattice import PATH_CAP, _is_int
 
 
@@ -135,19 +140,39 @@ def _table(point, name, builder, *args):
     return point._tables[name]
 
 
+def _build_steps(point):
+    """Weight of every weighted step, keyed by the step's left node.
+
+    Both sweep directions read it, so each weight is computed once per
+    point.
+    """
+    sr, side, entries = point.semiring, point.side, point._entries
+    domain, ratio = point.shape.domain(side), sr.ratio
+    steps = {}
+    for (l, m), value in entries.items():
+        if side == 1:  # along the row: x_l^(m) / x_l^(m+1)
+            right = (l, m + 1)
+            if right in domain:
+                steps[(l, m)] = ratio(value, entries[right])
+        else:  # across to the row below: y_(l-1)^(m+1) / y_l^(m)
+            right = (l - 1, m + 1)
+            if right in domain:
+                steps[(l, m)] = ratio(entries[right], value)
+    return steps
+
+
 def _build_sums(point, forward):
     """Path sums toward the sink (``forward``) or from the source, at every node.
 
-    The sweep described in the module docstring.  The step weight is
-    computed inline, with no call per edge: this loop builds every table.
+    The sweep described in the module docstring; the step weights come
+    from the step table.
     """
     shape, sr, side = point.shape, point.semiring, point.side
-    add, mul, ratio = sr.add, sr.mul, sr.ratio
-    entries, domain, bottom = point._entries, shape.domain(side), sr.bottom
+    add, mul = sr.add, sr.mul
+    domain, bottom = shape.domain(side), sr.bottom
+    steps = _table(point, "steps", _build_steps)
     src, dst = full_path_endpoints(shape, side)
     s = 1 if forward else -1
-    # the ratio's numerator is this node on side 1 forward and on side 2 backward
-    node_first = forward == (side == 1)
     order = sorted(shape.indices(side), key=lambda lm: lm[1], reverse=forward)
     # the endpoint is alone in the first column swept
     table = {dst if forward else src: sr.one}
@@ -157,10 +182,8 @@ def _build_sums(point, forward):
         plain, weighted = (cross, row) if side == 1 else (row, cross)
         total = table[plain] if plain in domain else bottom
         if weighted in domain:
-            if node_first:
-                step = ratio(entries[node], entries[weighted])
-            else:
-                step = ratio(entries[weighted], entries[node])
+            # the step's left node is this one toward the sink, the neighbour from the source
+            step = steps[node if forward else weighted]
             total = add(total, mul(step, table[weighted]))
         table[node] = total
     return table
@@ -185,6 +208,7 @@ def partial_sum(point, kind, l, m):
         raise ValidationError("unknown partial-sum kind %r" % (kind,))
     side, forward = _KINDS[kind]
     _require_side(point, side, kind)
+    _check_coordinates(l, m)
     shape, sr = point.shape, point.semiring
     if (l, m) in shape.domain(side):
         return _sums(point, forward)[(l, m)]
@@ -220,54 +244,69 @@ def epsilon_total(point):
     return partial_sum(point, "X", point.shape.k, 1)
 
 
-def _through_weight(point, l, m):
-    sr = point.semiring
-    if (l, m) not in point.shape.domain(1):
-        return sr.bottom
-    return sr.mul(_sums(point, False)[(l, m)], _sums(point, True)[(l, m)])
-
-
 def _build_regions(point):
-    """(U, V, R) at every row 1..k of every column 1..n.
+    """(U, V, R) at every row 0..k+1 of every column 1..n.
 
-    Per column, V is the running sum of the through-weights of the rows
-    below and U that of the rows above.  Max-plus has no subtraction, so
-    the two directions are summed separately, with ``add`` only.
+    Per column, R is a node's through-weight, the product of its two sum
+    tables, V the running sum of R over the rows below and U that over
+    the rows above.  Max-plus has no subtraction, so the two directions
+    are summed separately, with ``add`` only.  Rows 0 and k+1 are off the
+    lattice: their above/below conditions are vacuous, so they hold
+    (total, total, bottom).
     """
     shape, sr = point.shape, point.semiring
+    add, mul, bottom = sr.add, sr.mul, sr.bottom
     k = shape.k
+    toward, source = _sums(point, True), _sums(point, False)
+    eps = epsilon_total(point)
     table = {}
     for m in range(1, shape.n + 1):
-        # indexed by row; rows 0 and k + 1 are off the lattice, so bottom
-        through = [_through_weight(point, l, m) for l in range(k + 2)]
-        lower = [sr.bottom] * (k + 2)
+        # indexed by row; rows off the lattice carry no through-weight
+        through = [bottom] * (k + 2)
+        for l in range(1, k + 1):
+            if (l, m) in toward:
+                through[l] = mul(source[(l, m)], toward[(l, m)])
+        lower = [bottom] * (k + 2)
         for l in range(2, k + 1):
-            lower[l] = sr.add(lower[l - 1], through[l - 1])
-        upper = [sr.bottom] * (k + 2)
+            lower[l] = add(lower[l - 1], through[l - 1])
+        upper = [bottom] * (k + 2)
         for l in range(k - 1, 0, -1):
-            upper[l] = sr.add(upper[l + 1], through[l + 1])
+            upper[l] = add(upper[l + 1], through[l + 1])
         for l in range(1, k + 1):
             table[(l, m)] = (upper[l], lower[l], through[l])
+        table[(0, m)] = table[(k + 1, m)] = (eps, eps, bottom)
     return table
+
+
+def _check_coordinates(l, m):
+    """Reject a coordinate that is not an int, bools included, before any lookup.
+
+    The check comes first because 1.0 finds the key 1.  The exact type is
+    tried first: the 0-actions read region sums in their inner loop.
+    """
+    if not (type(l) is type(m) is int or _is_int(l) and _is_int(m)):
+        raise ValidationError("coordinates must be integers, got %s" % brief((l, m)))
 
 
 def region_sums(point, l, m):
     """Triple (U, V, R): full-path sums above, below and through (l, m).
 
     Row indices 0 and k+1 are legal and make the above/below conditions
-    vacuous; empty regions come back as the semiring bottom.
+    vacuous; empty regions come back as the semiring bottom.  Every row
+    0..k+1 of the columns 1..n is one lookup in the memoized region table.
     """
     _require_side(point, 1, "region_sums")
-    shape, sr = point.shape, point.semiring
-    n, k = shape.n, shape.k
+    _check_coordinates(l, m)
+    triple = _table(point, "regions", _build_regions).get((l, m))
+    if triple is not None:
+        return triple
+    sr, k = point.semiring, point.shape.k
     if not 0 <= l <= k + 1:
         raise ValidationError("row %d outside [0, %d]" % (l, k + 1))
-    if 1 <= l <= k and 1 <= m <= n:
-        return _table(point, "regions", _build_regions)[(l, m)]
     eps = epsilon_total(point)
-    if l <= 0 or l >= k + 1:
+    if l == 0 or l == k + 1:
         return eps, eps, sr.bottom
-    if m > n:
+    if m > point.shape.n:
         return sr.bottom, eps, sr.bottom
     return eps, sr.bottom, sr.bottom
 

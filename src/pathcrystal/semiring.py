@@ -7,7 +7,15 @@ which is how the tropical side of the library reuses the rational code.
 
 The additive identity ("bottom") stands for an empty path set.  On the
 rational side this is an honest 0; on the max-plus side it is -infinity,
-represented by ``None`` and absorbed by ``mul``.
+represented by ``None``.  Both instances follow one identity rule:
+``add`` with ``bottom`` returns the other operand and ``mul`` with
+``bottom`` returns ``bottom``, with no arithmetic.  The rational side also
+passes ``one`` through ``mul`` and ``ratio`` (a divisor), where it would
+cost a ``Fraction`` operation; max-plus adds its ``0``.  The rational
+identities are recognised by object, the instance's own ``one`` and
+``bottom``, which are what the path tables, off-lattice reads and empty
+sums produce; an operand that only equals one of them takes the plain
+arithmetic, with the same result.
 """
 
 from fractions import Fraction
@@ -61,13 +69,39 @@ def _max_ratio(a, b):
     return a - b
 
 
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
+
+def _rat_add(a, b):
+    if a is _ZERO:
+        return b
+    if b is _ZERO:
+        return a
+    return a + b
+
+
+def _rat_mul(a, b):
+    if a is _ONE or b is _ZERO:
+        return b
+    if b is _ONE or a is _ZERO:
+        return a
+    return a * b
+
+
+def _rat_ratio(a, b):
+    if b is _ONE:
+        return a
+    return a / b
+
+
 RATIONAL = SemiringSpec(
     name="rational",
-    one=Fraction(1),
-    bottom=Fraction(0),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    ratio=lambda a, b: a / b,
+    one=_ONE,
+    bottom=_ZERO,
+    add=_rat_add,
+    mul=_rat_mul,
+    ratio=_rat_ratio,
 )
 
 MAXPLUS = SemiringSpec(

@@ -10,13 +10,17 @@ from ``shape.column``.  Only the degree probe below calls ``geom``.
 
 ``ud_degree_probe`` ties the tropical side back to the rational one: it
 evaluates a named rational quantity at coordinates ``t**exponent`` with
-``t = 2**128`` and extracts the leading exponent, which must equal the
-tropical closed form.  Each probed quantity is a monomial times a ratio
-of subtraction-free sums of at most P monomials in t, each with
-coefficient 1, where P is the number of full paths, at most ``PATH_CAP``
-(``shape.check_full_paths``).  So its reduced fraction's bit-length
-difference stays within log2(P) + 1 < 18 bits of 128 * deg, below the
-32 bits at which :func:`degree_of` faults, and the rounding is exact.
+``t = 2**bits`` and extracts the leading exponent, which must equal the
+tropical closed form.  The base is sized to the shape: with P its number
+of full paths (``shape.check_full_paths``, at most ``PATH_CAP``),
+``bits = probe_bits(shape) = 4 * (P.bit_length() + 1)``.  Each probed
+quantity is a monomial times a ratio of subtraction-free sums of at most
+P monomials in t, each with coefficient 1, so its value lies within a
+factor P of ``t**deg`` either way.  The bit lengths of a reduced
+fraction's numerator and denominator are each within one bit of their
+logarithms, so their difference stays below log2(P) + 1 <= bits / 4 from
+``bits * deg``: :func:`degree_of` rounds it exactly, and a residual past
+``bits // 4`` is a fault, not an input to round.
 """
 
 from fractions import Fraction
@@ -24,11 +28,9 @@ from fractions import Fraction
 from .errors import CrystalFault, ValidationError, brief
 from .lattice import TropPoint, XPoint
 from .paths import _table, epsilon_total, region_sums
-from .semiring import MAXPLUS
+from .semiring import MAXPLUS, RATIONAL
 from . import geom
 
-PROBE_BASE_BITS = 128
-PROBE_BASE = 1 << PROBE_BASE_BITS
 PROBE_MAX_EXPONENT = 8
 
 
@@ -106,26 +108,33 @@ def trop_weyl(x, i):
 # degree probe
 
 
-def _validate_probe(exponents):
-    exponents.shape.check_full_paths()
+def probe_bits(shape):
+    """Bits of the probe base at ``shape``: 4 * (P.bit_length() + 1), P its full paths.
+
+    Rejects a shape with more than ``PATH_CAP`` full paths.
+    """
+    return 4 * (shape.check_full_paths().bit_length() + 1)
+
+
+def _power(exp, bits):
+    """``t**exp`` for ``t = 2**bits``; the semiring's own one at exponent 0."""
+    if exp > 0:
+        return Fraction(1 << (bits * exp))
+    if exp < 0:
+        return Fraction(1, 1 << (bits * -exp))
+    return RATIONAL.one
+
+
+def _build_probe(exponents):
+    bits = probe_bits(exponents.shape)
     for key, e in exponents.entries.items():
         if abs(e) > PROBE_MAX_EXPONENT:
             raise ValidationError(
                 "probe exponent at %r is %s, outside [-%d, %d]"
                 % (key, brief(e), PROBE_MAX_EXPONENT, PROBE_MAX_EXPONENT)
             )
-
-
-def _power(exp):
-    if exp >= 0:
-        return Fraction(PROBE_BASE ** exp)
-    return Fraction(1, PROBE_BASE ** (-exp))
-
-
-def _build_probe(exponents):
-    _validate_probe(exponents)
     return XPoint(
-        exponents.shape, {key: _power(e) for key, e in exponents.entries.items()}
+        exponents.shape, {key: _power(e, bits) for key, e in exponents.entries.items()}
     )
 
 
@@ -138,17 +147,18 @@ def probe_point(exponents):
     return _table(exponents, "probe", _build_probe)
 
 
-def degree_of(value):
-    """Rounded base-t logarithm of a positive rational, via bit lengths."""
-    value = Fraction(value)
-    if value <= 0:
+def degree_of(value, bits):
+    """Rounded base-``2**bits`` logarithm of a positive rational, via bit lengths."""
+    num, den = value.numerator, value.denominator
+    if num <= 0:
         raise ValidationError("degree probe needs a positive value")
-    bits = value.numerator.bit_length() - value.denominator.bit_length()
-    deg = (bits + PROBE_BASE_BITS // 2) // PROBE_BASE_BITS
-    if abs(bits - PROBE_BASE_BITS * deg) > PROBE_BASE_BITS // 4:
+    diff = num.bit_length() - den.bit_length()
+    deg = (diff + bits // 2) // bits
+    if abs(diff - bits * deg) > bits // 4:
         raise CrystalFault(
-            "degree probe residual too large (bits=%d, deg=%d)" % (bits, deg),
-            witness={"bits": bits, "deg": deg},
+            "degree probe residual too large (bit-length difference %d, deg %d, base 2**%d)"
+            % (diff, deg, bits),
+            witness={"diff": diff, "deg": deg, "bits": bits},
         )
     return deg
 
@@ -159,7 +169,7 @@ def ud_degree_probe(name, exponents, i, d=0):
     ``name`` is one of ``"gamma"``, ``"epsilon"`` or ``"e"``; for ``"e"``
     the result is the point of leading exponents of the action at
     parameter ``t**d``, one coordinate per entry.  ``d`` is bounded like
-    the exponents, since ``t**d`` has 128 * |d| bits.
+    the exponents, since ``t**d`` has ``bits * |d|`` bits.
     """
     if abs(d) > PROBE_MAX_EXPONENT:
         bound = PROBE_MAX_EXPONENT
@@ -167,14 +177,15 @@ def ud_degree_probe(name, exponents, i, d=0):
             "probe parameter d is %s, outside [-%d, %d]" % (brief(d), bound, bound)
         )
     big = probe_point(exponents)
+    bits = probe_bits(exponents.shape)
     if name == "gamma":
-        return degree_of(geom.gamma(big, i))
+        return degree_of(geom.gamma(big, i), bits)
     if name == "epsilon":
-        return degree_of(geom.epsilon(big, i))
+        return degree_of(geom.epsilon(big, i), bits)
     if name == "e":
-        moved = geom.act_e(big, i, _power(d))
+        moved = geom.act_e(big, i, _power(d, bits))
         return TropPoint(
-            exponents.shape, {key: degree_of(v) for key, v in moved.entries.items()}
+            exponents.shape, {key: degree_of(v, bits) for key, v in moved.entries.items()}
         )
     raise ValidationError("unknown probe quantity %r" % (name,))
 

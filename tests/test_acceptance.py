@@ -4,8 +4,8 @@ Every criterion runs standalone over the shape battery
 S = {(2,1), (3,1), (3,2), (4,2), (5,2), (5,3)} and prints one pass/fail
 line (run pytest with -s to see them).  All comparisons are exact: rational
 identities use arbitrary-precision rationals, tropical identities use
-integers, and the degree probe rounds a base-2**128 logarithm that is
-exact under its stated operating bounds.
+integers, and the degree probe rounds a base-2**bits logarithm, its base
+sized to the shape, that is exact under its stated operating bounds.
 """
 
 from conftest import SHAPES
@@ -59,7 +59,7 @@ def test_c07_iso_intertwines_everything():
 
 
 def test_c08_degree_probe():
-    _run(8, "base-2**128 degree probe matches tropical forms, 200 pts/shape",
+    _run(8, "degree probe matches tropical forms, 200 pts/shape",
          "udprobe", 200, bound=8)
 
 

@@ -16,6 +16,7 @@ from pathcrystal.paths import (
     path_weight,
     region_sums,
 )
+from pathcrystal.semiring import RATIONAL
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -167,6 +168,44 @@ def test_partial_sum_outside_closure_raises():
     y = sample_point(S21, 0, 5, kind="y")
     with pytest.raises(ValidationError):
         partial_sum(y, "X", 1, 1)
+
+
+@pytest.mark.parametrize("l, m", [(1.5, 2), ("1", 2), (1.0, 1), (1, 2.0), (True, 1), (1, False)])
+def test_engine_coordinates_must_be_integers(l, m):
+    # checked before any lookup: (1.0, 1) hashes like (1, 1), and 1.5 is no row
+    y = sample_point(S21, 0, 5, kind="y")
+    for call in (lambda: region_sums(X21, l, m), lambda: partial_sum(X21, "X", l, m),
+                 lambda: partial_sum(y, "Y", l, m)):
+        with pytest.raises(ValidationError, match="coordinates must be integers, got"):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["x", "y"])
+def test_each_step_weight_is_one_ratio(monkeypatch, kind):
+    # both sweep directions read one step table, so building both sum tables
+    # divides once per weighted step
+    shape = make_shape(4, 2)
+    point = sample_point(shape, 3, 9, kind=kind)
+    drop = 0 if kind == "x" else 1  # the row change of a weighted step
+    domain = shape.domain(point.side)
+    weighted = [(l, m) for (l, m) in domain if (l - drop, m + 1) in domain]
+    calls = []
+    ratio = RATIONAL.ratio
+    monkeypatch.setattr(RATIONAL, "ratio", lambda a, b: calls.append(1) or ratio(a, b))
+    first = min(domain)
+    for sums in ("X", "Xstar") if kind == "x" else ("Y", "Ystar"):
+        partial_sum(point, sums, *first)
+    assert len(calls) == len(weighted) > 0
+
+
+def test_path_weight_reads_no_step_table():
+    # the oracle computes its own strip weights: a corrupted step table moves
+    # the DP and leaves every path weight as it was
+    x = sample_point(S32, 4, 9)
+    clean = {p: path_weight(x, p) for p in enumerate_paths(S32, 1, (2, 1), (1, 3))}
+    x._tables["steps"] = dict.fromkeys(x.shape.domain(1), Fraction(1))
+    assert partial_sum(x, "X", 2, 1) != brute_partial_sum(x, "X", 2, 1)
+    assert {p: path_weight(x, p) for p in clean} == clean
 
 
 def test_epsilon_total_examples():

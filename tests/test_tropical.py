@@ -4,14 +4,13 @@ from math import comb
 import pytest
 
 from pathcrystal import geom
-from pathcrystal.errors import ValidationError
+from pathcrystal.errors import CrystalFault, ValidationError
 from pathcrystal.lattice import PATH_CAP, SplitMix64, TropPoint, make_shape, sample_point
 from pathcrystal.paths import epsilon_total
 from pathcrystal.tropical import (
-    PROBE_BASE,
-    PROBE_BASE_BITS,
     degree_of,
     probe_pairs,
+    probe_bits,
     probe_point,
     trop_dbar,
     trop_e,
@@ -97,15 +96,47 @@ def test_closed_forms_equal_engine_route(shape):
                 assert trop_e(x, i, d) == geom.act_e(x, i, d)
 
 
-def test_degree_extraction_is_exact():
-    from fractions import Fraction
-
-    base = 1 << 128
-    assert degree_of(Fraction(base ** 3, 7)) == 3
-    assert degree_of(Fraction(5, base ** 2)) == -2
-    assert degree_of(Fraction(69, 1)) == 0
+def test_degree_extraction_is_exact(shape):
+    # a coefficient up to the shape's full-path count P either way rounds away
+    bits = probe_bits(shape)
+    paths = shape.check_full_paths()
+    t = 1 << bits
+    assert degree_of(Fraction(t ** 3, paths), bits) == 3
+    assert degree_of(Fraction(paths, t ** 2), bits) == -2
+    assert degree_of(Fraction(paths), bits) == 0
+    assert degree_of(Fraction(1, paths), bits) == 0
     with pytest.raises(ValidationError):
-        degree_of(Fraction(0))
+        degree_of(Fraction(0), bits)
+
+
+@pytest.mark.parametrize("nk, bits", [((2, 1), 8), ((5, 3), 16), ((20, 10), 72)])
+def test_probe_bits_examples(nk, bits):
+    assert probe_bits(make_shape(*nk)) == bits
+
+
+def test_probe_bits_cover_every_shape_under_the_path_cap():
+    # the module docstring's bound, as a formula: log2(P) + 1 <= bits // 4
+    for n in range(2, 41):
+        for k in range(1, n + 1):
+            paths = comb(n - 1, k - 1)
+            if paths > PATH_CAP:
+                with pytest.raises(ValidationError, match="full paths"):
+                    probe_bits(make_shape(n, k))
+                continue
+            bits = probe_bits(make_shape(n, k))
+            assert 2 ** (bits // 4 - 1) >= paths
+
+
+def test_coefficient_past_the_bound_faults(shape):
+    # bit lengths read a coefficient c, or 1/c, as floor(log2 c) bits off
+    # bits * deg: up to bits // 4 of them round away, one more faults
+    bits = probe_bits(shape)
+    t, lim = 1 << bits, 2 ** (bits // 4 + 1)
+    assert degree_of(Fraction((lim - 1) * t ** 2), bits) == 2
+    assert degree_of(Fraction(1, (lim - 1) * t), bits) == -1
+    for value in (Fraction(lim * t ** 2), Fraction(1, lim * t), Fraction(lim)):
+        with pytest.raises(CrystalFault, match="residual"):
+            degree_of(value, bits)
 
 
 def test_probe_examples():
@@ -125,7 +156,7 @@ def test_probe_validation():
 
 
 def test_probe_parameter_bound():
-    # t**d has 128 * |d| bits: d is bounded like the exponents
+    # t**d has bits * |d| bits: d is bounded like the exponents
     for d in (9, -9):
         with pytest.raises(ValidationError, match="probe parameter d"):
             probe_pairs(T21, 1, d)
@@ -166,14 +197,28 @@ ZEROS2010 = TropPoint(S2010, dict.fromkeys(S2010.l1_indices, 0))
 
 
 def test_path_cap_keeps_the_probe_exact():
-    # the module docstring's bound: a ratio of sums of at most PATH_CAP unit
-    # monomials reads within log2(PATH_CAP) + 1 bits of 128 * deg, below the
-    # fault threshold of PROBE_BASE_BITS // 4 bits
-    assert 2 * PATH_CAP <= 2 ** (PROBE_BASE_BITS // 4)
-    assert degree_of(PATH_CAP * PROBE_BASE ** 3) == 3
-    assert degree_of(Fraction(PROBE_BASE ** 2, PATH_CAP)) == 2
+    # the module docstring's bound at (20, 10): a ratio of sums of at most
+    # PATH_CAP unit monomials reads within log2(PATH_CAP) + 1 bits of
+    # bits * deg, within the fault threshold of bits // 4
+    bits = probe_bits(S2010)
+    t = 1 << bits
+    assert 2 * PATH_CAP <= 2 ** (bits // 4)
+    assert degree_of(Fraction(PATH_CAP * t ** 3), bits) == 3
+    assert degree_of(Fraction(t ** 2, PATH_CAP), bits) == 2
     # the worst case: at the all-zero point every full path weighs 1
     assert epsilon_total(probe_point(ZEROS2010)) == comb(19, 9)
+
+
+def test_probe_reads_exactly_at_every_all_zero_point():
+    # every full path weighs 1 there, so each sum reaches its largest coefficient
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            shape = make_shape(n, k)
+            zeros = TropPoint(shape, dict.fromkeys(shape.l1_indices, 0))
+            for i in range(n + 1):
+                for d in (-8, i % 5 - 2, 8):
+                    pairs = probe_pairs(zeros, i, d)
+                    assert all(probe == form for probe, form in pairs.values()), (n, k, i, d)
 
 
 @pytest.mark.parametrize("exponents", [ZEROS2010, sample_point(S2010, 7, 8, kind="trop")],
