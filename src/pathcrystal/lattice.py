@@ -9,7 +9,10 @@ entries.  Elements of the array crystal (kind ``b``) are integer arrays
 
 Each kind owns its values: ``x`` and ``y`` take a Fraction, an int or
 ``"p/q"`` and require it to be positive, ``trop`` and ``b`` take integers,
-and floats and bools are rejected by both.
+and floats and bools are rejected by both.  A point checks its entries in
+one pass over the values (all positive Fractions, or all exact ints); only
+a point that fails it converts and checks entry by entry, which is also
+where every error message is written.
 
 Off-lattice reads return the multiplicative identity of the active
 semiring (1 for rational points, 0 for the integer kinds).  The special
@@ -20,6 +23,7 @@ here.
 import re
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import ValidationError, brief
@@ -35,6 +39,8 @@ ARRAY_ENTRY_CAP = 100_000
 PATH_CAP = 100_000
 
 _M64 = (1 << 64) - 1
+
+_num_of = attrgetter("numerator")
 
 
 class SplitMix64:
@@ -198,7 +204,9 @@ class _BasePoint:
     """A point of one kind; ``side`` names its index set (1, 2 or "b").
 
     ``value`` is the kind's one check of an entry or of an action parameter
-    (``key=None``); ``chart_image`` is the kind the chart maps send it to.
+    (``key=None``); ``_all_final`` is true when every value already has the
+    form ``value`` returns.  ``chart_image`` is the kind the chart maps send
+    it to.
 
     ``shape`` and ``entries`` are read-only: path tables are memoized per
     point, so a point must not change after construction.  Equal points
@@ -214,9 +222,12 @@ class _BasePoint:
         self._build(shape, entries)
 
     def _build(self, shape, entries):
-        value = self.value
         self._shape = shape
-        self._entries = {key: value(v, key) for key, v in dict(entries).items()}
+        entries = dict(entries)
+        if not self._all_final(entries.values()):
+            value = self.value
+            entries = {key: value(v, key) for key, v in entries.items()}
+        self._entries = entries
         self._tables = {}
         self._validate()
 
@@ -265,6 +276,13 @@ class _RationalPoint(_BasePoint):
 
     semiring = RATIONAL
 
+    @staticmethod
+    def _all_final(values):
+        return (
+            set(map(type, values)) <= {Fraction}
+            and min(map(_num_of, values), default=1) > 0
+        )
+
     def value(self, v, key=None):
         """A Fraction, an int or ``"p/q"``, as a positive Fraction."""
         if type(v) is not Fraction:
@@ -302,6 +320,11 @@ class _IntPoint(_BasePoint):
 
     semiring = MAXPLUS
 
+    @staticmethod
+    def _all_final(values):
+        # exact types: a bool is an int subclass, and value rejects it
+        return set(map(type, values)) <= {int}
+
     def value(self, v, key=None):
         """An integer, not a bool."""
         # the exact type first: the array operators build points in their inner loops
@@ -334,10 +357,13 @@ class BElement(_IntPoint):
         # lattice.points_built, which perfbench/README.md defines as x, y and
         # tropical points only
         self._build(shape, entries)
-        for j in range(1, shape.k + 1):
-            row_sum = sum(self._entries[(j, i)] for i in range(j, j + shape.kprime + 1))
+        # b_indices runs row by row, kprime + 1 entries a row
+        values = list(map(self._entries.__getitem__, shape.b_indices))
+        width = shape.kprime + 1
+        for j in range(shape.k):
+            row_sum = sum(values[j * width:(j + 1) * width])
             if row_sum != 0:
-                raise ValidationError("row %d sums to %s, expected 0" % (j, brief(row_sum)))
+                raise ValidationError("row %d sums to %s, expected 0" % (j + 1, brief(row_sum)))
 
 
 _KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}

@@ -131,6 +131,58 @@ def test_rational_kinds_own_their_values(cls):
     assert all(type(v) is Fraction for v in point.entries.values())
 
 
+# (kind, fill, key, bad entry, message) on shape (3, 2): the bad entry fails the
+# one-pass check, so the entries go through the per-entry path
+ONE_PASS_REJECTIONS = [
+    (TropPoint, 1, (2, 1), True, "trop entry at (2, 1) must be an integer"),
+    (BElement, 0, (1, 3), True, "b entry at (1, 3) must be an integer"),
+    (TropPoint, 1, (1, 2), 1.0, "trop entry at (1, 2) must be an integer"),
+    (XPoint, Fraction(1), (1, 3), 0.5,
+     "entry at (1, 3): bad rational 0.5: expected an integer or 'p/q'"),
+    (XPoint, Fraction(1), (1, 3), Fraction(0), "entry at (1, 3) must be positive, got 0"),
+    (XPoint, Fraction(1), (2, 2), Fraction(-1, 3), "entry at (2, 2) must be positive, got -1/3"),
+]
+
+
+@pytest.mark.parametrize("cls, fill, key, bad, message", ONE_PASS_REJECTIONS)
+def test_one_pass_check_rejects_with_the_per_entry_message(cls, fill, key, bad, message):
+    shape = make_shape(3, 2)
+    entries = dict.fromkeys(shape.indices(cls.side), fill)
+    valid = cls(shape, entries)
+    with pytest.raises(ValidationError) as per_entry:
+        valid.value(bad, key)
+    entries[key] = bad
+    with pytest.raises(ValidationError) as built:
+        cls(shape, entries)
+    assert str(built.value) == str(per_entry.value) == message
+
+
+def test_one_pass_check_accepts_what_the_per_entry_path_converts():
+    shape = make_shape(3, 2)
+    raw = {(1, 2): "6/4", (1, 3): 2, (2, 1): Fraction(1, 3), (2, 2): "5"}
+    x = XPoint(shape, raw)
+    assert x.entries == {key: x.value(v, key) for key, v in raw.items()}
+    assert x.entries == {(1, 2): Fraction(3, 2), (1, 3): Fraction(2),
+                         (2, 1): Fraction(1, 3), (2, 2): Fraction(5)}
+    assert all(type(v) is Fraction for v in x.entries.values())
+    assert XPoint(shape, x.entries) == x
+    t = TropPoint(shape, {(1, 2): -3, (1, 3): 0, (2, 1): 10 ** 30, (2, 2): 7})
+    assert all(type(v) is int for v in t.entries.values())
+
+
+@pytest.mark.parametrize("bad_rows, message", [
+    ({(2, 3): 1, (2, 4): 1}, "row 2 sums to 2, expected 0"),
+    ({(1, 1): 1, (2, 3): -1}, "row 1 sums to 1, expected 0"),
+])
+def test_array_row_sum_names_the_first_bad_row(bad_rows, message):
+    shape = make_shape(3, 2)
+    entries = dict.fromkeys(shape.b_indices, 0)
+    assert BElement(shape, entries).entries == entries
+    entries.update(bad_rows)
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+        BElement(shape, entries)
+
+
 def test_parse_rational_reads_only_integers_and_p_over_q():
     assert parse_rational(7) == Fraction(7)
     assert parse_rational("-6/4") == Fraction(-3, 2)
