@@ -32,11 +32,12 @@ with every minimizer, so its one check is whether that tuple minimizes.
 It reads the tuple's value from the body of :func:`delta`, whose
 row-slice sum the table does not share, so every call checks the table
 against the definition at the tuple it returns, faulting with a
-replayable witness on a mismatch.  :func:`brute_bk_e_closed` (each peak once, a direct min over
-the table) and :func:`brute_eps_phi_0` (the table's minimum) are the closed
-form and the 0-data from the same enumeration, the DP's oracles; neither
-calls the kernel.  :func:`delta` and :func:`.iso.pi_correspondence` check
-a tuple given from outside, by one rule in :mod:`.lattice`.
+replayable witness on a mismatch.  :func:`brute_bk_e_closed` (each peak
+once, a direct min over the table) is the closed form from the same
+enumeration, the DP's oracle; it does not call the kernel.  The ``extremal``
+suite checks :func:`eps_phi_0` against delta at the enumerated extremal
+tuples.  :func:`delta` and :func:`.iso.pi_correspondence` check a tuple
+given from outside, by one rule in :mod:`.lattice`.
 """
 
 from itertools import accumulate, combinations
@@ -200,13 +201,6 @@ def eps_phi_0(b):
     """
     shape = b.shape
     least = _forward_minima(_rows(b))[shape.k][shape.n + 1]
-    return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
-
-
-def brute_eps_phi_0(b):
-    """Oracle for :func:`eps_phi_0`: the least delta over the enumerated table."""
-    shape = b.shape
-    least = min(_family_deltas(b).values())
     return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
 
 

@@ -327,8 +327,7 @@ class _IntPoint(_BasePoint):
 
     def value(self, v, key=None):
         """An integer, not a bool."""
-        # the exact type first: the array operators build points in their inner loops
-        if type(v) is int or _is_int(v):
+        if _is_int(v):
             return v
         if key is None:
             raise ValidationError("the action parameter must be an integer")

