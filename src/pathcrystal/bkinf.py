@@ -86,9 +86,10 @@ def _moved_sums(b, i):
     beta = max(0, i - k'), up to the last row min(k, i).  ``S[:-1]`` is
     indexed by the movable rows beta+1..min(k, i), and ``S[-1]`` is wt_i.
     """
+    get = b._entries.get
     beta = max(0, i - b.shape.kprime)
     rows = range(beta, min(b.shape.k, i) + 1)
-    return beta + 1, list(accumulate(b.get(j, i) - b.get(j + 1, i + 1) for j in rows))
+    return beta + 1, list(accumulate(get((j, i), 0) - get((j + 1, i + 1), 0) for j in rows))
 
 
 def eps_phi(b, i):
@@ -118,7 +119,7 @@ def kashiwara(b, op, i):
         raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
     b.shape.check_index(i)
     step = 1 if op == "e" else -1
-    entries = dict(b.entries)
+    entries = dict(b._entries)
     if i == 0:
         c = extremal_c(b, op)
         for j in range(1, b.shape.k + 1):
@@ -209,13 +210,15 @@ def wt(b, i):
     shape.check_index(i)
     if i == 0:
         return -b.get(1, 1) + b.get(shape.k, shape.n + 1)
+    get = b._entries.get
     rows = range(max(0, i - shape.kprime), min(shape.k, i) + 1)
-    return sum(b.get(j, i) - b.get(j + 1, i + 1) for j in rows)
+    return sum(get((j, i), 0) - get((j + 1, i + 1), 0) for j in rows)
 
 
 def bk_e(b, i, d):
     """d-fold raising (negative d lowers), one :func:`kashiwara` step at a time."""
     b.shape.check_index(i)
+    d = b.value(d)
     step = "e" if d >= 0 else "f"
     out = b
     for _ in range(abs(d)):
@@ -264,7 +267,9 @@ def _forward_minima(rows):
 
 def _rows(b):
     """``rows[j-1][i]``: row j's entry in column i, for i in 0..n+1."""
-    return [[b.get(j, i) for i in range(b.shape.n + 2)] for j in range(1, b.shape.k + 1)]
+    get = b._entries.get
+    columns = range(b.shape.n + 2)
+    return [[get((j, i), 0) for i in columns] for j in range(1, b.shape.k + 1)]
 
 
 def _turned(row):
@@ -323,11 +328,12 @@ def bk_e_closed(b, i, d):
     S[:-1] between cuts r and r+1, in O(rows).
     """
     b.shape.check_index(i)
+    d = b.value(d)
     if i == 0:
         return _apply_peaks(b, _peak_table(b, d))
     first, sums = _moved_sums(b, i)
     peaks = _cut_peaks(sums[:-1], d)
-    entries = dict(b.entries)
+    entries = dict(b._entries)
     for row, (lo, hi) in enumerate(zip(peaks, peaks[1:]), first):
         entries[(row, i)] += hi - lo
         entries[(row, i + 1)] -= hi - lo

@@ -22,20 +22,26 @@ def omega(x):
     if not isinstance(x, TropPoint):
         raise ValidationError("omega expects a tropical point")
     shape = x.shape
-    entries = {}
-    for (j, i) in shape.b_indices:
-        row = shape.k - j + 1
-        entries[(j, i)] = x.get(row, i) - x.get(row, i - 1)
-    return BElement(shape, entries)
+    get = x._entries.get
+    top = shape.k + 1
+    return BElement(shape, {
+        (j, i): get((top - j, i), 0) - get((top - j, i - 1), 0) for (j, i) in shape.b_indices
+    })
 
 
 def omega_inv(b):
-    """Prefix-sum inverse of :func:`omega`."""
+    """Prefix-sum inverse of :func:`omega`: one running sum along each row."""
+    if not isinstance(b, BElement):
+        raise ValidationError("omega_inv expects an array")
     shape = b.shape
+    values = b._entries
     entries = {}
-    for (l, m) in shape.l1_indices:
+    for l in range(1, shape.k + 1):
         row = shape.k - l + 1
-        entries[(l, m)] = sum(b.get(row, s) for s in range(row, m + 1))
+        total = 0
+        for m in range(row, shape.n + 2 - l):
+            total += values[(row, m)]
+            entries[(l, m)] = total
     return TropPoint(shape, entries)
 
 

@@ -188,9 +188,16 @@ def suite_iso(shape, trials, seed, bound):
         for i in range(shape.n + 1):
             checks["weight-match"].record(tropical.trop_wt(x, i) == bkinf.wt(b, i), x, i=i)
             checks["eps-match"].record(tropical.trop_eps(x, i) == bkinf.eps_phi(b, i)[0], x, i=i)
+            # the unit-step side: one walk each way from b, so walk[d] is |d| kashiwara
+            # steps (bk_e's route) and each step is taken once for all of DVALS
+            walk = {0: b}
+            for d in range(1, max(DVALS) + 1):
+                walk[d] = bkinf.kashiwara(walk[d - 1], "e", i)
+            for d in range(-1, min(DVALS) - 1, -1):
+                walk[d] = bkinf.kashiwara(walk[d + 1], "f", i)
             for d in DVALS:
                 checks["step-intertwine"].record(
-                    iso.omega(tropical.trop_e(x, i, d)) == bkinf.bk_e(b, i, d), x, i=i, d=d
+                    iso.omega(tropical.trop_e(x, i, d)) == walk[d], x, i=i, d=d
                 )
             checks["reflection-intertwine"].record(
                 iso.omega(tropical.trop_weyl(x, i)) == bkinf.weyl_s_tilde(b, i), x, i=i

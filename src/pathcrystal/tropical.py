@@ -8,6 +8,14 @@ operations lean on the max-plus path engine for their region maxima.  The
 closed forms call nothing in ``geom``; like it, they read the moved rows
 from ``shape.column``.  Only the degree probe below calls ``geom``.
 
+At i >= 1, :func:`trop_eps` and :func:`trop_e` cost O(rows) integer
+operations, where rows is the number of entries the index moves.
+:func:`_dbars` gives every ``trop_dbar`` of the column in one pass from its
+last row b down to its first row a, from a running tail of sums, and :func:`trop_e` takes
+``num_r = max(max(dbar[:r]), d + max(dbar[r:]))`` from one prefix and one
+suffix maximum.  :func:`trop_dbar` is the per-row definition, which the
+tests compare with that pass; the hot paths do not call it.
+
 ``ud_degree_probe`` ties the tropical side back to the rational one: it
 evaluates a named rational quantity at coordinates ``t**exponent`` with
 ``t = 2**bits`` and extracts the leading exponent, which must equal the
@@ -24,6 +32,7 @@ logarithms, so their difference stays below log2(P) + 1 <= bits / 4 from
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import CrystalFault, ValidationError, brief
 from .lattice import TropPoint, XPoint
@@ -47,6 +56,23 @@ def trop_dbar(x, l, i):
     )
 
 
+def _dbars(x, i, a, b):
+    """``[trop_dbar(x, l, i) for l in a..b]``, in one pass from row b down.
+
+    With the running tail ``T(b) = x(b+1, i-1)`` and
+    ``T(l-1) = T(l) + x(l, i-1) + x(l, i+1) - 2 x(l, i)``,
+    ``dbar(l) = T(l) - x(l, i) + x(l, i+1)``.
+    """
+    get = x._entries.get
+    tail = get((b + 1, i - 1), 0)
+    out = []
+    for l in range(b, a - 1, -1):
+        here, right = get((l, i), 0), get((l, i + 1), 0)
+        out.append(tail - here + right)
+        tail += get((l, i - 1), 0) + right - 2 * here
+    return out[::-1]
+
+
 def trop_wt(x, i):
     shape = x.shape
     shape.check_index(i)
@@ -65,15 +91,15 @@ def trop_eps(x, i):
     shape.check_index(i)
     if i == 0:
         return x.get(1, shape.n) + epsilon_total(x)
-    a, b = shape.column(1, i)
-    return max(trop_dbar(x, l, i) for l in range(a, b + 1))
+    return max(_dbars(x, i, *shape.column(1, i)))
 
 
 def trop_e(x, i, d):
     """The d-th power of the i-th piecewise-linear action (d may be negative)."""
     shape = x.shape
     shape.check_index(i)
-    entries = dict(x.entries)
+    d = x.value(d)
+    entries = dict(x._entries)
     if i == 0:
         for (l, m) in shape.l1_indices:
             if (l, m) == (1, shape.n):
@@ -87,15 +113,13 @@ def trop_e(x, i, d):
             entries[(l, m)] = x.get(l, m) + num - den
     else:
         a, b = shape.column(1, i)
-        dbar = {p: trop_dbar(x, p, i) for p in range(a, b + 1)}
-        for l in range(a, b + 1):
-            num = max(
-                [dbar[p] for p in range(a, l)] + [d + dbar[p] for p in range(l, b + 1)]
-            )
-            den = max(
-                [dbar[p] for p in range(a, l + 1)] + [d + dbar[p] for p in range(l + 1, b + 1)]
-            )
-            entries[(l, i)] = x.get(l, i) + num - den
+        dbar = _dbars(x, i, a, b)
+        # num_r = max(max(dbar[:r]), d + max(dbar[r:])); row a+r moves by num_r - num_(r+1)
+        prefix = list(accumulate(dbar, max))
+        suffix = list(accumulate(reversed(dbar), max))[::-1]
+        nums = [d + suffix[0]] + [max(p, d + s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
+        for l, num, den in zip(range(a, b + 1), nums, nums[1:]):
+            entries[(l, i)] += num - den
     return TropPoint(shape, entries)
 
 

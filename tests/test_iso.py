@@ -1,9 +1,11 @@
 import pytest
 
+from pathcrystal import bkinf
 from pathcrystal.bkinf import (
     all_ctuples,
     b_infinity,
     bk_e,
+    bk_e_closed,
     delta,
     eps_phi,
     eps_phi_0,
@@ -59,6 +61,21 @@ def test_round_trip_random(shape):
 def test_omega_requires_tropical_point():
     with pytest.raises(ValidationError):
         omega(sample_point(S21, 1, 5, kind="x"))
+
+
+def test_omega_inv_requires_array():
+    with pytest.raises(ValidationError, match="expects an array"):
+        omega_inv(T21)
+
+
+@pytest.mark.parametrize("d", [True, 1.5, "2"], ids=repr)
+@pytest.mark.parametrize("act", [trop_e, bk_e, bk_e_closed], ids=lambda fn: fn.__name__)
+def test_step_count_must_be_an_integer(act, d):
+    # the point kind reads d, as geom.act_e reads c: the routes compared accept the same input
+    point = T21 if act is trop_e else omega(T21)
+    for i in range(S21.n + 1):
+        with pytest.raises(ValidationError, match="the action parameter must be an integer"):
+            act(point, i, d)
 
 
 def test_path_correspondence_singleton():
@@ -138,3 +155,22 @@ def test_verify_iso_all_green(shape):
     by_name = {c.name: c for c in checks}
     assert by_name["round-trip"].passes == 20  # both directions, every trial
     assert by_name["step-intertwine"].fails == 0
+
+
+def test_step_intertwine_catches_a_lowering_step_at_the_wrong_row(monkeypatch):
+    # f_i at i >= 1 moves the first minimizing row instead of the last:
+    # the unit-step walk must disagree with the tropical closed form
+    real = bkinf.kashiwara
+
+    def first_row_f(b, op, i):
+        if op != "f" or i == 0:
+            return real(b, op, i)
+        raised = real(b, "e", i)
+        return BElement(b.shape, {key: 2 * v - raised.get(*key) for key, v in b.entries.items()})
+
+    monkeypatch.setattr(bkinf, "kashiwara", first_row_f)
+    shape = make_shape(5, 3)
+    by_name = {c.name: c for c in run_suite("iso", shape, 3, 0, bound=2)}
+    step = by_name["step-intertwine"]
+    assert (step.passes, step.fails) == (118, 8)
+    assert step.passes + step.fails == 3 * (shape.n + 1) * 7

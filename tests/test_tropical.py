@@ -8,6 +8,7 @@ from pathcrystal.errors import CrystalFault, ValidationError
 from pathcrystal.lattice import PATH_CAP, SplitMix64, TropPoint, make_shape, sample_point
 from pathcrystal.paths import epsilon_total
 from pathcrystal.tropical import (
+    _dbars,
     degree_of,
     probe_pairs,
     probe_bits,
@@ -93,6 +94,28 @@ def test_closed_forms_equal_engine_route(shape):
             assert trop_wt(x, i) == geom.gamma(x, i)
             assert trop_eps(x, i) == geom.epsilon(x, i)
             for d in (-3, -1, 0, 2):
+                assert trop_e(x, i, d) == geom.act_e(x, i, d)
+
+
+@pytest.mark.parametrize(
+    "nk", [(n, k) for n in range(2, 7) for k in range(1, n + 1)] + [(16, 8)],
+    ids=lambda nk: "n%dk%d" % nk,
+)
+def test_one_pass_dbars_equal_the_definition(nk):
+    shape = make_shape(*nk)
+    for t in range(3):
+        x = sample_point(shape, 40 + t, 10, kind="trop")
+        for i in range(1, shape.n + 1):
+            a, b = shape.column(1, i)
+            assert _dbars(x, i, a, b) == [trop_dbar(x, l, i) for l in range(a, b + 1)]
+
+
+def test_action_equals_engine_route_on_eight_row_columns():
+    # columns of up to 8 rows, at tie-dense points: the prefix and suffix maxima matter
+    shape = make_shape(16, 8)
+    for x in (sample_point(shape, 3, 1, kind="trop"), sample_point(shape, 4, 10, kind="trop")):
+        for i in range(1, shape.n + 1):
+            for d in range(-3, 4):
                 assert trop_e(x, i, d) == geom.act_e(x, i, d)
 
 
