@@ -23,8 +23,9 @@ def sigma_map(x):
     shape, sr = x.shape, x.semiring
     entries = {}
     for (l, m) in shape.l2_indices:
-        ratio = sr.ratio(partial_sum(x, "X", l, m), partial_sum(x, "X", l + 1, m))
-        entries[(l, m)] = sr.mul(x.get(l + 1, m), ratio)
+        entries[(l, m)] = sr.mul_ratio(
+            x.get(l + 1, m), partial_sum(x, "X", l, m), partial_sum(x, "X", l + 1, m)
+        )
     return image(shape, entries)
 
 
@@ -34,6 +35,7 @@ def xi_map(y):
     shape, sr = y.shape, y.semiring
     entries = {}
     for (l, m) in shape.l1_indices:
-        ratio = sr.ratio(partial_sum(y, "Ystar", l - 1, m), partial_sum(y, "Ystar", l, m))
-        entries[(l, m)] = sr.mul(y.get(l, m), ratio)
+        entries[(l, m)] = sr.mul_ratio(
+            y.get(l, m), partial_sum(y, "Ystar", l - 1, m), partial_sum(y, "Ystar", l, m)
+        )
     return image(shape, entries)

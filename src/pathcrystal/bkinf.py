@@ -14,13 +14,16 @@ The increasing tuples are taken with first entry 1 and last entry n+1
 fixed, which makes their count match the number of full lattice paths and
 keeps the 0-operators compatible with the tropical side.
 
-The d-fold operator has two routes: the unit steps (:func:`bk_e`) and the
-closed form (:func:`bk_e_closed`), which reads one split-minimum kernel
-(:func:`_cut_peaks`) at every index.  The ``weyl`` suite's
-``array-closed-form`` compares them, and ``iso`` compares each with the
-tropical side.  At i = 0 the kernel reads a min-plus DP over the states
-(row j, column c[j]) that never touches the tropical path engine;
-:func:`eps_phi_0` reads the least delta off the DP's forward pass.
+The d-fold operator has two routes: the unit steps (:func:`bk_e_steps`)
+and the closed form (:func:`bk_e_closed`), which reads one split-minimum
+kernel (:func:`_cut_peaks`) at every index.  The ``weyl`` suite's
+``array-closed-form`` compares them, and ``iso`` compares the unit steps
+and the closed reflection with the tropical side.  :func:`bk_e`, the
+operator users call, takes the closed form at i >= 1 for |d| > 1 and the
+unit steps otherwise, so at i = 0 it still takes |d| steps.  At i = 0 the
+kernel reads a min-plus DP over the states (row j, column c[j]) that never
+touches the tropical path engine; :func:`eps_phi_0` reads the least delta
+off the DP's forward pass.
 
 The unit 0-steps and :func:`extremal_c` keep the enumerated definition over
 all binomial(n-1, k-1) tuples.  Each enumerating call builds one table
@@ -216,7 +219,23 @@ def wt(b, i):
 
 
 def bk_e(b, i, d):
-    """d-fold raising (negative d lowers), one :func:`kashiwara` step at a time."""
+    """d-fold raising (negative d lowers).
+
+    At i >= 1 a move of more than one unit is :func:`bk_e_closed`, in
+    O(rows) whatever d; every other call is :func:`bk_e_steps`.
+    """
+    b.shape.check_index(i)
+    d = b.value(d)
+    if i and abs(d) > 1:
+        return bk_e_closed(b, i, d)
+    return bk_e_steps(b, i, d)
+
+
+def bk_e_steps(b, i, d):
+    """d-fold raising (negative d lowers), one :func:`kashiwara` step at a time.
+
+    The definition that :func:`bk_e_closed` is checked against.
+    """
     b.shape.check_index(i)
     d = b.value(d)
     step = "e" if d >= 0 else "f"

@@ -26,13 +26,15 @@ Consecutive diagonal products differ by one factor,
 pass from the top moved row b down to the bottom one a gives every
 ``t_p = 1/dval(p)``.  With ``num_l = sum_{p<l} t_p + c * sum_{p>=l} t_p``,
 the action moves row l by ``num_l / num_(l+1)``; one prefix and one suffix
-sum give every num_l, with ``add`` only, as max-plus has no subtraction.
+sum give every num_l (:func:`_nums`), with ``add`` only, as max-plus has no
+subtraction, and each moved entry is one ``mul_ratio(x, num_l, num_(l+1))``.
 The reflection's ``f(p) = gamma_i / dval(p)`` use the same factor the
 other way, ``f(p) = f(p-1) * x(p,i) x(p-1,i) / (x(p,i-1) x(p-1,i+1))``.
 The x-chart's 0-action instead builds, for every moved entry, two region
-combinations ``U_(l-1) + c * V_l`` from the memoized path sums of
-:func:`region_sums`, and the x-chart's 0-reflection is that action at
-``1/gamma_0``.
+combinations ``alpha_l = add_mul(U_(l-1), c, V_l)`` (:func:`_alpha`) from
+four reads of the memoized :func:`region_sums`, and writes the entry as
+``mul_ratio(x(l, m), alpha_l, alpha_(l+1))``; the x-chart's 0-reflection is
+that action at ``1/gamma_0``.
 
 These pairs are compared by the suites and stay independent routes:
 :func:`weyl_s` against :func:`weyl_s_def` (the action at 1/gamma) at
@@ -113,16 +115,22 @@ def _inv_dvals(x, i, b, steps):
     return list(accumulate(reversed(steps), sr.ratio, initial=last))[::-1]
 
 
-def _ratios(sr, lower, upper):
-    """num(j) / num(j + 1) for j < r, where num(j) = sum(lower[:j]) + sum(upper[j:]).
+def _nums(sr, lower, upper):
+    """num(j) = sum(lower[:j]) + sum(upper[j:]) for j in 0..r.
 
     One prefix and one suffix pass, with ``add`` only: max-plus has no
     subtraction.
     """
     prefix = list(accumulate(lower, sr.add))
     suffix = list(accumulate(reversed(upper), sr.add))[::-1]
-    nums = suffix[:1] + [sr.add(p, s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
-    return [sr.ratio(num, den) for num, den in zip(nums, nums[1:])]
+    return suffix[:1] + [sr.add(p, s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
+
+
+def _move_rows(x, entries, i, a, nums):
+    """Row l of column i becomes x(l, i) * num_l / num_(l+1), for l from a on."""
+    mul_ratio = x.semiring.mul_ratio
+    for l, num, den in zip(range(a, a + len(nums) - 1), nums, nums[1:]):
+        entries[(l, i)] = mul_ratio(x.get(l, i), num, den)
 
 
 def epsilon(x, i):
@@ -135,10 +143,9 @@ def epsilon(x, i):
 
 def _alpha(x, l, m, c):
     """U_(l-1) + c * V_l, the region combination driving the 0-action."""
-    sr = x.semiring
     upper, _, _ = region_sums(x, l - 1, m)
     _, lower, _ = region_sums(x, l, m)
-    return sr.add(upper, sr.mul(c, lower))
+    return x.semiring.add_mul(upper, c, lower)
 
 
 def act_e(x, i, c):
@@ -152,14 +159,13 @@ def act_e(x, i, c):
             if (l, m) == (1, shape.n):
                 entries[(l, m)] = sr.ratio(x.get(l, m), c)
             else:
-                ratio = sr.ratio(_alpha(x, l, m, c), _alpha(x, l + 1, m, c))
-                entries[(l, m)] = sr.mul(x.get(l, m), ratio)
+                entries[(l, m)] = sr.mul_ratio(
+                    x.get(l, m), _alpha(x, l, m, c), _alpha(x, l + 1, m, c)
+                )
     else:
         a, b = shape.column(x.side, i)
         terms = _inv_dvals(x, i, b, _row_steps(x, i, a, b))
-        ratios = _ratios(sr, terms, [sr.mul(c, t) for t in terms])
-        for l, ratio in zip(range(a, b + 1), ratios):
-            entries[(l, i)] = sr.mul(x.get(l, i), ratio)
+        _move_rows(x, entries, i, a, _nums(sr, terms, [sr.mul(c, t) for t in terms]))
     return type(x)(shape, entries)
 
 
@@ -182,9 +188,7 @@ def weyl_s(x, i):
     # f(p) = gamma_i / dval(p, i), one step per row up from row a
     first = sr.ratio(x.get(a, i), sr.mul(x.get(a, i - 1), x.get(a - 1, i + 1)))
     fvals = list(accumulate(steps, sr.mul, initial=first))
-    ratios = _ratios(sr, fvals, _inv_dvals(x, i, b, steps))
-    for l, ratio in zip(range(a, b + 1), ratios):
-        entries[(l, i)] = sr.mul(x.get(l, i), ratio)
+    _move_rows(x, entries, i, a, _nums(sr, fvals, _inv_dvals(x, i, b, steps)))
     return type(x)(x.shape, entries)
 
 

@@ -19,12 +19,17 @@ table, on both lattices and in both directions: toward the sink (``X``,
 (``X*``, ``Y*``) from the source rightwards, and each node adds its two
 neighbours one column nearer the start.  Both directions read one step
 table per point, each weighted step's weight keyed by the step's left
-node, so each weight is one ``ratio`` per point.  The sweep never calls
+node, so each weight is one ``ratio`` per point, and each node's sum is
+one ``add_mul`` of its two neighbours.  The sweep never calls
 :func:`path_weight`, which computes its own weights: that function belongs
 to the oracle, and sharing the table with it would make the comparison a
 tautology.  The region table holds (U, V, R) at every row 0..k+1 of every
 column 1..n, each node's R the product of its two sum tables, so
 :func:`region_sums` answers every row the 0-actions read with one lookup.
+It and :func:`partial_sum` check that the coordinates are of type ``int``
+and the point is of the right side, then read the memoized table; only a
+call that fails that, or that reads off the table or before it is built,
+takes the full checks, whose errors do not depend on which tables exist.
 
 Boundary conventions of the partial sums (one layer only; point reads have
 their own off-lattice convention in :mod:`.lattice`):
@@ -169,7 +174,7 @@ def _build_sums(point, forward):
     from the step table.
     """
     shape, sr, side = point.shape, point.semiring, point.side
-    add, mul = sr.add, sr.mul
+    add_mul = sr.add_mul
     domain, bottom = shape.domain(side), sr.bottom
     steps = _table(point, "steps", _build_steps)
     src, dst = full_path_endpoints(shape, side)
@@ -185,7 +190,7 @@ def _build_sums(point, forward):
         if weighted in domain:
             # the step's left node is this one toward the sink, the neighbour from the source
             step = steps[node if forward else weighted]
-            total = add(total, mul(step, table[weighted]))
+            total = add_mul(total, step, table[weighted])
         table[node] = total
     return table
 
@@ -204,7 +209,22 @@ def _sums(point, forward):
 
 
 def partial_sum(point, kind, l, m):
-    """Partial path sum of the requested kind at (l, m), conventions included."""
+    """Partial path sum of the requested kind at (l, m), conventions included.
+
+    A lattice node with int coordinates on a point of the kind's side is
+    one lookup in the memoized sum table once it is built; any other call
+    takes the checks of :func:`_partial_sum_checked`.
+    """
+    spec = _KINDS.get(kind)
+    if spec and type(l) is type(m) is int and getattr(point, "side", None) == spec[0]:
+        sums = point._tables.get(("sums", spec[1]))
+        if sums is not None and (l, m) in sums:
+            return sums[(l, m)]
+    return _partial_sum_checked(point, kind, l, m)
+
+
+def _partial_sum_checked(point, kind, l, m):
+    """:func:`partial_sum` with every argument checked, boundary conventions included."""
     if kind not in _KINDS:
         raise ValidationError("unknown partial-sum kind %r" % (kind,))
     side, forward = _KINDS[kind]
@@ -282,10 +302,9 @@ def _build_regions(point):
 def _check_coordinates(l, m):
     """Reject a coordinate that is not an int, bools included, before any lookup.
 
-    The check comes first because 1.0 finds the key 1.  The exact type is
-    tried first: the 0-actions read region sums in their inner loop.
+    The check comes first because 1.0 finds the key 1.
     """
-    if not (type(l) is type(m) is int or _is_int(l) and _is_int(m)):
+    if not (_is_int(l) and _is_int(m)):
         raise ValidationError("coordinates must be integers, got %s" % brief((l, m)))
 
 
@@ -295,10 +314,17 @@ def region_sums(point, l, m):
     Row indices 0 and k+1 are legal and make the above/below conditions
     vacuous; empty regions come back as the semiring bottom.  Every row
     0..k+1 of the columns 1..n is one lookup in the memoized region table.
+    The 0-actions read it in their inner loop, so the side and coordinate
+    checks run only when the coordinates are not of type ``int`` or the
+    point is not of side 1.
     """
-    _require_side(point, 1, "region_sums")
-    _check_coordinates(l, m)
-    triple = _table(point, "regions", _build_regions).get((l, m))
+    if not (type(l) is type(m) is int and getattr(point, "side", None) == 1):
+        _require_side(point, 1, "region_sums")
+        _check_coordinates(l, m)
+    regions = point._tables.get("regions")
+    if regions is None:
+        regions = _table(point, "regions", _build_regions)
+    triple = regions.get((l, m))
     if triple is not None:
         return triple
     sr, k = point.semiring, point.shape.k

@@ -28,6 +28,19 @@ sides that keep the operators, as a check independent of these kernels.
 The kernels write the two slots of ``Fraction`` (``_numerator``,
 ``_denominator``); a Python that renames them fails with ``AttributeError``,
 not with a wrong value.
+
+Two fused kernels serve the path engine and the chart formulas, which
+combine three values per entry: ``add_mul(a, c, b) = a + c*b`` and
+``mul_ratio(a, b, c) = a*b/c``.  The rational ones form the numerator and
+denominator from the cross products and reduce once, with one ``gcd``,
+instead of once per operation; ``mul_ratio`` raises ``ZeroDivisionError``
+on a zero divisor and moves the divisor's sign to the numerator.  They keep
+the identity rule by object: ``add_mul`` returns ``a`` when ``c`` or ``b``
+is ``bottom``, and is ``mul(c, b)`` when ``a`` is ``bottom`` and
+``add(a, b)`` when ``c`` is ``one``; ``mul_ratio`` is ``mul(a, b)`` for a
+``one`` divisor and returns ``bottom`` for a ``bottom`` factor.  An
+instance that gives no fused kernels, as max-plus does, gets them from
+``add``, ``mul`` and ``ratio``, as every instance gets ``inv``.
 """
 
 from fractions import Fraction
@@ -35,18 +48,34 @@ from math import gcd
 
 
 class SemiringSpec:
-    """A commutative semiring with division by invertible elements."""
+    """A commutative semiring with division by invertible elements.
 
-    def __init__(self, name, one, bottom, add, mul, ratio):
+    ``add_mul`` and ``mul_ratio`` are fused kernels; an instance that gives
+    none gets them from ``add``, ``mul`` and ``ratio``, as it gets ``inv``.
+    """
+
+    def __init__(self, name, one, bottom, add, mul, ratio, add_mul=None, mul_ratio=None):
         self.name = name
         self.one = one
         self.bottom = bottom
         self.add = add
         self.mul = mul
         self.ratio = ratio
+        if add_mul is not None:
+            self.add_mul = add_mul
+        if mul_ratio is not None:
+            self.mul_ratio = mul_ratio
 
     def inv(self, a):
         return self.ratio(self.one, a)
+
+    def add_mul(self, a, c, b):
+        """a + c*b."""
+        return self.add(a, self.mul(c, b))
+
+    def mul_ratio(self, a, b, c):
+        """a * b / c."""
+        return self.mul(a, self.ratio(b, c))
 
     def add_all(self, terms):
         """Sum of ``terms``, starting from the first; the bottom element for none."""
@@ -150,6 +179,41 @@ def _rat_ratio(a, b):
     return _fraction(na * db, nb * da)
 
 
+def _rat_add_mul(a, c, b):
+    if b is _ZERO or c is _ZERO:
+        return a
+    if a is _ZERO:
+        return _rat_mul(c, b)
+    if c is _ONE:
+        return _rat_add(a, b)
+    na, da = a._numerator, a._denominator
+    den = c._denominator * b._denominator
+    num = na * den + c._numerator * b._numerator * da
+    den *= da
+    g = gcd(num, den)
+    if g == 1:
+        return _fraction(num, den)
+    return _fraction(num // g, den // g)
+
+
+def _rat_mul_ratio(a, b, c):
+    if c is _ONE:
+        return _rat_mul(a, b)
+    nc = c._numerator
+    if nc == 0:
+        raise ZeroDivisionError("Fraction division by zero")
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    num = a._numerator * b._numerator * c._denominator
+    den = a._denominator * b._denominator * nc
+    if nc < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g == 1:
+        return _fraction(num, den)
+    return _fraction(num // g, den // g)
+
+
 RATIONAL = SemiringSpec(
     name="rational",
     one=_ONE,
@@ -157,6 +221,8 @@ RATIONAL = SemiringSpec(
     add=_rat_add,
     mul=_rat_mul,
     ratio=_rat_ratio,
+    add_mul=_rat_add_mul,
+    mul_ratio=_rat_mul_ratio,
 )
 
 MAXPLUS = SemiringSpec(

@@ -189,7 +189,7 @@ def suite_iso(shape, trials, seed, bound):
             checks["weight-match"].record(tropical.trop_wt(x, i) == bkinf.wt(b, i), x, i=i)
             checks["eps-match"].record(tropical.trop_eps(x, i) == bkinf.eps_phi(b, i)[0], x, i=i)
             # the unit-step side: one walk each way from b, so walk[d] is |d| kashiwara
-            # steps (bk_e's route) and each step is taken once for all of DVALS
+            # steps (bk_e_steps's route) and each step is taken once for all of DVALS
             walk = {0: b}
             for d in range(1, max(DVALS) + 1):
                 walk[d] = bkinf.kashiwara(walk[d - 1], "e", i)
@@ -251,7 +251,7 @@ def suite_weyl(shape, trials, seed, bound):
                     geom.weyl_s(x, i) == geom.weyl_s_def(x, i), x, i=i
                 )
             checks["array-closed-form"].record(
-                bkinf.weyl_s_tilde(b, i) == bkinf.bk_e(b, i, -bkinf.wt(b, i)), b, i=i
+                bkinf.weyl_s_tilde(b, i) == bkinf.bk_e_steps(b, i, -bkinf.wt(b, i)), b, i=i
             )
             for label, refl, value in realizations:
                 checks[label + "-involution"].record(refl(refl(value, i), i) == value, value, i=i)

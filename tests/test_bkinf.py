@@ -8,6 +8,7 @@ from pathcrystal.bkinf import (
     b_infinity,
     bk_e,
     bk_e_closed,
+    bk_e_steps,
     brute_bk_e_closed,
     crystal_graph_dot,
     delta,
@@ -192,14 +193,43 @@ def test_closed_step_equals_iteration(shape):
         b = sample_belement(shape, 70 + t, 8)
         for i in range(shape.n + 1):
             for d in range(-3, 4):
-                assert bk_e_closed(b, i, d) == bk_e(b, i, d)
+                assert bk_e_closed(b, i, d) == bk_e_steps(b, i, d) == bk_e(b, i, d)
+
+
+def test_many_fold_step_at_i_ge_1_takes_no_unit_step(monkeypatch):
+    # e_i^d moves wt by d times the i-th Cartan row and eps_i by -d, here in O(rows)
+    shape = make_shape(16, 8)
+    b = sample_belement(shape, 3, 6)
+
+    def no_unit_step(b, op, i):
+        raise AssertionError("bk_e took a unit step at i=%d" % i)
+
+    monkeypatch.setattr(bkinf, "kashiwara", no_unit_step)
+    for i in range(1, shape.n + 1):
+        for d in (10 ** 9, -10 ** 9):
+            moved = bk_e(b, i, d)
+            assert [wt(moved, j) for j in range(shape.n + 1)] == [
+                wt(b, j) + d * shape.cartan(i, j) for j in range(shape.n + 1)
+            ]
+            assert eps_phi(moved, i)[0] == eps_phi(b, i)[0] - d
+
+
+def test_array_closed_form_catches_a_closed_form_off_by_one(monkeypatch):
+    # the suite walks the unit steps itself: were its left side bk_e, which
+    # takes the closed form for |d| > 1, the mutant would agree with itself
+    real = bkinf.bk_e_closed
+    monkeypatch.setattr(bkinf, "bk_e_closed", lambda b, i, d: real(b, i, d + 1 if i else d))
+    shape = make_shape(3, 2)
+    by_name = {c.name: c for c in run_suite("weyl", shape, 2, 0)}
+    closed = by_name["array-closed-form"]
+    assert (closed.passes, closed.fails) == (2, 2 * shape.n)
 
 
 def test_closed_reflection_equals_iteration_200_elements(shape):
     for t in range(200):
         b = sample_belement(shape, 7000 + t, 8)
         for i in range(shape.n + 1):
-            assert weyl_s_tilde(b, i) == bk_e(b, i, -wt(b, i))
+            assert weyl_s_tilde(b, i) == bk_e_steps(b, i, -wt(b, i))
 
 
 # every shape with n <= 6, every k: the DP against the enumerated definition
@@ -372,7 +402,7 @@ def test_extremal_checks_table_against_delta(monkeypatch, tmp_path, capsys):
 def test_weyl_example():
     assert wt(B21, 1) == -5
     assert weyl_s_tilde(B21, 1).entries == {(1, 1): 5, (1, 2): 0, (1, 3): -5}
-    assert weyl_s_tilde(B21, 1) == bk_e(B21, 1, 5)
+    assert weyl_s_tilde(B21, 1) == bk_e_steps(B21, 1, 5)
 
 
 def test_weight_rejects_index_outside_0_to_n():

@@ -6,6 +6,7 @@ from pathcrystal.bkinf import (
     b_infinity,
     bk_e,
     bk_e_closed,
+    bk_e_steps,
     delta,
     eps_phi,
     eps_phi_0,
@@ -69,7 +70,8 @@ def test_omega_inv_requires_array():
 
 
 @pytest.mark.parametrize("d", [True, 1.5, "2"], ids=repr)
-@pytest.mark.parametrize("act", [trop_e, bk_e, bk_e_closed], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("act", [trop_e, bk_e, bk_e_steps, bk_e_closed],
+                         ids=lambda fn: fn.__name__)
 def test_step_count_must_be_an_integer(act, d):
     # the point kind reads d, as geom.act_e reads c: the routes compared accept the same input
     point = T21 if act is trop_e else omega(T21)
@@ -145,7 +147,7 @@ def test_data_intertwining_random(shape):
             assert trop_wt(x, i) == wt(b, i)
             assert trop_eps(x, i) == eps_phi(b, i)[0]
             for d in (-2, 1, 3):
-                assert omega(trop_e(x, i, d)) == bk_e(b, i, d)
+                assert omega(trop_e(x, i, d)) == bk_e_steps(b, i, d)
             assert omega(trop_weyl(x, i)) == weyl_s_tilde(b, i)
 
 

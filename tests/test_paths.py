@@ -174,12 +174,21 @@ def test_partial_sum_outside_closure_raises():
 
 @pytest.mark.parametrize("l, m", [(1.5, 2), ("1", 2), (1.0, 1), (1, 2.0), (True, 1), (1, False)])
 def test_engine_coordinates_must_be_integers(l, m):
-    # checked before any lookup: (1.0, 1) hashes like (1, 1), and 1.5 is no row
-    y = sample_point(S21, 0, 5, kind="y")
-    for call in (lambda: region_sums(X21, l, m), lambda: partial_sum(X21, "X", l, m),
+    # checked before any lookup, also with every table built: (1.0, 1) hashes
+    # like (1, 1), and 1.5 is no row
+    x, y = (sample_point(S21, 0, 5, kind=kind) for kind in ("x", "y"))
+    for node in S21.indices(1):
+        region_sums(x, *node)
+        partial_sum(x, "X", *node)
+    for node in S21.indices(2):
+        partial_sum(y, "Y", *node)
+    for call in (lambda: region_sums(x, l, m), lambda: partial_sum(x, "X", l, m),
                  lambda: partial_sum(y, "Y", l, m)):
         with pytest.raises(ValidationError, match="coordinates must be integers, got"):
             call()
+    for node in S21.indices(2):
+        with pytest.raises(ValidationError, match="region_sums needs a side-1 point"):
+            region_sums(y, *node)
 
 
 @pytest.mark.parametrize("kind", ["x", "y"])

@@ -22,11 +22,31 @@ def _plain_maxplus(a, b):
     return {"add": max(a, b), "mul": a + b, "ratio": a - b}
 
 
-CASES = [(RATIONAL, RATIONAL_GRID, _plain_rational), (MAXPLUS, MAXPLUS_GRID, _plain_maxplus)]
+def _fused_rational(a, b, c):
+    """add_mul(a, b, c) and mul_ratio(a, b, c) by the fractions operators.
+
+    A zero divisor is marked by ``ZeroDivisionError``.
+    """
+    return {"add_mul": a + b * c, "mul_ratio": a * b / c if c else ZeroDivisionError}
 
 
-@pytest.mark.parametrize("sr, grid, plain", CASES, ids=["rational", "maxplus"])
-def test_identities_pass_through(sr, grid, plain):
+def _fused_maxplus(a, b, c):
+    """The same with None as -infinity: max(a, b + c) and a + b - c."""
+    terms = [t for t in (a, None if None in (b, c) else b + c) if t is not None]
+    return {
+        "add_mul": max(terms, default=None),
+        "mul_ratio": ZeroDivisionError if c is None else None if None in (a, b) else a + b - c,
+    }
+
+
+CASES = [
+    (RATIONAL, RATIONAL_GRID, _plain_rational, _fused_rational),
+    (MAXPLUS, MAXPLUS_GRID, _plain_maxplus, _fused_maxplus),
+]
+
+
+@pytest.mark.parametrize("sr, grid, plain, fused", CASES, ids=["rational", "maxplus"])
+def test_identities_pass_through(sr, grid, plain, fused):
     for v in grid + [sr.bottom]:
         assert sr.add(sr.bottom, v) is v
         assert sr.add(v, sr.bottom) is v
@@ -37,10 +57,19 @@ def test_identities_pass_through(sr, grid, plain):
         if sr is RATIONAL:  # by object, with no Fraction operation
             assert sr.mul(sr.one, v) is v and sr.mul(v, sr.one) is v
             assert sr.ratio(v, sr.one) is v
+        for w in grid + [sr.bottom]:
+            # a bottom factor leaves the sum as it was, and a bottom factor over a unit is bottom
+            assert sr.add_mul(v, sr.bottom, w) is v and sr.add_mul(v, w, sr.bottom) is v
+            assert sr.mul_ratio(sr.bottom, w, sr.one) is sr.bottom
+            assert sr.mul_ratio(w, sr.bottom, sr.one) is sr.bottom
+            assert sr.add_mul(sr.bottom, sr.one, w) == w == sr.mul_ratio(sr.one, w, sr.one)
+            if sr is RATIONAL:
+                assert sr.add_mul(sr.bottom, sr.one, w) is w
+                assert sr.mul_ratio(sr.one, w, sr.one) is w
 
 
-@pytest.mark.parametrize("sr, grid, plain", CASES, ids=["rational", "maxplus"])
-def test_operations_equal_plain_arithmetic(sr, grid, plain):
+@pytest.mark.parametrize("sr, grid, plain, fused", CASES, ids=["rational", "maxplus"])
+def test_operations_equal_plain_arithmetic(sr, grid, plain, fused):
     for a in grid:
         for b in grid:
             expected = plain(a, b)
@@ -53,6 +82,16 @@ def test_operations_equal_plain_arithmetic(sr, grid, plain):
                 assert sr.ratio(a, b) == expected["ratio"]
             if sr is RATIONAL:
                 assert all(type(sr_op(a, b)) is Fraction for sr_op in (sr.add, sr.mul))
+    # the fused kernels, max-plus ones derived from add, mul and ratio, also at bottom
+    operands = grid + [sr.bottom]
+    for a, b, c in ((a, b, c) for a in operands for b in operands for c in operands):
+        expected = fused(a, b, c)
+        assert sr.add_mul(a, b, c) == expected["add_mul"]
+        if expected["mul_ratio"] is ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                sr.mul_ratio(a, b, c)
+        else:
+            assert sr.mul_ratio(a, b, c) == expected["mul_ratio"]
 
 
 def _kernel_operands(rng, count):
@@ -74,30 +113,54 @@ def test_rational_kernels_equal_the_fractions_operators():
     lefts, rights = _kernel_operands(rng, 3000), _kernel_operands(rng, 3000)
     assert not any(v is RATIONAL.one or v is RATIONAL.bottom for v in lefts + rights)
     assert sum(v == 0 for v in rights) > 50 and sum(v == 1 for v in lefts) > 50
-    for a, b in zip(lefts, rights):
-        ops = [(RATIONAL.add, a + b), (RATIONAL.mul, a * b)]
+    thirds = _kernel_operands(rng, 3000)
+    assert not any(v is RATIONAL.one or v is RATIONAL.bottom for v in thirds)
+    for a, b, c in zip(lefts, rights, thirds):
+        ops = [(RATIONAL.add, (a, b), a + b), (RATIONAL.mul, (a, b), a * b),
+               (RATIONAL.add_mul, (a, c, b), a + c * b)]
         if b:
-            ops.append((RATIONAL.ratio, a / b))
+            ops.append((RATIONAL.ratio, (a, b), a / b))
+            ops.append((RATIONAL.mul_ratio, (a, c, b), a * c / b))
         else:
             with pytest.raises(ZeroDivisionError):
                 RATIONAL.ratio(a, b)
-        for op, expected in ops:
-            r = op(a, b)
+            with pytest.raises(ZeroDivisionError):
+                RATIONAL.mul_ratio(a, c, b)
+        for op, args, expected in ops:
+            r = op(*args)
             assert type(r) is Fraction
             assert (r.numerator, r.denominator) == (expected.numerator, expected.denominator)
             assert gcd(r.numerator, r.denominator) == 1 and r.denominator > 0
             assert r == expected and hash(r) == hash(expected) and str(r) == str(expected)
 
 
-@pytest.mark.parametrize("suite", ["axioms", "intertwine"])
-def test_suites_catch_an_unreduced_product(monkeypatch, suite):
+def _unreduced_mul(a, b):
+    return _fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _unreduced_add_mul(a, c, b):
+    num = a.numerator * c.denominator * b.denominator + c.numerator * b.numerator * a.denominator
+    return _fraction(num, a.denominator * c.denominator * b.denominator)
+
+
+def _unreduced_mul_ratio(a, b, c):
+    sign = -1 if c.numerator < 0 else 1
+    return _fraction(sign * a.numerator * b.numerator * c.denominator,
+                     sign * a.denominator * b.denominator * c.numerator)
+
+
+UNREDUCED = {"mul": _unreduced_mul, "add_mul": _unreduced_add_mul,
+             "mul_ratio": _unreduced_mul_ratio}
+
+
+@pytest.mark.parametrize("suite, kernel", [
+    pytest.param(suite, kernel, id=suite if kernel == "mul" else suite + "-" + kernel)
+    for kernel in UNREDUCED for suite in ("axioms", "intertwine")
+])
+def test_suites_catch_an_unreduced_product(monkeypatch, suite, kernel):
     # the suites' right-hand sides use the fractions operators, which reduce:
-    # a product left unreduced compares unequal to its reduced twin
+    # a result left unreduced compares unequal to its reduced twin
     shape = make_shape(3, 2)
     assert all(c.ok for c in run_suite(suite, shape, 2, 0))
-
-    def unreduced_mul(a, b):
-        return _fraction(a.numerator * b.numerator, a.denominator * b.denominator)
-
-    monkeypatch.setattr(RATIONAL, "mul", unreduced_mul)
+    monkeypatch.setattr(RATIONAL, kernel, UNREDUCED[kernel])
     assert sum(c.fails for c in run_suite(suite, shape, 2, 0)) > 0
