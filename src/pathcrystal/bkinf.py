@@ -41,13 +41,27 @@ enumeration, the DP's oracle; it does not call the kernel.  The ``extremal``
 suite checks :func:`eps_phi_0` against delta at the enumerated extremal
 tuples.  :func:`delta` and :func:`.iso.pi_correspondence` check a tuple
 given from outside, by one rule in :mod:`.lattice`.
+
+Every public function rejects a point that is not an array before it
+reads one.  :func:`kashiwara` and :func:`bk_e_closed` at i >= 1 only move
+units within rows, between keys their input already has, so they build
+their images unchecked (``BElement._derived``); the 0-operator's closed
+form (:func:`_apply_peaks`) writes every entry from the DP's peak table,
+so its zero row sums are checked on each call.
 """
 
 from itertools import accumulate, combinations
 from operator import getitem
 
 from .errors import CrystalFault, ValidationError, brief
-from .lattice import BElement, SplitMix64, _check_ctuple, _mix_tag, point_to_json
+from .lattice import (
+    BElement,
+    SplitMix64,
+    _check_ctuple,
+    _check_kind,
+    _mix_tag,
+    point_to_json,
+)
 
 GRAPH_NODE_CAP = 10_000
 
@@ -101,6 +115,7 @@ def eps_phi(b, i):
     At i >= 1, eps_i = -min S[:-1] and phi_i = eps_i + S[-1] for the
     running sums S of :func:`_moved_sums`.
     """
+    _check_kind(b, BElement, "eps_phi")
     b.shape.check_index(i)
     if i == 0:
         return eps_phi_0(b)
@@ -118,6 +133,7 @@ def kashiwara(b, op, i):
     the first row attaining min S[:-1], and f_i moves it back in the last
     such row.
     """
+    _check_kind(b, BElement, "kashiwara")
     if op not in ("e", "f"):
         raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
     b.shape.check_index(i)
@@ -135,7 +151,8 @@ def kashiwara(b, op, i):
         row = rows[0] if op == "e" else rows[-1]
         entries[(row, i)] += step
         entries[(row, i + 1)] -= step
-    return BElement(b.shape, entries)
+    # one unit moves within each row it touches, between keys b already has
+    return BElement._derived(b.shape, entries)
 
 
 def _between(row, u, v):
@@ -149,6 +166,7 @@ def delta(b, c):
     ``c`` is checked as a tuple of the family; :func:`extremal_c` checks its
     own candidate through the unchecked body :func:`_delta`.
     """
+    _check_kind(b, BElement, "delta")
     return _delta(b, _check_ctuple(b.shape, c))
 
 
@@ -181,6 +199,7 @@ def extremal_c(b, which):
     the table's minimum raises :class:`CrystalFault` with a replayable
     witness.
     """
+    _check_kind(b, BElement, "extremal_c")
     if which not in ("e", "f"):
         raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
     values = _family_deltas(b)
@@ -203,12 +222,14 @@ def eps_phi_0(b):
     min-plus pass's value at its sink state (row k, column n+1): O(k*n)
     integer operations that read only the array.
     """
+    _check_kind(b, BElement, "eps_phi_0")
     shape = b.shape
     least = _forward_minima(_rows(b))[shape.k][shape.n + 1]
     return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
 
 
 def wt(b, i):
+    _check_kind(b, BElement, "wt")
     shape = b.shape
     shape.check_index(i)
     if i == 0:
@@ -224,6 +245,7 @@ def bk_e(b, i, d):
     At i >= 1 a move of more than one unit is :func:`bk_e_closed`, in
     O(rows) whatever d; every other call is :func:`bk_e_steps`.
     """
+    _check_kind(b, BElement, "bk_e")
     b.shape.check_index(i)
     d = b.value(d)
     if i and abs(d) > 1:
@@ -236,6 +258,7 @@ def bk_e_steps(b, i, d):
 
     The definition that :func:`bk_e_closed` is checked against.
     """
+    _check_kind(b, BElement, "bk_e_steps")
     b.shape.check_index(i)
     d = b.value(d)
     step = "e" if d >= 0 else "f"
@@ -332,6 +355,7 @@ def brute_bk_e_closed(b, d):
 
     ``peak[j][col] = -min(min over c[j] > col, (min over c[j] <= col) - d)``.
     """
+    _check_kind(b, BElement, "brute_bk_e_closed")
     values = _family_deltas(b).items()
     return _apply_peaks(b, [
         [-min(v - d if c[j] <= col else v for c, v in values) for col in range(b.shape.n + 2)]
@@ -346,6 +370,7 @@ def bk_e_closed(b, i, d):
     At i >= 1, row first+r moves by the change of :func:`_cut_peaks` over
     S[:-1] between cuts r and r+1, in O(rows).
     """
+    _check_kind(b, BElement, "bk_e_closed")
     b.shape.check_index(i)
     d = b.value(d)
     if i == 0:
@@ -356,11 +381,13 @@ def bk_e_closed(b, i, d):
     for row, (lo, hi) in enumerate(zip(peaks, peaks[1:]), first):
         entries[(row, i)] += hi - lo
         entries[(row, i + 1)] -= hi - lo
-    return BElement(b.shape, entries)
+    # each row moves hi - lo between two keys b already has, so its sum stays 0
+    return BElement._derived(b.shape, entries)
 
 
 def weyl_s_tilde(b, i):
     """Piecewise-linear simple reflection on the array crystal."""
+    _check_kind(b, BElement, "weyl_s_tilde")
     return bk_e_closed(b, i, -wt(b, i))
 
 
@@ -381,6 +408,7 @@ def crystal_graph_dot(center, radius):
     :data:`GRAPH_NODE_CAP` nodes, so the walk and the DOT text are bounded
     for every legal radius.
     """
+    _check_kind(center, BElement, "crystal_graph_dot")
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     shape = center.shape

@@ -2,10 +2,13 @@
 
 The map takes successive differences along each row (reading off-lattice
 coordinates as 0), its inverse takes prefix sums; row sums vanish by
-telescoping.  The companion correspondence sends each increasing tuple to
-the full lattice path whose row runs are delimited by the tuple, under
-which the column functional of an image array equals the negated tropical
-path weight.  Tuples and paths are plain tuples, so this module imports
+telescoping.  Both check their input's kind and build their images
+unchecked (``_derived``): differences and sums of integers are integers,
+on exactly the array's keys one way and the first lattice's the other.
+The companion correspondence sends each increasing tuple to the full
+lattice path whose row runs are delimited by the tuple, under which the
+column functional of an image array equals the negated tropical path
+weight.  Tuples and paths are plain tuples, so this module imports
 neither the array crystal nor the path engine, and the ``iso`` suite's
 ``delta-path`` (``bkinf.delta`` against ``paths.path_weight`` of this
 correspondence) compares modules that do not import one another.
@@ -13,26 +16,35 @@ correspondence) compares modules that do not import one another.
 all crystal data.
 """
 
-from .errors import ValidationError
-from .lattice import BElement, TropPoint, _check_ctuple
+from functools import cache
+
+from .lattice import BElement, TropPoint, _check_ctuple, _check_kind
+
+
+@cache
+def _omega_keys(shape):
+    """(array key, lattice key, left key) per array entry, built once per shape.
+
+    ``b(j, i) = x(k+1-j, i) - x(k+1-j, i-1)``.
+    """
+    top = shape.k + 1
+    return tuple(((j, i), (top - j, i), (top - j, i - 1)) for (j, i) in shape.b_indices)
 
 
 def omega(x):
     """Row-difference map onto the array crystal."""
-    if not isinstance(x, TropPoint):
-        raise ValidationError("omega expects a tropical point")
+    _check_kind(x, TropPoint, "omega")
     shape = x.shape
     get = x._entries.get
-    top = shape.k + 1
-    return BElement(shape, {
-        (j, i): get((top - j, i), 0) - get((top - j, i - 1), 0) for (j, i) in shape.b_indices
+    # row j telescopes to 0: its end columns j-1 and j+k' are off the lattice, so read 0
+    return BElement._derived(shape, {
+        key: get(here, 0) - get(left, 0) for key, here, left in _omega_keys(shape)
     })
 
 
 def omega_inv(b):
     """Prefix-sum inverse of :func:`omega`: one running sum along each row."""
-    if not isinstance(b, BElement):
-        raise ValidationError("omega_inv expects an array")
+    _check_kind(b, BElement, "omega_inv")
     shape = b.shape
     values = b._entries
     entries = {}
@@ -42,7 +54,8 @@ def omega_inv(b):
         for m in range(row, shape.n + 2 - l):
             total += values[(row, m)]
             entries[(l, m)] = total
-    return TropPoint(shape, entries)
+    # the keys are exactly l1_indices: row l runs over m = k-l+1..n+1-l
+    return TropPoint._derived(shape, entries)
 
 
 def pi_correspondence(shape, c):

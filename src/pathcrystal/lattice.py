@@ -14,6 +14,14 @@ one pass over the values (all positive Fractions, or all exact ints); only
 a point that fails it converts and checks entry by entry, which is also
 where every error message is written.
 
+The integer results the library derives from a checked point of the
+right kind (the unit steps, the d-fold array operator at i >= 1, the
+tropical action, :func:`.iso.omega` and its inverse) are built by
+``_BasePoint._derived``, which skips the checks their input already
+implies; each such function first rejects a point of another kind
+(:func:`_check_kind`).  Sampling, the codec, the array 0-operator's
+closed form and the whole rational side keep the checked constructor.
+
 Off-lattice reads return the multiplicative identity of the active
 semiring (1 for rational points, 0 for the integer kinds).  The special
 boundary values used by the partial path sums live in :mod:`.paths`, not
@@ -134,11 +142,15 @@ class LatticeShape:
         """Rows (a, b) of the entries (l, i) the i-th action moves on lattice 1 or 2.
 
         Column i of the first lattice (1..n) has the rows of column i-1 of the second (0..n-1).
+        The array (side "b") has no such column, so it is rejected like any other side.
         """
-        shift = {1: 1, 2: 0}[side]
-        j = i - shift
+        if side == 1:
+            j, where = i - 1, "1..n"
+        elif side == 2:
+            j, where = i, "0..n-1"
+        else:
+            raise ValidationError("side must be 1 or 2, got %s" % brief(side))
         if not 0 <= j <= self.n - 1:
-            where = ("0..n-1", "1..n")[shift]
             raise ValidationError("index i must be in %s, got %s" % (where, brief(i)))
         return max(self.k - j, 1), min(self.k, self.n - j)
 
@@ -211,15 +223,31 @@ class _BasePoint:
     ``shape`` and ``entries`` are read-only: path tables are memoized per
     point, so a point must not change after construction.  Equal points
     hash equal.
+
+    The constructor checks every entry and the key set (and, for arrays,
+    the row sums).  :meth:`_derived` checks nothing: the library calls it
+    only where the result's invariants follow from a checked input of the
+    right kind, and says which at each call site.  ``noun`` names the kind
+    in the message of :func:`_check_kind`.
     """
 
     kind = None
     side = None
+    noun = None
     semiring = None
     chart_image = None
 
     def __init__(self, shape, entries):
         self._build(shape, entries)
+
+    @classmethod
+    def _derived(cls, shape, entries):
+        """A point on ``entries``, a fresh dict the caller hands over, with no check at all."""
+        point = cls.__new__(cls)
+        point._shape = shape
+        point._entries = entries
+        point._tables = {}
+        return point
 
     def _build(self, shape, entries):
         self._shape = shape
@@ -343,6 +371,7 @@ class TropPoint(_IntPoint):
 
     kind = "trop"
     side = 1
+    noun = "a tropical point"
 
 
 class BElement(_IntPoint):
@@ -350,6 +379,7 @@ class BElement(_IntPoint):
 
     kind = "b"
     side = "b"
+    noun = "an array"
 
     def __init__(self, shape, entries):
         # not through _BasePoint.__init__: the benchmark counts its calls as
@@ -366,6 +396,12 @@ class BElement(_IntPoint):
 
 
 _KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}
+
+
+def _check_kind(point, cls, what):
+    """Reject anything but a ``cls`` point before ``what`` reads it or builds from it."""
+    if not isinstance(point, cls):
+        raise ValidationError("%s expects %s, got %s" % (what, cls.noun, type(point).__name__))
 
 
 def sample_point(shape, seed, bound, kind="x"):

@@ -16,6 +16,11 @@ last row b down to its first row a, from a running tail of sums, and :func:`trop
 suffix maximum.  :func:`trop_dbar` is the per-row definition, which the
 tests compare with that pass; the hot paths do not call it.
 
+Every function here rejects a point that is not tropical before it reads
+one.  :func:`trop_e` builds its image unchecked (``TropPoint._derived``):
+it is integer arithmetic on the entries of a checked tropical point and
+the checked parameter d, on the keys copied from the input.
+
 ``ud_degree_probe`` ties the tropical side back to the rational one: it
 evaluates a named rational quantity at coordinates ``t**exponent`` with
 ``t = 2**bits`` and extracts the leading exponent, which must equal the
@@ -35,7 +40,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import CrystalFault, ValidationError, brief
-from .lattice import TropPoint, XPoint
+from .lattice import TropPoint, XPoint, _check_kind
 from .paths import _table, epsilon_total, region_sums
 from .semiring import MAXPLUS, RATIONAL
 from . import geom
@@ -45,6 +50,7 @@ PROBE_MAX_EXPONENT = 8
 
 def trop_dbar(x, l, i):
     """Negated ultra-discretization of the diagonal product at (l, i)."""
+    _check_kind(x, TropPoint, "trop_dbar")
     a, b = x.shape.column(1, i)
     if not a <= l <= b:
         raise ValidationError("row %d outside [%d, %d] for i=%d" % (l, a, b, i))
@@ -74,6 +80,7 @@ def _dbars(x, i, a, b):
 
 
 def trop_wt(x, i):
+    _check_kind(x, TropPoint, "trop_wt")
     shape = x.shape
     shape.check_index(i)
     if i == 0:
@@ -87,6 +94,7 @@ def trop_wt(x, i):
 
 
 def trop_eps(x, i):
+    _check_kind(x, TropPoint, "trop_eps")
     shape = x.shape
     shape.check_index(i)
     if i == 0:
@@ -96,6 +104,7 @@ def trop_eps(x, i):
 
 def trop_e(x, i, d):
     """The d-th power of the i-th piecewise-linear action (d may be negative)."""
+    _check_kind(x, TropPoint, "trop_e")
     shape = x.shape
     shape.check_index(i)
     d = x.value(d)
@@ -120,11 +129,13 @@ def trop_e(x, i, d):
         nums = [d + suffix[0]] + [max(p, d + s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
         for l, num, den in zip(range(a, b + 1), nums, nums[1:]):
             entries[(l, i)] += num - den
-    return TropPoint(shape, entries)
+    # integer arithmetic on x's entries and the checked d, on the keys copied from x
+    return TropPoint._derived(shape, entries)
 
 
 def trop_weyl(x, i):
     """Piecewise-linear simple reflection."""
+    _check_kind(x, TropPoint, "trop_weyl")
     return trop_e(x, i, -trop_wt(x, i))
 
 
@@ -168,6 +179,7 @@ def probe_point(exponents):
     Memoized on the (frozen) exponents point, so every probe of one point
     reads the same rational point and its path tables.
     """
+    _check_kind(exponents, TropPoint, "probe_point")
     return _table(exponents, "probe", _build_probe)
 
 
@@ -195,6 +207,7 @@ def ud_degree_probe(name, exponents, i, d=0):
     parameter ``t**d``, one coordinate per entry.  ``d`` is bounded like
     the exponents, since ``t**d`` has ``bits * |d|`` bits.
     """
+    _check_kind(exponents, TropPoint, "ud_degree_probe")
     if abs(d) > PROBE_MAX_EXPONENT:
         bound = PROBE_MAX_EXPONENT
         raise ValidationError(
@@ -216,6 +229,7 @@ def ud_degree_probe(name, exponents, i, d=0):
 
 def probe_pairs(exponents, i, d):
     """(probe, tropical form) for gamma, epsilon and the action at ``t**d``."""
+    _check_kind(exponents, TropPoint, "probe_pairs")
     return {
         "gamma": (ud_degree_probe("gamma", exponents, i), trop_wt(exponents, i)),
         "epsilon": (ud_degree_probe("epsilon", exponents, i), trop_eps(exponents, i)),

@@ -31,9 +31,11 @@ from pathcrystal.lattice import (
     point_to_json,
     sample_point,
 )
-from pathcrystal.suites import run_suite
+from pathcrystal.suites import DVALS, run_suite
 from pathcrystal.tropical import trop_e, trop_eps, trop_weyl
 from math import comb
+
+from conftest import SHAPES
 
 S21 = make_shape(2, 1)
 B21 = BElement(S21, {(1, 1): 0, (1, 2): 5, (1, 3): -5})
@@ -104,6 +106,25 @@ def test_row_sums_preserved_by_all_operators(shape):
     for out in results:
         for j in range(1, shape.k + 1):
             assert sum(out.get(j, i) for i in range(j, j + shape.kprime + 1)) == 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10])
+@pytest.mark.parametrize("nk", SHAPES + [(8, 4)], ids=lambda nk: "n%dk%d" % nk)
+def test_derived_points_are_the_points_the_checks_would_build(nk, bound):
+    # unit steps, the closed form at i >= 1, trop_e, omega and omega_inv skip the
+    # constructor's checks; rebuilding each image through them must give it back
+    shape = make_shape(*nk)
+    x = sample_point(shape, 45, bound, kind="trop")
+    b = sample_belement(shape, 45, bound)
+    images = [omega(x), omega_inv(b)]
+    for i in range(shape.n + 1):
+        images += [kashiwara(a, op, i) for a in (b, images[0]) for op in "ef"]
+        images += [trop_e(x, i, d) for d in DVALS]
+        if i:
+            images += [bk_e_closed(b, i, d) for d in DVALS]
+    for out in images:
+        checked = type(out)(out.shape, dict(out.entries))
+        assert out == checked and hash(out) == hash(checked)
 
 
 def test_delta_examples():

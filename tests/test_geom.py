@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pathcrystal.birational import sigma_map, xi_map
+from pathcrystal.bkinf import sample_belement
 from pathcrystal.errors import ValidationError
 from pathcrystal.geom import act_e, dval, epsilon, gamma, weyl_s, weyl_s_def
 from pathcrystal.lattice import (
@@ -103,6 +104,18 @@ def test_action_parameter_is_read_by_the_point_kind():
         with pytest.raises(ValidationError, match="the action parameter: bad rational"):
             act_e(X21, 1, bad)
     assert act_e(X21, 1, "5/1") == act_e(X21, 1, 5) == act_e(X21, 1, Fraction(5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda b: act_e(b, 1, 2), lambda b: epsilon(b, 1), lambda b: gamma(b, 1),
+     lambda b: weyl_s(b, 1), lambda b: dval(b, 1, 1)],
+    ids=["act_e", "epsilon", "gamma", "weyl_s", "dval"],
+)
+def test_chart_operations_reject_an_array_at_i_from_1(call):
+    # the rows an index moves come from shape.column, which has no array side
+    with pytest.raises(ValidationError, match="side must be 1 or 2, got 'b'"):
+        call(sample_belement(S32, 1, 5))
 
 
 def test_gamma_scaling_all_pairs(shape):

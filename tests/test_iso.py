@@ -7,9 +7,13 @@ from pathcrystal.bkinf import (
     bk_e,
     bk_e_closed,
     bk_e_steps,
+    brute_bk_e_closed,
+    crystal_graph_dot,
     delta,
     eps_phi,
     eps_phi_0,
+    extremal_c,
+    kashiwara,
     sample_belement,
     weyl_s_tilde,
     wt,
@@ -20,7 +24,15 @@ from pathcrystal.lattice import BElement, TropPoint, make_shape, sample_point
 from pathcrystal.paths import enumerate_paths, full_path_endpoints, path_weight
 from pathcrystal.reporting import all_ok
 from pathcrystal.suites import run_suite
-from pathcrystal.tropical import trop_e, trop_eps, trop_weyl, trop_wt
+from pathcrystal.tropical import (
+    probe_pairs,
+    trop_dbar,
+    trop_e,
+    trop_eps,
+    trop_weyl,
+    trop_wt,
+    ud_degree_probe,
+)
 
 S21 = make_shape(2, 1)
 S32 = make_shape(3, 2)
@@ -67,6 +79,55 @@ def test_omega_requires_tropical_point():
 def test_omega_inv_requires_array():
     with pytest.raises(ValidationError, match="expects an array"):
         omega_inv(T21)
+
+
+# every integer-side entry point, the kind it takes, and one call of it
+ENTRY_POINTS = [
+    ("eps_phi", "b", lambda p: eps_phi(p, 1)),
+    ("eps_phi_0", "b", eps_phi_0),
+    ("wt", "b", lambda p: wt(p, 1)),
+    ("kashiwara", "b", lambda p: kashiwara(p, "e", 1)),
+    ("extremal_c", "b", lambda p: extremal_c(p, "e")),
+    ("delta", "b", lambda p: delta(p, (1, 2, 4, 6))),
+    ("bk_e", "b", lambda p: bk_e(p, 1, 2)),
+    ("bk_e_steps", "b", lambda p: bk_e_steps(p, 1, 2)),
+    ("bk_e_closed", "b", lambda p: bk_e_closed(p, 1, 2)),
+    ("brute_bk_e_closed", "b", lambda p: brute_bk_e_closed(p, 2)),
+    ("weyl_s_tilde", "b", lambda p: weyl_s_tilde(p, 1)),
+    ("crystal_graph_dot", "b", lambda p: crystal_graph_dot(p, 1)),
+    ("omega_inv", "b", omega_inv),
+    ("omega", "trop", omega),
+    ("trop_dbar", "trop", lambda p: trop_dbar(p, 3, 1)),
+    ("trop_wt", "trop", lambda p: trop_wt(p, 1)),
+    ("trop_eps", "trop", lambda p: trop_eps(p, 1)),
+    ("trop_e", "trop", lambda p: trop_e(p, 1, 2)),
+    ("trop_weyl", "trop", lambda p: trop_weyl(p, 1)),
+    ("ud_degree_probe", "trop", lambda p: ud_degree_probe("gamma", p, 1)),
+    ("probe_pairs", "trop", lambda p: probe_pairs(p, 1, 1)),
+]
+
+S53 = make_shape(5, 3)
+POINTS = {
+    "x": sample_point(S53, 1, 5, kind="x"),
+    "y": sample_point(S53, 1, 5, kind="y"),
+    "trop": sample_point(S53, 1, 5, kind="trop"),
+    "b": sample_belement(S53, 1, 5),
+}
+
+
+NOUNS = {"b": "an array", "trop": "a tropical point"}
+
+
+@pytest.mark.parametrize("name,kind,call,wrong", [
+    pytest.param(name, kind, call, wrong, id="%s-%s" % (name, wrong))
+    for name, kind, call in ENTRY_POINTS for wrong in POINTS if wrong != kind
+])
+def test_integer_entry_points_reject_other_point_kinds(name, kind, call, wrong):
+    # wt, eps_phi and the tropical data returned numbers, kashiwara a KeyError
+    point = POINTS[wrong]
+    message = "^%s expects %s, got %s$" % (name, NOUNS[kind], type(point).__name__)
+    with pytest.raises(ValidationError, match=message):
+        call(point)
 
 
 @pytest.mark.parametrize("d", [True, 1.5, "2"], ids=repr)

@@ -86,6 +86,13 @@ def test_column_rejects_an_index_outside_its_lattice(side, bad, allowed):
             shape.column(side, i)
 
 
+@pytest.mark.parametrize("side", ["b", 0, 3, None], ids=repr)
+def test_column_rejects_a_side_without_columns(side):
+    # the array's side "b" has no column an action moves; it raised KeyError
+    with pytest.raises(ValidationError, match="side must be 1 or 2, got "):
+        make_shape(3, 2).column(side, 1)
+
+
 def test_x_get_on_and_off_domain():
     shape = make_shape(2, 1)
     x = XPoint(shape, {(1, 1): 2, (1, 2): 3})
