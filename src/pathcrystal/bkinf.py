@@ -135,7 +135,7 @@ def kashiwara(b, op, i):
     """
     _check_kind(b, BElement, "kashiwara")
     if op not in ("e", "f"):
-        raise ValidationError("op must be 'e' or 'f', got %r" % (op,))
+        raise ValidationError("op must be 'e' or 'f', got %s" % brief(op))
     b.shape.check_index(i)
     step = 1 if op == "e" else -1
     entries = dict(b._entries)
@@ -201,7 +201,7 @@ def extremal_c(b, which):
     """
     _check_kind(b, BElement, "extremal_c")
     if which not in ("e", "f"):
-        raise ValidationError("which must be 'e' or 'f', got %r" % (which,))
+        raise ValidationError("which must be 'e' or 'f', got %s" % brief(which))
     values = _family_deltas(b)
     best = min(values.values())
     argmin = [c for c, v in values.items() if v == best]

@@ -23,6 +23,8 @@ from .geom import act_e, weyl_s
 from .iso import omega, omega_inv
 from .lattice import (
     PRNG_ID,
+    _KIND_CLASSES,
+    _check_kind,
     make_shape,
     point_from_json,
     point_to_json,
@@ -129,8 +131,7 @@ MAPS = {
 
 def _require_kind(path, kind, what):
     point = _load_point(path)
-    if point.kind != kind:
-        raise ValidationError("%s expects a point of kind %r, got %r" % (what, kind, point.kind))
+    _check_kind(point, _KIND_CLASSES[kind], what)
     return point
 
 
@@ -171,7 +172,8 @@ def _probe_report(exponents, args):
 
 def cmd_conjecture(args):
     shape = make_shape(args.n, args.k)
-    outcomes = conjecture_outcomes(shape, args.trials, args.seed, args.bound)
+    bound = suite_bound("conjecture", args.bound)
+    outcomes = conjecture_outcomes(shape, args.trials, args.seed, bound)
     ratio_ok = all(map(ratio_holds, outcomes))
     report = {
         "n": shape.n,
@@ -179,6 +181,7 @@ def cmd_conjecture(args):
         "seed": args.seed,
         "prng": PRNG_ID,
         "trials": args.trials,
+        "bound": bound,
         "proportional_count": sum(1 for o in outcomes if o["proportional"]),
         "outcomes": outcomes,
         "ratio_ok": ratio_ok,
@@ -236,7 +239,7 @@ COMMANDS = {
         **_SHAPE,
         "trials": (int, 25, None, "random points"),
         "seed": (int, 0, None, "seed of the point sampler"),
-        "bound": (int, 16, None, "sampling bound"),
+        "bound": (int, None, None, "sampling bound"),
         "json": (FLAG, False, None, "print compact JSON"),
     }),
     "graph": ("DOT export of an array-crystal ball", "cmd_graph", {

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import ValidationError
-from .lattice import _check_increasing
+from .errors import ValidationError, brief
+from .lattice import XPoint, YPoint, _check_increasing, _check_kind
 
 # basis vectors, binomial(n+1, k), of a module that is built
 DIMENSION_CAP = 10_000
@@ -74,7 +74,7 @@ def apply_gen(shape, v, gen, i):
     """
     shape.check_index(i)
     if gen not in ("e", "f"):
-        raise ValidationError("unknown generator %r" % (gen,))
+        raise ValidationError("unknown generator %s" % brief(gen))
     low, high = _cycle_step(shape, i)
     old, new = (low, high) if gen == "f" else (high, low)
     return {_moved(key, old, new): a for key, a in v.items() if old in key and new not in key}
@@ -91,8 +91,7 @@ def chart_vector(point):
     keeps a, and ``apply_gen(shape, v, "f", m)`` is added.  The module's
     dimension is capped before any key is built.
     """
-    if point.kind not in ("x", "y"):
-        raise ValidationError("chart_vector takes an x or y point, got kind %r" % (point.kind,))
+    _check_kind(point, (XPoint, YPoint), "chart_vector")
     shape = point.shape
     _check_dimension(shape)
     highest = highest_u1 if point.side == 1 else highest_u2

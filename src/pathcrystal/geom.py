@@ -5,11 +5,11 @@ induced 0-action; the chart carrying y-coordinates has actions indexed by
 0..n-1.  Together they assemble the full affine family, whose defining
 relations :func:`pathcrystal.suites.suite_axioms` checks at random points.
 :func:`dval`, :func:`gamma`, :func:`epsilon`, :func:`act_e` and
-:func:`weyl_s` take a point of either chart: they use the same
+:func:`weyl_s` take a point of either chart or a tropical point, checked
+first at every index (:func:`.lattice._check_kind`): they use the same
 diagonal-product formulas and differ only in the rows an index moves,
 which the shape gives as ``shape.column(x.side, i)``; only the x-chart's
-0-action has formulas of its own.  The Cartan matrix these actions obey
-is ``shape.cartan``.
+0-action has formulas of its own.  The Cartan matrix is ``shape.cartan``.
 
 Everything indexed by 1..n is written against the generic semiring of the
 point, so the same code yields the exact rational action on an ``x`` point
@@ -50,11 +50,13 @@ from functools import reduce
 from itertools import accumulate
 
 from .errors import ValidationError
+from .lattice import TropPoint, XPoint, YPoint, _check_kind
 from .paths import epsilon_total, region_sums
 
 
-def _x_zero(x, i):
-    """True for the induced 0-action of the x-chart; checks i on that chart."""
+def _x_zero(x, i, what):
+    """True for the induced 0-action of the x-chart; checks the kind, and i on that chart."""
+    _check_kind(x, (XPoint, YPoint, TropPoint), what)
     if x.side == 2:
         return False
     x.shape.check_index(i)
@@ -68,6 +70,7 @@ def _prod(sr, factors):
 
 def dval(x, l, i):
     """Diagonal product at row l in column i (off-lattice factors read as 1)."""
+    _check_kind(x, (XPoint, YPoint, TropPoint), "dval")
     sr = x.semiring
     a, b = x.shape.column(x.side, i)
     if not a <= l <= b:
@@ -83,8 +86,9 @@ def dval(x, l, i):
 
 def gamma(x, i):
     """Multiplier character of the i-th action."""
+    zero = _x_zero(x, i, "gamma")
     shape, sr = x.shape, x.semiring
-    if _x_zero(x, i):
+    if zero:
         return sr.inv(sr.mul(x.get(1, shape.n), x.get(shape.k, 1)))
     a, b = shape.column(x.side, i)
     num = _prod(sr, [x.get(j, i) for j in range(a, b + 1)])
@@ -134,8 +138,9 @@ def _move_rows(x, entries, i, a, nums):
 
 
 def epsilon(x, i):
+    zero = _x_zero(x, i, "epsilon")
     shape, sr = x.shape, x.semiring
-    if _x_zero(x, i):
+    if zero:
         return sr.mul(x.get(1, shape.n), epsilon_total(x))
     a, b = shape.column(x.side, i)
     return sr.add_all(_inv_dvals(x, i, b, _row_steps(x, i, a, b)))
@@ -150,8 +155,8 @@ def _alpha(x, l, m, c):
 
 def act_e(x, i, c):
     """The i-th one-parameter action on either chart; the point's kind reads ``c``."""
+    zero = _x_zero(x, i, "act_e")
     shape, sr = x.shape, x.semiring
-    zero = _x_zero(x, i)
     c = x.value(c)
     entries = dict(x.entries)
     if zero:
@@ -179,9 +184,9 @@ def weyl_s(x, i):
     The x-chart's 0-reflection is that action itself: its closed form would
     only put ``1/gamma_0 = x(1,n) x(k,1)`` into the 0-action's formulas.
     """
+    if _x_zero(x, i, "weyl_s"):
+        return act_e(x, i, x.semiring.inv(gamma(x, i)))
     sr = x.semiring
-    if _x_zero(x, i):
-        return act_e(x, i, sr.inv(gamma(x, i)))
     entries = dict(x.entries)
     a, b = x.shape.column(x.side, i)
     steps = _row_steps(x, i, a, b)
@@ -194,4 +199,5 @@ def weyl_s(x, i):
 
 def weyl_s_def(x, i):
     """Definitional route for the reflection: the action at parameter 1/gamma."""
+    _check_kind(x, (XPoint, YPoint, TropPoint), "weyl_s_def")
     return act_e(x, i, x.semiring.inv(gamma(x, i)))

@@ -228,7 +228,7 @@ class _BasePoint:
     the row sums).  :meth:`_derived` checks nothing: the library calls it
     only where the result's invariants follow from a checked input of the
     right kind, and says which at each call site.  ``noun`` names the kind
-    in the message of :func:`_check_kind`.
+    in every wrong-kind message, which :func:`_check_kind` writes.
     """
 
     kind = None
@@ -331,6 +331,7 @@ class XPoint(_RationalPoint):
 
     kind = "x"
     side = 1
+    noun = "an x point"
 
 
 class YPoint(_RationalPoint):
@@ -338,6 +339,7 @@ class YPoint(_RationalPoint):
 
     kind = "y"
     side = 2
+    noun = "a y point"
 
 
 XPoint.chart_image, YPoint.chart_image = YPoint, XPoint
@@ -399,9 +401,12 @@ _KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}
 
 
 def _check_kind(point, cls, what):
-    """Reject anything but a ``cls`` point before ``what`` reads it or builds from it."""
+    """The one kind check: reject all but a ``cls`` point (class or tuple) before ``what``."""
     if not isinstance(point, cls):
-        raise ValidationError("%s expects %s, got %s" % (what, cls.noun, type(point).__name__))
+        *rest, last = [c.noun for c in (cls if isinstance(cls, tuple) else (cls,))]
+        expected = "%s or %s" % (", ".join(rest), last) if rest else last
+        got = point.noun if isinstance(point, _BasePoint) else type(point).__name__
+        raise ValidationError("%s expects %s, got %s" % (what, expected, got))
 
 
 def sample_point(shape, seed, bound, kind="x"):
@@ -413,7 +418,7 @@ def sample_point(shape, seed, bound, kind="x"):
     if bound < 1:
         raise ValidationError("bound must be at least 1")
     if kind not in ("x", "y", "trop"):  # arrays: bkinf.sample_belement
-        raise ValidationError("unknown point kind %r" % (kind,))
+        raise ValidationError("unknown point kind %s" % brief(kind))
     tag = _mix_tag(seed, shape.n, shape.k, bound, sum(ord(ch) for ch in kind))
     rng = SplitMix64(tag)
     cls = _KIND_CLASSES[kind]

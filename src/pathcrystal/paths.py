@@ -30,6 +30,7 @@ It and :func:`partial_sum` check that the coordinates are of type ``int``
 and the point is of the right side, then read the memoized table; only a
 call that fails that, or that reads off the table or before it is built,
 takes the full checks, whose errors do not depend on which tables exist.
+Their kind check, as everywhere, is :func:`.lattice._check_kind`.
 
 Boundary conventions of the partial sums (one layer only; point reads have
 their own off-lattice convention in :mod:`.lattice`):
@@ -50,12 +51,12 @@ from itertools import combinations
 from math import comb
 
 from .errors import ValidationError, brief
-from .lattice import PATH_CAP, _is_int
+from .lattice import PATH_CAP, TropPoint, XPoint, YPoint, _check_kind, _is_int
 
 
 def _check_side(side):
     if side not in (1, 2):
-        raise ValidationError("side must be 1 or 2, got %r" % (side,))
+        raise ValidationError("side must be 1 or 2, got %s" % brief(side))
 
 
 def enumerate_paths(shape, side, src, dst):
@@ -73,7 +74,7 @@ def enumerate_paths(shape, side, src, dst):
     src, dst = tuple(src), tuple(dst)
     for name, node in (("source", src), ("destination", dst)):
         if not (all(map(_is_int, node)) and node in domain):
-            raise ValidationError("%s %r not on lattice L%d" % (name, node, side))
+            raise ValidationError("%s %s not on lattice L%d" % (name, brief(node), side))
     l, m = src
     drop = l - dst[0]
     advance = dst[1] - m
@@ -101,13 +102,6 @@ def full_path_endpoints(shape, side):
     return (shape.k, 0), (1, shape.n - 1)
 
 
-def _point_side(point):
-    side = getattr(point, "side", None)
-    if side not in (1, 2):
-        raise ValidationError("not a lattice point: %r" % (point,))
-    return side
-
-
 def path_weight(point, path):
     """Semiring product of the strip weights of ``path`` under ``point``.
 
@@ -115,13 +109,14 @@ def path_weight(point, path):
     point's lattice, and each step one column right, along its row or to
     the next row down.  This is the one check of a path given from outside.
     """
-    side = _point_side(point)
+    _check_kind(point, (XPoint, YPoint, TropPoint), "path_weight")
+    side = point.side
     domain = point.shape.domain(side)
     if not path:
         raise ValidationError("a path needs at least one point")
     for pt in path:
         if pt not in domain:
-            raise ValidationError("path point %r is off lattice L%d" % (pt, side))
+            raise ValidationError("path point %s is off lattice L%d" % (brief(pt), side))
     sr = point.semiring
     weight = sr.one
     for (l0, m0), (l1, m1) in zip(path, path[1:]):
@@ -195,13 +190,9 @@ def _build_sums(point, forward):
     return table
 
 
-def _require_side(point, side, what):
-    if _point_side(point) != side:
-        raise ValidationError("%s needs a side-%d point, got kind %r" % (what, side, point.kind))
-
-
-# partial-sum kind -> (lattice side, True for sums toward the sink)
+# partial-sum kind -> (lattice side, True for sums toward the sink); side -> its point classes
 _KINDS = {"X": (1, True), "Xstar": (1, False), "Y": (2, True), "Ystar": (2, False)}
+_ON_SIDE = {1: (XPoint, TropPoint), 2: (YPoint,)}
 
 
 def _sums(point, forward):
@@ -226,9 +217,9 @@ def partial_sum(point, kind, l, m):
 def _partial_sum_checked(point, kind, l, m):
     """:func:`partial_sum` with every argument checked, boundary conventions included."""
     if kind not in _KINDS:
-        raise ValidationError("unknown partial-sum kind %r" % (kind,))
+        raise ValidationError("unknown partial-sum kind %s" % brief(kind))
     side, forward = _KINDS[kind]
-    _require_side(point, side, kind)
+    _check_kind(point, _ON_SIDE[side], "partial_sum " + kind)
     _check_coordinates(l, m)
     shape, sr = point.shape, point.semiring
     if (l, m) in shape.domain(side):
@@ -261,7 +252,7 @@ def _partial_sum_checked(point, kind, l, m):
 
 def epsilon_total(point):
     """Total weight of all full paths on the first lattice."""
-    _require_side(point, 1, "epsilon_total")
+    _check_kind(point, _ON_SIDE[1], "epsilon_total")
     return partial_sum(point, "X", point.shape.k, 1)
 
 
@@ -314,12 +305,12 @@ def region_sums(point, l, m):
     Row indices 0 and k+1 are legal and make the above/below conditions
     vacuous; empty regions come back as the semiring bottom.  Every row
     0..k+1 of the columns 1..n is one lookup in the memoized region table.
-    The 0-actions read it in their inner loop, so the side and coordinate
+    The 0-actions read it in their inner loop, so the kind and coordinate
     checks run only when the coordinates are not of type ``int`` or the
     point is not of side 1.
     """
     if not (type(l) is type(m) is int and getattr(point, "side", None) == 1):
-        _require_side(point, 1, "region_sums")
+        _check_kind(point, _ON_SIDE[1], "region_sums")
         _check_coordinates(l, m)
     regions = point._tables.get("regions")
     if regions is None:
@@ -344,18 +335,18 @@ def region_sums(point, l, m):
 
 def brute_partial_sum(point, kind, l, m):
     """Oracle for :func:`partial_sum` on genuine lattice nodes."""
-    shape = point.shape
-    sr = point.semiring
+    if kind not in _KINDS:
+        raise ValidationError("unknown partial-sum kind %s" % brief(kind))
+    _check_kind(point, _ON_SIDE[_KINDS[kind][0]], "brute_partial_sum " + kind)
+    shape, sr = point.shape, point.semiring
     if kind == "X":
         paths = enumerate_paths(shape, 1, (l, m), (1, shape.n))
     elif kind == "Xstar":
         paths = enumerate_paths(shape, 1, (shape.k, 1), (l, m))
     elif kind == "Y":
         paths = enumerate_paths(shape, 2, (l, m), (1, shape.n - 1))
-    elif kind == "Ystar":
-        paths = enumerate_paths(shape, 2, (shape.k, 0), (l, m))
     else:
-        raise ValidationError("unknown partial-sum kind %r" % (kind,))
+        paths = enumerate_paths(shape, 2, (shape.k, 0), (l, m))
     return sr.add_all(path_weight(point, p) for p in paths)
 
 
@@ -367,6 +358,7 @@ def brute_regions(point):
     (l, m) when its points on row l all lie right of column m, V when they
     all lie left of it, and R when it passes (l, m).
     """
+    _check_kind(point, _ON_SIDE[1], "brute_regions")
     shape, sr = point.shape, point.semiring
     cells = [(l, m) for l in range(shape.k + 2) for m in range(shape.n + 2)]
     upper, lower, through = (dict.fromkeys(cells, sr.bottom) for _ in range(3))

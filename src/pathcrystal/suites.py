@@ -336,7 +336,7 @@ def _conjecture_runs(shape, trials, seed, bound):
         yield x, outcome
 
 
-def conjecture_outcomes(shape, trials, seed, bound=16):
+def conjecture_outcomes(shape, trials, seed, bound):
     """Raw probe outcomes for the proportionality experiment."""
     _require_trials(trials)
     return [outcome for _, outcome in _conjecture_runs(shape, trials, seed, bound)]

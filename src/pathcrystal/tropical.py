@@ -165,8 +165,8 @@ def _build_probe(exponents):
     for key, e in exponents.entries.items():
         if abs(e) > PROBE_MAX_EXPONENT:
             raise ValidationError(
-                "probe exponent at %r is %s, outside [-%d, %d]"
-                % (key, brief(e), PROBE_MAX_EXPONENT, PROBE_MAX_EXPONENT)
+                "probe exponent at %s is %s, outside [-%d, %d]"
+                % (brief(key), brief(e), PROBE_MAX_EXPONENT, PROBE_MAX_EXPONENT)
             )
     return XPoint(
         exponents.shape, {key: _power(e, bits) for key, e in exponents.entries.items()}
@@ -224,7 +224,7 @@ def ud_degree_probe(name, exponents, i, d=0):
         return TropPoint(
             exponents.shape, {key: degree_of(v, bits) for key, v in moved.entries.items()}
         )
-    raise ValidationError("unknown probe quantity %r" % (name,))
+    raise ValidationError("unknown probe quantity %s" % brief(name))
 
 
 def probe_pairs(exponents, i, d):

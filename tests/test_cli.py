@@ -217,6 +217,19 @@ def test_every_map_checks_its_kind(capsys, point_file, name):
         assert run(capsys, *map_argv(name, point_file(POINTS[other])))[0] == 2, other
 
 
+@pytest.mark.parametrize("argv,point,message", [
+    (["map", "--map", "sigma", "--point"], T21, "map sigma expects an x point, got a tropical point"),
+    (["act", "--side", "geom", "--op", "e", "--i", "0", "--c", "2", "--point"], B21,
+     "side geom expects an x point, got an array"),
+    (["graph", "--n", "2", "--k", "1", "--center"], Y21,
+     "graph center expects an array, got a y point"),
+], ids=["map", "act", "graph"])
+def test_a_wrong_kind_is_named_as_the_library_names_it(capsys, point_file, argv, point, message):
+    # one message form for a wrong kind: the CLI's check is lattice._check_kind
+    assert main(argv + [point_file(point)]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 SIDE_KINDS = {side: kind for (side, _), (kind, _) in ACTIONS.items()}
 MISSING_ACTIONS = [(side, op) for side in sorted(SIDE_KINDS) for op in "efs"
                    if (side, op) not in ACTIONS]
@@ -327,6 +340,11 @@ def test_conjecture_report(capsys):
     assert report["ratio_ok"] is True
     assert len(report["outcomes"]) == 4
     assert all(o["proportional"] for o in report["outcomes"])
+    # the bound comes from suite_bound, as verify's does
+    assert report["bound"] == 16
+    code, out = run(capsys, "conjecture", "--n", "2", "--k", "1", "--trials", "1", "--bound", "9",
+                    "--json")
+    assert json.loads(out)["bound"] == 9
 
 
 def test_conjecture_gates_the_ratio_at_every_k(capsys, monkeypatch):
@@ -519,7 +537,7 @@ BOUND_COMMANDS = [["conjecture"]] + [["verify", "--suite", s] for s in [*sorted(
 def test_bound_below_one_exits_2(capsys, command, bound):
     argv = command + ["--n", "3", "--k", "2", "--trials", "1", "--bound", bound]
     assert main(argv) == 2
-    assert "bound must be at least 1" in capsys.readouterr().err
+    assert "bound must be at least 1, got %s" % bound in capsys.readouterr().err
 
 
 # one call per subcommand that gives every option, with the values it parses to
@@ -535,7 +553,7 @@ DEFAULTS = {
     "verify": {"trials": 20, "seed": 0, "bound": None, "json": False},
     "act": {"c": None, "d": 1, "json": False},
     "map": {"i": None, "d": 0, "json": False},
-    "conjecture": {"trials": 25, "seed": 0, "bound": 16, "json": False},
+    "conjecture": {"trials": 25, "seed": 0, "bound": None, "json": False},
     "graph": {"center": "b_inf", "radius": 1},
 }
 

@@ -107,14 +107,16 @@ def test_action_parameter_is_read_by_the_point_kind():
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda b: act_e(b, 1, 2), lambda b: epsilon(b, 1), lambda b: gamma(b, 1),
-     lambda b: weyl_s(b, 1), lambda b: dval(b, 1, 1)],
+    "name,call",
+    [("act_e", lambda b: act_e(b, 1, 2)), ("epsilon", lambda b: epsilon(b, 1)),
+     ("gamma", lambda b: gamma(b, 1)), ("weyl_s", lambda b: weyl_s(b, 1)),
+     ("dval", lambda b: dval(b, 1, 1))],
     ids=["act_e", "epsilon", "gamma", "weyl_s", "dval"],
 )
-def test_chart_operations_reject_an_array_at_i_from_1(call):
-    # the rows an index moves come from shape.column, which has no array side
-    with pytest.raises(ValidationError, match="side must be 1 or 2, got 'b'"):
+def test_chart_operations_reject_an_array_at_i_from_1(name, call):
+    # the kind is checked before shape.column, which has no array side, is read
+    message = "^%s expects an x point, a y point or a tropical point, got an array$" % name
+    with pytest.raises(ValidationError, match=message):
         call(sample_belement(S32, 1, 5))
 
 

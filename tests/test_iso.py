@@ -1,6 +1,7 @@
 import pytest
 
 from pathcrystal import bkinf
+from pathcrystal.birational import sigma_map, xi_map
 from pathcrystal.bkinf import (
     all_ctuples,
     b_infinity,
@@ -19,9 +20,20 @@ from pathcrystal.bkinf import (
     wt,
 )
 from pathcrystal.errors import ValidationError
+from pathcrystal.fundrep import chart_vector
+from pathcrystal.geom import act_e, dval, epsilon, gamma, weyl_s, weyl_s_def
 from pathcrystal.iso import omega, omega_inv, pi_correspondence
 from pathcrystal.lattice import BElement, TropPoint, make_shape, sample_point
-from pathcrystal.paths import enumerate_paths, full_path_endpoints, path_weight
+from pathcrystal.paths import (
+    brute_partial_sum,
+    brute_regions,
+    enumerate_paths,
+    epsilon_total,
+    full_path_endpoints,
+    partial_sum,
+    path_weight,
+    region_sums,
+)
 from pathcrystal.reporting import all_ok
 from pathcrystal.suites import run_suite
 from pathcrystal.tropical import (
@@ -115,7 +127,7 @@ POINTS = {
 }
 
 
-NOUNS = {"b": "an array", "trop": "a tropical point"}
+NOUNS = {"x": "an x point", "y": "a y point", "trop": "a tropical point", "b": "an array"}
 
 
 @pytest.mark.parametrize("name,kind,call,wrong", [
@@ -125,9 +137,78 @@ NOUNS = {"b": "an array", "trop": "a tropical point"}
 def test_integer_entry_points_reject_other_point_kinds(name, kind, call, wrong):
     # wt, eps_phi and the tropical data returned numbers, kashiwara a KeyError
     point = POINTS[wrong]
-    message = "^%s expects %s, got %s$" % (name, NOUNS[kind], type(point).__name__)
+    message = "^%s expects %s, got %s$" % (name, NOUNS[kind], NOUNS[wrong])
     with pytest.raises(ValidationError, match=message):
         call(point)
+
+
+# every chart-side entry point, the kinds it takes, and one call of it
+CHARTS = ("x", "y", "trop")
+SIDE_1 = ("x", "trop")
+CHART_ENTRY_POINTS = [
+    *[(name, CHARTS, call) for i in (0, 1) for name, call in [
+        ("act_e", lambda p, i=i: act_e(p, i, 2)),
+        ("epsilon", lambda p, i=i: epsilon(p, i)),
+        ("gamma", lambda p, i=i: gamma(p, i)),
+        ("weyl_s", lambda p, i=i: weyl_s(p, i)),
+    ]],
+    *[("weyl_s_def", CHARTS, lambda p, i=i: weyl_s_def(p, i)) for i in (0, 1)],
+    ("dval", CHARTS, lambda p: dval(p, 3, 1)),
+    ("path_weight", CHARTS, lambda p: path_weight(p, [(1, 3)])),
+    ("partial_sum X", SIDE_1, lambda p: partial_sum(p, "X", 1, 3)),
+    ("partial_sum Xstar", SIDE_1, lambda p: partial_sum(p, "Xstar", 1, 3)),
+    ("partial_sum Y", ("y",), lambda p: partial_sum(p, "Y", 1, 3)),
+    ("partial_sum Ystar", ("y",), lambda p: partial_sum(p, "Ystar", 1, 3)),
+    *[("brute_partial_sum " + kind, sides, lambda p, kind=kind: brute_partial_sum(p, kind, 1, 3))
+      for kind, sides in [("X", SIDE_1), ("Xstar", SIDE_1), ("Y", ("y",)), ("Ystar", ("y",))]],
+    ("region_sums", SIDE_1, lambda p: region_sums(p, 1, 3)),
+    ("brute_regions", SIDE_1, brute_regions),
+    ("epsilon_total", SIDE_1, epsilon_total),
+    ("sigma_map", ("x",), sigma_map),
+    ("xi_map", ("y",), xi_map),
+    ("chart_vector", ("x", "y"), chart_vector),
+]
+
+
+def expected_nouns(kinds):
+    *rest, last = [NOUNS[kind] for kind in kinds]
+    return "%s or %s" % (", ".join(rest), last) if rest else last
+
+
+@pytest.mark.parametrize("name,kinds,call,wrong", [
+    pytest.param(name, kinds, call, wrong, id="%s-%d-%s" % (name, n, wrong))
+    for n, (name, kinds, call) in enumerate(CHART_ENTRY_POINTS)
+    for wrong in POINTS if wrong not in kinds
+])
+def test_chart_entry_points_reject_other_point_kinds(name, kinds, call, wrong):
+    # gamma gave a number for an array at i = 0, and the checks below the
+    # entry point named a partial sum or a side
+    message = "^%s expects %s, got %s$" % (name, expected_nouns(kinds), NOUNS[wrong])
+    with pytest.raises(ValidationError, match=message):
+        call(POINTS[wrong])
+
+
+def test_every_chart_entry_point_accepts_its_own_kinds():
+    for name, kinds, call in CHART_ENTRY_POINTS:
+        for kind in kinds:
+            call(POINTS[kind])
+
+
+@pytest.mark.parametrize("name,call", [
+    pytest.param(name, call, id=name) for name, _, call in ENTRY_POINTS + CHART_ENTRY_POINTS
+])
+def test_anything_but_a_point_is_named_by_its_type(name, call):
+    with pytest.raises(ValidationError, match="^%s expects .*, got dict$" % name):
+        call({"kind": "x"})
+
+
+def test_a_large_array_is_rejected_in_a_short_message():
+    # the side test printed every entry: 934 characters at (16, 8)
+    b = sample_belement(make_shape(16, 8), 1, 5)
+    for call in (lambda: epsilon(b, 0), lambda: act_e(b, 0, 2), lambda: path_weight(b, [])):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize("d", [True, 1.5, "2"], ids=repr)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import MALFORMED_POINTS
-from pathcrystal.bkinf import sample_belement
+from pathcrystal.bkinf import extremal_c, kashiwara, sample_belement
 from pathcrystal.errors import ValidationError
+from pathcrystal.fundrep import apply_gen
 from pathcrystal.lattice import (
     ARRAY_ENTRY_CAP,
     BElement,
@@ -20,7 +21,15 @@ from pathcrystal.lattice import (
     point_to_json,
     sample_point,
 )
-from pathcrystal.paths import brute_partial_sum, epsilon_total
+from pathcrystal.paths import (
+    brute_partial_sum,
+    enumerate_paths,
+    epsilon_total,
+    full_path_endpoints,
+    partial_sum,
+    path_weight,
+)
+from pathcrystal.tropical import ud_degree_probe
 
 
 def test_smallest_shape_index_sets():
@@ -342,3 +351,40 @@ def test_mismatched_entries_name_a_few_keys_and_their_counts():
     assert "420 missing, first [(1, 20), (1, 21), (1, 22), (1, 23)]" in message
     assert "420 extra, first [(0, 0), (0, 1), (0, 2), (0, 3)]" in message
     assert len(message) < 200
+
+
+S32 = make_shape(3, 2)
+X32 = sample_point(S32, 1, 5)
+
+# every library site that quotes a caller's string, and its message for the value "g"
+QUOTING_SITES = [
+    ("op", lambda v: kashiwara(sample_belement(S32, 1, 5), v, 1),
+     "op must be 'e' or 'f', got 'g'"),
+    ("which", lambda v: extremal_c(sample_belement(S32, 1, 5), v),
+     "which must be 'e' or 'f', got 'g'"),
+    ("gen", lambda v: apply_gen(S32, {}, v, 1), "unknown generator 'g'"),
+    ("kind", lambda v: sample_point(S32, 1, 5, kind=v), "unknown point kind 'g'"),
+    ("side", lambda v: full_path_endpoints(S32, v), "side must be 1 or 2, got 'g'"),
+    ("source", lambda v: enumerate_paths(S32, 1, (v, 1), (1, 3)),
+     "source ('g', 1) not on lattice L1"),
+    ("destination", lambda v: enumerate_paths(S32, 1, (2, 1), (v, 3)),
+     "destination ('g', 3) not on lattice L1"),
+    ("path-point", lambda v: path_weight(X32, [(v, 1)]), "path point ('g', 1) is off lattice L1"),
+    ("partial-sum", lambda v: partial_sum(X32, v, 1, 1), "unknown partial-sum kind 'g'"),
+    ("brute-partial-sum", lambda v: brute_partial_sum(X32, v, 1, 1),
+     "unknown partial-sum kind 'g'"),
+    ("probe-name", lambda v: ud_degree_probe(v, sample_point(S32, 1, 5, kind="trop"), 1),
+     "unknown probe quantity 'g'"),
+]
+
+
+@pytest.mark.parametrize("call,short", [pytest.param(call, short, id=name)
+                                        for name, call, short in QUOTING_SITES])
+def test_a_library_error_quotes_a_long_value_briefly(call, short):
+    # each site printed the whole value: 5,029 characters for a 5,000-character op
+    with pytest.raises(ValidationError, match="^%s$" % re.escape(short)):
+        call("g")
+    with pytest.raises(ValidationError) as info:
+        call("g" * 5000)
+    assert len(str(info.value)) < 300
+    assert "characters)" in str(info.value)
