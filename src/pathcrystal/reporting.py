@@ -37,7 +37,6 @@ class RelationCheck:
                 if point is not None:
                     witness["point"] = point_to_json(point)
                 self.witnesses.append(witness)
-        return ok
 
     @property
     def ok(self):

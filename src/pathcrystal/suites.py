@@ -1,9 +1,13 @@
 """Named verification suites behind the command-line ``verify`` entry point.
 
-Each suite draws seeded random points, checks a family of exact identities
-and returns :class:`~pathcrystal.reporting.RelationCheck` records.  The
-acceptance tests run these same functions at the sample sizes fixed there;
-the CLI exposes them at user-chosen sizes.
+Each suite draws seeded random points and yields its trials as records
+``(relation, point, params, holds)``; :func:`run_suite` alone calls ``holds()``
+and counts the answers.  A check that raises is a failed trial of its
+relation, with ``error: "<Type>: <message>"`` in its witness; a value that
+several checks read is built by the first of them.  A suite checks its
+shape's limits before its first record, so a shape past a cap stays bad
+usage.  The acceptance tests run these same functions at the sample sizes
+fixed there; the CLI exposes them at user-chosen sizes.
 
 The proportionality experiment (``conjecture``) compares the chart vectors
 of a point and of its image under ``sigma_map`` here, so that
@@ -14,7 +18,7 @@ from fractions import Fraction
 
 from . import bkinf, fundrep, geom, iso, tropical
 from .birational import sigma_map, xi_map
-from .errors import CrystalFault, ValidationError, brief
+from .errors import ValidationError, brief
 from .lattice import (
     SplitMix64,
     _mix_tag,
@@ -39,86 +43,109 @@ DVALS = range(-3, 4)
 # partial-sum kinds on each lattice
 PARTIAL_SUMS = {1: ("X", "Xstar"), 2: ("Y", "Ystar")}
 
+SUITES = {}  # suite name -> its trial generator
+RELATIONS = {}  # suite name -> its relation names, in report order
+DEFAULT_BOUNDS = {}  # suite name -> the sampling bound it runs at by default
 
-def _checks(*names):
-    return {name: RelationCheck(name) for name in names}
+
+def _suite(name, *relations, bound=16):
+    """Register a trial generator as suite ``name``, reporting ``relations`` in this order."""
+    def register(generate):
+        SUITES[name], RELATIONS[name], DEFAULT_BOUNDS[name] = generate, relations, bound
+        return generate
+    return register
 
 
+def _lazy(build, *args):
+    """``build(*args)`` as a zero-argument call, built on first use; an exception is kept."""
+    built, failed = [], []
+
+    def value():
+        if built:
+            return built[0]
+        if not failed:
+            try:
+                built.append(build(*args))
+                return built[0]
+            except Exception as exc:
+                failed.append(exc)
+        raise failed[0]
+    return value
+
+
+@_suite("paths", "partial-sums", "regions")
 def suite_paths(shape, trials, seed, bound):
     """Dynamic programming against enumeration, all nodes, both semirings."""
-    checks = _checks("partial-sums", "regions")
+    shape.check_full_paths()
     for t in range(trials):
         for kind in ("x", "trop", "y"):
             point = sample_point(shape, seed + t, bound, kind=kind)
-            for sum_kind in PARTIAL_SUMS[point.side]:
+            for sums in PARTIAL_SUMS[point.side]:
                 for (l, m) in shape.indices(point.side):
-                    checks["partial-sums"].record(
-                        partial_sum(point, sum_kind, l, m)
-                        == brute_partial_sum(point, sum_kind, l, m),
-                        point, kind=sum_kind, l=l, m=m,
+                    yield "partial-sums", point, {"kind": sums, "l": l, "m": m}, lambda: (
+                        partial_sum(point, sums, l, m) == brute_partial_sum(point, sums, l, m)
                     )
             if point.side == 2:
                 continue
-            oracle = brute_regions(point)
+            oracle = _lazy(brute_regions, point)
             for l in range(0, shape.k + 2):
                 for m in range(1, shape.n + 1):
-                    checks["regions"].record(
-                        region_sums(point, l, m) == oracle[(l, m)], point, l=l, m=m
-                    )
-    return list(checks.values())
+                    yield "regions", point, {"l": l, "m": m}, (
+                        lambda: region_sums(point, l, m) == oracle()[(l, m)])
 
 
+@_suite("birational", "inverse-on-x", "inverse-on-y")
 def suite_birational(shape, trials, seed, bound):
-    checks = _checks("inverse-on-x", "inverse-on-y")
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         y = sample_point(shape, seed + 7919 + t, bound, kind="y")
-        checks["inverse-on-x"].record(xi_map(sigma_map(x)) == x, x)
-        checks["inverse-on-y"].record(sigma_map(xi_map(y)) == y, y)
-    return list(checks.values())
+        yield "inverse-on-x", x, {}, lambda: xi_map(sigma_map(x)) == x
+        yield "inverse-on-y", y, {}, lambda: sigma_map(xi_map(y)) == y
 
 
+@_suite("lemma44", "factor-on-x", "factor-on-y")
 def suite_lemma44(shape, trials, seed, bound):
     """Coordinates factor through the opposite chart's partial sums."""
-    checks = _checks("factor-on-x", "factor-on-y")
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
-        y = sigma_map(x)
+        y = _lazy(sigma_map, x)
         for (l, m) in shape.l1_indices:
-            lhs = x.get(l, m)
-            rhs = partial_sum(x, "X", l, m) * partial_sum(y, "Ystar", l - 1, m)
-            checks["factor-on-x"].record(lhs == rhs, x, l=l, m=m)
+            yield "factor-on-x", x, {"l": l, "m": m}, lambda: (
+                x.get(l, m) == partial_sum(x, "X", l, m) * partial_sum(y(), "Ystar", l - 1, m)
+            )
         yr = sample_point(shape, seed + 104729 + t, bound, kind="y")
-        xr = xi_map(yr)
+        xr = _lazy(xi_map, yr)
         for (l, m) in shape.l2_indices:
-            lhs = yr.get(l, m)
-            rhs = partial_sum(yr, "Ystar", l, m) * partial_sum(xr, "X", l, m)
-            checks["factor-on-y"].record(lhs == rhs, yr, l=l, m=m)
-    return list(checks.values())
+            yield "factor-on-y", yr, {"l": l, "m": m}, lambda: (
+                yr.get(l, m) == partial_sum(yr, "Ystar", l, m) * partial_sum(xr(), "X", l, m)
+            )
 
 
+@_suite("intertwine", "action-intertwine", "gamma-transport", "epsilon-transport")
 def suite_intertwine(shape, trials, seed, bound):
     """The chart change commutes with the shared actions (indices 0..n-1).
 
     At i = 0 this compares the x-chart's closed-form 0-action, gamma and
     epsilon with the y-chart's generic ones through the chart change.
     """
-    checks = _checks("action-intertwine", "gamma-transport", "epsilon-transport")
     rng = SplitMix64(_mix_tag(seed, 0x51))
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
-        y = sigma_map(x)
+        y = _lazy(sigma_map, x)
         for i in range(shape.n):
-            checks["gamma-transport"].record(geom.gamma(x, i) == geom.gamma(y, i), x, i=i)
-            checks["epsilon-transport"].record(geom.epsilon(x, i) == geom.epsilon(y, i), x, i=i)
+            yield "gamma-transport", x, {"i": i}, lambda: geom.gamma(x, i) == geom.gamma(y(), i)
+            yield "epsilon-transport", x, {"i": i}, (
+                lambda: geom.epsilon(x, i) == geom.epsilon(y(), i))
             for _ in range(PARAMS):
                 c = sample_rational(rng, bound, avoid_one=True)
-                checks["action-intertwine"].record(
-                    sigma_map(geom.act_e(x, i, c)) == geom.act_e(y, i, c), x, i=i, c=c
-                )
-    return list(checks.values())
+                yield "action-intertwine", x, {"i": i, "c": c}, (
+                    lambda: sigma_map(geom.act_e(x, i, c)) == geom.act_e(y(), i, c))
 
 
+@_suite(
+    "axioms", "identity-at-1", "parameter-group-law", "gamma-scaling", "epsilon-scaling",
+    "epsilon-invariance", "commutation", "verma",
+)
 def suite_axioms(shape, trials, seed, bound):
     """Every defining relation of the affine structure, incl. the 0-n Verma relation.
 
@@ -128,83 +155,75 @@ def suite_axioms(shape, trials, seed, bound):
     """
     act_e, epsilon, gamma = geom.act_e, geom.epsilon, geom.gamma
     index_set = range(shape.n + 1)
-    checks = _checks(
-        "identity-at-1", "parameter-group-law", "gamma-scaling", "epsilon-scaling",
-        "epsilon-invariance", "commutation", "verma",
-    )
     rng = SplitMix64(seed ^ 0xA1F1)
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         for i in index_set:
-            checks["identity-at-1"].record(act_e(x, i, Fraction(1)) == x, x, i=i)
+            yield "identity-at-1", x, {"i": i}, lambda: act_e(x, i, Fraction(1)) == x
         for p in range(PARAMS):
             c = sample_rational(rng, bound, avoid_one=(p % 2 == 0))
             d = sample_rational(rng, bound, avoid_one=(p % 2 == 1))
             for i in index_set:
-                xi = act_e(x, i, c)
-                checks["parameter-group-law"].record(
-                    act_e(xi, i, d) == act_e(x, i, c * d), x, i=i, c=c, d=d
-                )
-                checks["epsilon-scaling"].record(epsilon(xi, i) == epsilon(x, i) / c, x, i=i, c=c)
+                xi = _lazy(act_e, x, i, c)
+                yield "parameter-group-law", x, {"i": i, "c": c, "d": d}, (
+                    lambda: act_e(xi(), i, d) == act_e(x, i, c * d))
+                yield "epsilon-scaling", x, {"i": i, "c": c}, (
+                    lambda: epsilon(xi(), i) == epsilon(x, i) / c)
                 for j in index_set:
-                    checks["gamma-scaling"].record(
-                        gamma(xi, j) == c ** shape.cartan(i, j) * gamma(x, j), x, i=i, j=j, c=c
-                    )
+                    yield "gamma-scaling", x, {"i": i, "j": j, "c": c}, (
+                        lambda: gamma(xi(), j) == c ** shape.cartan(i, j) * gamma(x, j))
                 for j in range(i + 1, shape.n + 1):
                     if shape.cartan(i, j) == 0:
-                        checks["commutation"].record(
-                            act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d),
-                            x, i=i, j=j, c=c, d=d,
-                        )
-                        checks["epsilon-invariance"].record(
-                            epsilon(act_e(x, j, c), i) == epsilon(x, i), x, i=i, j=j, c=c
-                        )
+                        yield "commutation", x, {"i": i, "j": j, "c": c, "d": d}, (
+                            lambda: act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d))
+                        yield "epsilon-invariance", x, {"i": i, "j": j, "c": c}, (
+                            lambda: epsilon(act_e(x, j, c), i) == epsilon(x, i))
                     else:
-                        lhs = act_e(act_e(act_e(x, i, d), j, c * d), i, c)
-                        rhs = act_e(act_e(act_e(x, j, c), i, c * d), j, d)
-                        checks["verma"].record(lhs == rhs, x, i=i, j=j, c=c, d=d)
-    return list(checks.values())
+                        yield "verma", x, {"i": i, "j": j, "c": c, "d": d}, lambda: (
+                            act_e(act_e(act_e(x, i, d), j, c * d), i, c)
+                            == act_e(act_e(act_e(x, j, c), i, c * d), j, d)
+                        )
 
 
+def _unit_walk(b, i):
+    """{d: b after |d| kashiwara steps at i, e up and f down}: each step of DVALS taken once."""
+    walk = {0: b}
+    for d in range(1, max(DVALS) + 1):  # DVALS is symmetric about 0
+        walk[d] = bkinf.kashiwara(walk[d - 1], "e", i)
+        walk[-d] = bkinf.kashiwara(walk[1 - d], "f", i)
+    return walk
+
+
+@_suite(
+    "iso", "round-trip", "weight-match", "eps-match", "step-intertwine",
+    "reflection-intertwine", "delta-path", bound=10,
+)
 def suite_iso(shape, trials, seed, bound):
     """The array bijection intertwines all crystal data."""
-    checks = _checks(
-        "round-trip", "weight-match", "eps-match", "step-intertwine",
-        "reflection-intertwine", "delta-path",
-    )
-    family = bkinf.all_ctuples(shape)
+    family = bkinf.all_ctuples(shape)  # rejects a shape past the path cap
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="trop")
-        b = iso.omega(x)
-        checks["round-trip"].record(iso.omega_inv(b) == x, x)
+        b = _lazy(iso.omega, x)
+        yield "round-trip", x, {}, lambda: iso.omega_inv(b()) == x
         # the other direction from an array of its own: omega(omega_inv(omega(x))) is omega(x)
         a = bkinf.sample_belement(shape, seed + t, bound)
-        checks["round-trip"].record(iso.omega(iso.omega_inv(a)) == a, a)
+        yield "round-trip", a, {}, lambda: iso.omega(iso.omega_inv(a)) == a
         for c in family:
-            checks["delta-path"].record(
-                bkinf.delta(b, c) == -path_weight(x, iso.pi_correspondence(shape, c)),
-                x, c=c,
-            )
+            yield "delta-path", x, {"c": c}, (
+                lambda: bkinf.delta(b(), c) == -path_weight(x, iso.pi_correspondence(shape, c)))
         for i in range(shape.n + 1):
-            checks["weight-match"].record(tropical.trop_wt(x, i) == bkinf.wt(b, i), x, i=i)
-            checks["eps-match"].record(tropical.trop_eps(x, i) == bkinf.eps_phi(b, i)[0], x, i=i)
-            # the unit-step side: one walk each way from b, so walk[d] is |d| kashiwara
-            # steps (bk_e_steps's route) and each step is taken once for all of DVALS
-            walk = {0: b}
-            for d in range(1, max(DVALS) + 1):
-                walk[d] = bkinf.kashiwara(walk[d - 1], "e", i)
-            for d in range(-1, min(DVALS) - 1, -1):
-                walk[d] = bkinf.kashiwara(walk[d + 1], "f", i)
+            yield "weight-match", x, {"i": i}, lambda: tropical.trop_wt(x, i) == bkinf.wt(b(), i)
+            yield "eps-match", x, {"i": i}, (
+                lambda: tropical.trop_eps(x, i) == bkinf.eps_phi(b(), i)[0])
+            walk = _lazy(lambda: _unit_walk(b(), i))
             for d in DVALS:
-                checks["step-intertwine"].record(
-                    iso.omega(tropical.trop_e(x, i, d)) == walk[d], x, i=i, d=d
-                )
-            checks["reflection-intertwine"].record(
-                iso.omega(tropical.trop_weyl(x, i)) == bkinf.weyl_s_tilde(b, i), x, i=i
-            )
-    return list(checks.values())
+                yield "step-intertwine", x, {"i": i, "d": d}, (
+                    lambda: iso.omega(tropical.trop_e(x, i, d)) == walk()[d])
+            yield "reflection-intertwine", x, {"i": i}, (
+                lambda: iso.omega(tropical.trop_weyl(x, i)) == bkinf.weyl_s_tilde(b(), i))
 
 
+@_suite("udprobe", "probe-gamma", "probe-epsilon", "probe-action", "maxplus-action")
 def suite_udprobe(shape, trials, seed, bound):
     """Degree probe of the rational quantities against the tropical forms.
 
@@ -213,29 +232,29 @@ def suite_udprobe(shape, trials, seed, bound):
     ``maxplus-action`` compares that tropical action with ``geom.act_e`` on the
     integer point at i = 1..n (at i = 0 both read the max-plus path engine).
     """
-    checks = _checks("probe-gamma", "probe-epsilon", "probe-action", "maxplus-action")
+    shape.check_full_paths()
     rng = SplitMix64(_mix_tag(seed, 0xDE))
     for t in range(trials):
         exponents = sample_point(shape, seed + t, bound, kind="trop")
         for i in range(shape.n + 1):
             d = rng.randint(-3, 3)
-            pairs = tropical.probe_pairs(exponents, i, d)
-            for quantity, (probe, form) in pairs.items():
-                checks["probe-" + quantity].record(probe == form, exponents, i=i, d=d)
+            pairs = _lazy(tropical.probe_pairs, exponents, i, d)
+            for quantity in ("gamma", "epsilon", "action"):
+                yield "probe-" + quantity, exponents, {"i": i, "d": d}, (
+                    lambda: pairs()[quantity][0] == pairs()[quantity][1])
             if i:
-                checks["maxplus-action"].record(
-                    geom.act_e(exponents, i, d) == pairs["action"][1], exponents, i=i, d=d
-                )
-    return list(checks.values())
+                yield "maxplus-action", exponents, {"i": i, "d": d}, (
+                    lambda: geom.act_e(exponents, i, d) == pairs()["action"][1])
 
 
+@_suite(
+    "weyl", "geometric-closed-form", "geometric-involution", "geometric-braid",
+    "geometric-commute", "tropical-involution", "tropical-braid", "tropical-commute",
+    "array-closed-form", "array-involution", "array-braid", "array-commute",
+)
 def suite_weyl(shape, trials, seed, bound):
     """Reflection relations on all three realizations, closed vs defining."""
-    checks = _checks(
-        "geometric-closed-form", "geometric-involution", "geometric-braid", "geometric-commute",
-        "tropical-involution", "tropical-braid", "tropical-commute",
-        "array-closed-form", "array-involution", "array-braid", "array-commute",
-    )
+    shape.check_full_paths()
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
         z = sample_point(shape, seed + t, bound, kind="trop")
@@ -247,67 +266,66 @@ def suite_weyl(shape, trials, seed, bound):
         )
         for i in range(shape.n + 1):
             if i:  # at i = 0, weyl_s is weyl_s_def's own route: the action at 1/gamma
-                checks["geometric-closed-form"].record(
-                    geom.weyl_s(x, i) == geom.weyl_s_def(x, i), x, i=i
-                )
-            checks["array-closed-form"].record(
-                bkinf.weyl_s_tilde(b, i) == bkinf.bk_e_steps(b, i, -bkinf.wt(b, i)), b, i=i
-            )
+                yield "geometric-closed-form", x, {"i": i}, (
+                    lambda: geom.weyl_s(x, i) == geom.weyl_s_def(x, i))
+            yield "array-closed-form", b, {"i": i}, (
+                lambda: bkinf.weyl_s_tilde(b, i) == bkinf.bk_e_steps(b, i, -bkinf.wt(b, i)))
             for label, refl, value in realizations:
-                checks[label + "-involution"].record(refl(refl(value, i), i) == value, value, i=i)
+                yield label + "-involution", value, {"i": i}, (
+                    lambda: refl(refl(value, i), i) == value)
                 for j in range(i + 1, shape.n + 1):
                     if shape.cartan(i, j) == 0:
-                        ok = refl(refl(value, i), j) == refl(refl(value, j), i)
-                        checks[label + "-commute"].record(ok, value, i=i, j=j)
+                        yield label + "-commute", value, {"i": i, "j": j}, (
+                            lambda: refl(refl(value, i), j) == refl(refl(value, j), i))
                     else:
-                        ok = refl(refl(refl(value, i), j), i) == refl(refl(refl(value, j), i), j)
-                        checks[label + "-braid"].record(ok, value, i=i, j=j)
-    return list(checks.values())
+                        yield label + "-braid", value, {"i": i, "j": j}, lambda: (
+                            refl(refl(refl(value, i), j), i) == refl(refl(refl(value, j), i), j)
+                        )
 
 
+@_suite("extremal", "extremal-tuples", "eps-phi-from-tuples", bound=10)
 def suite_extremal(shape, trials, seed, bound):
     """Extremal-tuple machinery: both extremal tuples attain the least delta.
 
-    ``extremal-tuples`` fails when an :func:`~pathcrystal.bkinf.extremal_c`
-    call faults: each checks its tuple's delta against the same table's
+    ``extremal-tuples`` holds when both :func:`~pathcrystal.bkinf.extremal_c`
+    calls return: each faults unless its tuple's delta is the same table's
     minimum.  ``eps-phi-from-tuples`` compares the DP's 0-data with delta
-    at the enumerated extremal tuples.
+    at those tuples, which its witness names ``ce`` and ``cf``.
     """
-    checks = _checks("extremal-tuples", "eps-phi-from-tuples")
+    shape.check_full_paths()
     for t in range(trials):
         b = bkinf.sample_belement(shape, seed + t, bound)
-        try:
-            ce = bkinf.extremal_c(b, "e")
-            cf = bkinf.extremal_c(b, "f")
-        except CrystalFault as fault:
-            checks["extremal-tuples"].record(False, b, fault=str(fault))
-            continue
-        checks["extremal-tuples"].record(True)
-        delta_e, delta_f = bkinf.delta(b, ce), bkinf.delta(b, cf)
-        from_tuples = (-b.get(shape.k, shape.n + 1) - delta_e, -b.get(1, 1) - delta_f)
-        checks["eps-phi-from-tuples"].record(bkinf.eps_phi_0(b) == from_tuples, b, ce=ce, cf=cf)
-    return list(checks.values())
+        tuples = _lazy(lambda: (bkinf.extremal_c(b, "e"), bkinf.extremal_c(b, "f")))
+        yield "extremal-tuples", b, {}, lambda: tuples() is not None
+        found = {}  # the witness names the tuples once a check has them
+
+        def zero_data():
+            ce, cf = tuples()
+            found.update(ce=ce, cf=cf)
+            delta_e, delta_f = bkinf.delta(b, ce), bkinf.delta(b, cf)
+            from_tuples = (-b.get(shape.k, shape.n + 1) - delta_e, -b.get(1, 1) - delta_f)
+            return bkinf.eps_phi_0(b) == from_tuples
+
+        yield "eps-phi-from-tuples", b, found, zero_data
 
 
+@_suite("fundrep", "nilpotence", "annihilation-u1", "annihilation-u2")
 def suite_fundrep(shape, trials, seed, bound):
     """Exhaustive operator nilpotence and highest-weight annihilation."""
-    checks = _checks("nilpotence", "annihilation-u1", "annihilation-u2")
-    keys = fundrep.basis_keys(shape)
+    keys = fundrep.basis_keys(shape)  # rejects a module past the dimension cap
+    apply_gen, unit_vector = fundrep.apply_gen, fundrep.unit_vector
     for i in range(shape.n + 1):
         for key in keys:
-            v = fundrep.unit_vector(shape, key)
-            ok = all(
-                not fundrep.apply_gen(shape, fundrep.apply_gen(shape, v, gen, i), gen, i)
-                for gen in ("e", "f")
+            v = _lazy(unit_vector, shape, key)
+            yield "nilpotence", None, {"i": i, "key": list(key)}, lambda: all(
+                not apply_gen(shape, apply_gen(shape, v(), gen, i), gen, i) for gen in ("e", "f")
             )
-            checks["nilpotence"].record(ok, i=i, key=list(key))
-    u1 = fundrep.unit_vector(shape, fundrep.highest_u1(shape))
-    u2 = fundrep.unit_vector(shape, fundrep.highest_u2(shape))
+    u1 = _lazy(unit_vector, shape, fundrep.highest_u1(shape))
+    u2 = _lazy(unit_vector, shape, fundrep.highest_u2(shape))
     for i in range(1, shape.n + 1):
-        checks["annihilation-u1"].record(not fundrep.apply_gen(shape, u1, "e", i), i=i)
+        yield "annihilation-u1", None, {"i": i}, lambda: not apply_gen(shape, u1(), "e", i)
     for i in range(0, shape.n):
-        checks["annihilation-u2"].record(not fundrep.apply_gen(shape, u2, "e", i), i=i)
-    return list(checks.values())
+        yield "annihilation-u2", None, {"i": i}, lambda: not apply_gen(shape, u2(), "e", i)
 
 
 def _require_trials(trials):
@@ -316,30 +334,28 @@ def _require_trials(trials):
         raise ValidationError("trials must be >= 1, got %s" % brief(trials))
 
 
-def _conjecture_runs(shape, trials, seed, bound):
-    """(point, outcome) per trial of the proportionality experiment.
+def _conjecture_outcome(x):
+    """The proportionality experiment at one point.
 
     The vector v2 of the mapped point is proportional to v1 when both have
     the same keys and every ratio v2/v1 is one scalar.
     """
-    for t in range(trials):
-        x = sample_point(shape, seed + t, bound, kind="x")
-        v1, v2 = fundrep.chart_vector(x), fundrep.chart_vector(sigma_map(x))
-        ratios = {v2[key] / v1[key] for key in v1} if v1.keys() == v2.keys() else set()
-        proportional = len(ratios) == 1
-        outcome = {
-            "point": point_to_json(x),
-            "proportional": proportional,
-            "ratio": format_rational(ratios.pop()) if proportional else None,
-            "expected_ratio": format_rational(1 / x.get(1, shape.n)),
-        }
-        yield x, outcome
+    v1, v2 = fundrep.chart_vector(x), fundrep.chart_vector(sigma_map(x))
+    ratios = {v2[key] / v1[key] for key in v1} if v1.keys() == v2.keys() else set()
+    proportional = len(ratios) == 1
+    return {
+        "point": point_to_json(x),
+        "proportional": proportional,
+        "ratio": format_rational(ratios.pop()) if proportional else None,
+        "expected_ratio": format_rational(1 / x.get(1, x.shape.n)),
+    }
 
 
 def conjecture_outcomes(shape, trials, seed, bound):
     """Raw probe outcomes for the proportionality experiment."""
     _require_trials(trials)
-    return [outcome for _, outcome in _conjecture_runs(shape, trials, seed, bound)]
+    points = (sample_point(shape, seed + t, bound, kind="x") for t in range(trials))
+    return [_conjecture_outcome(x) for x in points]
 
 
 def ratio_holds(outcome):
@@ -347,32 +363,20 @@ def ratio_holds(outcome):
     return outcome["proportional"] and outcome["ratio"] == outcome["expected_ratio"]
 
 
+@_suite("conjecture", "chart-proportional")
 def suite_conjecture(shape, trials, seed, bound):
     """v2(sigma(x)) = v1(x) / x_(1,n): the two chart vectors are proportional at every k."""
-    checks = _checks("chart-proportional")
-    for x, outcome in _conjecture_runs(shape, trials, seed, bound):
-        checks["chart-proportional"].record(
-            ratio_holds(outcome), x,
-            ratio=outcome["ratio"], expected_ratio=outcome["expected_ratio"],
-        )
-    return list(checks.values())
+    fundrep._check_dimension(shape)
+    for t in range(trials):
+        x = sample_point(shape, seed + t, bound, kind="x")
+        ratios = {}  # the witness names the ratio found and the one expected
 
+        def proportional():
+            outcome = _conjecture_outcome(x)
+            ratios.update(ratio=outcome["ratio"], expected_ratio=outcome["expected_ratio"])
+            return ratio_holds(outcome)
 
-SUITES = {
-    "paths": suite_paths,
-    "birational": suite_birational,
-    "lemma44": suite_lemma44,
-    "intertwine": suite_intertwine,
-    "axioms": suite_axioms,
-    "iso": suite_iso,
-    "udprobe": suite_udprobe,
-    "weyl": suite_weyl,
-    "extremal": suite_extremal,
-    "fundrep": suite_fundrep,
-    "conjecture": suite_conjecture,
-}
-
-DEFAULT_BOUNDS = {"iso": 10, "extremal": 10}
+        yield "chart-proportional", x, ratios, proportional
 
 
 def suite_bound(name, bound=None):
@@ -383,7 +387,7 @@ def suite_bound(name, bound=None):
     every suite, including those that sample no point.
     """
     if bound is None:
-        bound = DEFAULT_BOUNDS.get(name, 16)
+        bound = DEFAULT_BOUNDS[name]
     if bound < 1:
         raise ValidationError("bound must be at least 1, got %s" % brief(bound))
     if name == "udprobe":
@@ -392,9 +396,25 @@ def suite_bound(name, bound=None):
 
 
 def run_suite(name, shape, trials, seed, bound=None):
+    """One :class:`RelationCheck` per relation of suite ``name``, in declared order.
+
+    Each record is checked before the next is drawn: ``holds`` closes over
+    the suite's loop variables, and may add what it derived to ``params``.
+    Only a check's ``Exception`` is caught; an error while drawing passes through.
+    """
     if name not in SUITES:
         raise ValidationError(
             "unknown suite %s (known: %s)" % (brief(name), ", ".join(sorted(SUITES)))
         )
     _require_trials(trials)
-    return SUITES[name](shape, trials, seed, suite_bound(name, bound))
+    checks = {relation: RelationCheck(relation) for relation in RELATIONS[name]}
+    records = SUITES[name](shape, trials, seed, suite_bound(name, bound))
+    for relation, point, params, holds in records:
+        try:
+            if holds():
+                checks[relation].passes += 1
+                continue
+        except Exception as exc:
+            params = {**params, "error": "%s: %s" % (type(exc).__name__, brief(exc))}
+        checks[relation].record(False, point, **params)
+    return list(checks.values())

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MALFORMED_POINTS, SHAPES
-from pathcrystal import bkinf, cli, fundrep, geom, tropical
+from pathcrystal import bkinf, cli, fundrep, geom, suites, tropical
 from pathcrystal.birational import sigma_map
 from pathcrystal.bkinf import crystal_graph_dot, sample_belement
 from pathcrystal.cli import ACTIONS, COMMANDS, MAPS, REQUIRED, main
@@ -763,7 +763,10 @@ def test_graph_around_a_center_file(capsys, point_file):
 
 
 def test_extremal_fault_fails_the_suite(capsys, monkeypatch):
+    calls = []
+
     def faulty(b, which):
+        calls.append(which)
         raise CrystalFault("planted fault at %s" % which)
 
     monkeypatch.setattr(bkinf, "extremal_c", faulty)
@@ -771,10 +774,105 @@ def test_extremal_fault_fails_the_suite(capsys, monkeypatch):
                     "--trials", "2", "--json")
     assert code == 1
     checks = {c["relation"]: c for c in json.loads(out)["checks"]}
-    tuples = checks["extremal-tuples"]
-    assert (tuples["passes"], tuples["fails"]) == (0, 2)
-    assert tuples["witnesses"][0]["fault"] == "planted fault at e"
-    assert set(tuples["witnesses"][0]) == {"fault", "point"}
+    # both relations read the extremal tuples, so the fault fails each at every trial
+    for relation in ("extremal-tuples", "eps-phi-from-tuples"):
+        check = checks[relation]
+        assert (check["passes"], check["fails"]) == (0, 2)
+        assert check["witnesses"][0]["error"] == "CrystalFault: planted fault at e"
+        assert set(check["witnesses"][0]) == {"error", "point"}
+    # the failed build is kept, not retried by the second relation
+    assert calls == ["e", "e"]
+
+
+def test_a_check_that_raises_is_a_failed_trial_of_its_relation(capsys, monkeypatch):
+    epsilon = geom.epsilon
+
+    def broken(x, i):
+        if i == 1:
+            raise TypeError("planted at i = 1")
+        return epsilon(x, i)
+
+    monkeypatch.setattr(geom, "epsilon", broken)
+    code, out = run(capsys, "verify", "--suite", "all", "--n", "3", "--k", "2", "--trials", "1",
+                    "--json")
+    assert code == 1
+    reports = json.loads(out)
+    assert [r["suite"] for r in reports] == sorted(SUITES)
+    failed = {
+        (r["suite"], c["relation"]): (c["fails"], {tuple(sorted(w)) for w in c["witnesses"]})
+        for r in reports for c in r["checks"] if c["fails"]
+    }
+    # every relation that reads epsilon at i = 1, once per trial at i = 1 (and per parameter
+    # draw, and per index j that commutes with 1); udprobe's four relations all read one
+    # probe_pairs value, and the degree probe's epsilon is part of it
+    probe = (1, {("d", "error", "i", "point")})
+    assert failed == {
+        ("intertwine", "epsilon-transport"): (1, {("error", "i", "point")}),
+        ("axioms", "epsilon-scaling"): (PARAMS, {("c", "error", "i", "point")}),
+        ("axioms", "epsilon-invariance"): (PARAMS, {("c", "error", "i", "j", "point")}),
+        ("udprobe", "probe-gamma"): probe,
+        ("udprobe", "probe-epsilon"): probe,
+        ("udprobe", "probe-action"): probe,
+        ("udprobe", "maxplus-action"): probe,
+    }
+    witnesses = [w for r in reports for c in r["checks"] for w in c["witnesses"]]
+    assert all(w["i"] == 1 and w["error"] == "TypeError: planted at i = 1" for w in witnesses)
+    # the same relations pass at every other index
+    passed = {(r["suite"], c["relation"]) for r in reports for c in r["checks"] if c["passes"]}
+    assert set(failed) <= passed
+
+
+def test_only_exceptions_become_failed_trials(monkeypatch):
+    def interrupted(x, i):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(geom, "epsilon", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("intertwine", make_shape(3, 2), 1, 0)
+
+
+def test_intertwine_maps_each_point_once_for_its_transports(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return sigma_map(x)
+
+    monkeypatch.setattr(suites, "sigma_map", counted)
+    trials = 3
+    for n, k in SHAPES:
+        calls.clear()
+        assert all(c.ok for c in run_suite("intertwine", make_shape(n, k), trials, 0))
+        # one image of the point, shared by every transport, and one per action tested
+        assert len(calls) == trials * (1 + n * PARAMS)
+
+
+PATH_CAPPED = "shape (24, 12) has binomial(23, 11) = 1352078 full paths, more than 100000"
+DIMENSION_CAPPED = "k-subset module limited to dimension at most 10000, got binomial(17, 8)"
+
+
+@pytest.mark.parametrize("suite,nk,message", [
+    ("paths", (24, 12), PATH_CAPPED),
+    ("iso", (24, 12), PATH_CAPPED),
+    ("weyl", (24, 12), PATH_CAPPED),
+    ("extremal", (24, 12), PATH_CAPPED),
+    ("udprobe", (24, 12), PATH_CAPPED),
+    ("fundrep", (16, 8), DIMENSION_CAPPED),
+    ("conjecture", (16, 8), DIMENSION_CAPPED),
+])
+def test_a_suite_past_its_cap_is_refused_before_its_first_trial(
+    capsys, monkeypatch, suite, nk, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no point may be sampled past the cap")
+
+    monkeypatch.setattr(suites, "sample_point", refuse)
+    monkeypatch.setattr(bkinf, "sample_belement", refuse)
+    n, k = map(str, nk)
+    code = main(["verify", "--suite", suite, "--n", n, "--k", k, "--trials", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 def test_udprobe_past_its_path_cap_exits_2(capsys, monkeypatch):
