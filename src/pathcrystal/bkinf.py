@@ -28,19 +28,29 @@ off the DP's forward pass.
 The unit 0-steps and :func:`extremal_c` keep the enumerated definition over
 all binomial(n-1, k-1) tuples.  Each enumerating call builds one table
 ``{c: delta(b, c)}`` over the family of plain tuples (:func:`all_ctuples`)
-from the rows' prefix sums, taken once per call; nothing is kept across
-calls.  :func:`extremal_c` returns the coordinatewise extreme of the
-table's minimizers, which is again a tuple of the family and comparable
-with every minimizer, so its one check is whether that tuple minimizes.
-It reads the tuple's value from the body of :func:`delta`, whose
-row-slice sum the table does not share, so every call checks the table
-against the definition at the tuple it returns, faulting with a
+from the rows' prefix sums.  :func:`extremal_c` returns the coordinatewise
+extreme of the table's minimizers, which is again a tuple of the family and
+comparable with every minimizer, so its one check is whether that tuple
+minimizes.  It reads the tuple's value from the body of :func:`delta`,
+whose row-slice sum the table does not share, so every call checks the
+table against the definition at the tuple it returns, faulting with a
 replayable witness on a mismatch.  :func:`brute_bk_e_closed` (each peak
 once, a direct min over the table) is the closed form from the same
 enumeration, the DP's oracle; it does not call the kernel.  The ``extremal``
 suite checks :func:`eps_phi_0` against delta at the enumerated extremal
 tuples.  :func:`delta` and :func:`.iso.pi_correspondence` check a tuple
 given from outside, by one rule in :mod:`.lattice`.
+
+An array keeps what its operators read again, in the store of
+:func:`.lattice._table`, under keys that start with ``"bkinf"``: its rows
+(:func:`_rows`), which :func:`delta`, the tuple table and the DP read;
+the DP's forward minima (:func:`_ahead`), which :func:`eps_phi_0` and
+:func:`_peak_table` share; and at each i >= 1 the running sums of
+:func:`_moved_sums`, which :func:`eps_phi`, :func:`kashiwara` and
+:func:`bk_e_closed` read.  Each is a tuple of O(k*n) values.  The tuple
+table and the family are never kept: they have binomial(n-1, k-1)
+entries, and an array that lives long (a node of
+:func:`crystal_graph_dot`) would hold them all.
 
 Every public function rejects a point that is not an array before it
 reads one.  :func:`kashiwara` and :func:`bk_e_closed` at i >= 1 only move
@@ -60,6 +70,7 @@ from .lattice import (
     _check_ctuple,
     _check_kind,
     _mix_tag,
+    _table,
     point_to_json,
 )
 
@@ -97,16 +108,20 @@ def all_ctuples(shape):
 
 
 def _moved_sums(b, i):
-    """The first row the i-th unit steps can move, and the running sums S.
+    """The first row the i-th unit steps can move, and the running sums S, kept on ``b``.
 
     ``S[m]`` sums ``b(j, i) - b(j+1, i+1)`` over the rows j = beta..beta+m,
     beta = max(0, i - k'), up to the last row min(k, i).  ``S[:-1]`` is
     indexed by the movable rows beta+1..min(k, i), and ``S[-1]`` is wt_i.
     """
+    return _table(b, ("bkinf", "moved", i), _build_moved_sums, i)
+
+
+def _build_moved_sums(b, i):
     get = b._entries.get
     beta = max(0, i - b.shape.kprime)
     rows = range(beta, min(b.shape.k, i) + 1)
-    return beta + 1, list(accumulate(get((j, i), 0) - get((j + 1, i + 1), 0) for j in rows))
+    return beta + 1, tuple(accumulate(get((j, i), 0) - get((j + 1, i + 1), 0) for j in rows))
 
 
 def eps_phi(b, i):
@@ -179,7 +194,7 @@ def _family_deltas(b):
 
     With ``P = [0, row[0], row[0] + row[1], ...]``, row j's share between
     consecutive entries u < v is ``P[v] - P[u+1]``, so each tuple costs two
-    sums of k lookups.  The rows are read once per call; nothing is kept.
+    sums of k lookups.  The table is built on every call and never kept.
     """
     prefixes = [list(accumulate(row, initial=0)) for row in _rows(b)]
     shifted = [prefix[1:] for prefix in prefixes]
@@ -224,7 +239,7 @@ def eps_phi_0(b):
     """
     _check_kind(b, BElement, "eps_phi_0")
     shape = b.shape
-    least = _forward_minima(_rows(b))[shape.k][shape.n + 1]
+    least = _ahead(b)[shape.k][shape.n + 1]
     return -b.get(shape.k, shape.n + 1) - least, -b.get(1, 1) - least
 
 
@@ -307,11 +322,20 @@ def _forward_minima(rows):
     return table
 
 
+def _ahead(b):
+    """:func:`_forward_minima` of the array's rows, as a tuple of row tuples kept on ``b``."""
+    return _table(b, ("bkinf", "ahead"), lambda b: tuple(map(tuple, _forward_minima(_rows(b)))))
+
+
 def _rows(b):
-    """``rows[j-1][i]``: row j's entry in column i, for i in 0..n+1."""
+    """``rows[j-1][i]``: row j's entry in column i, for i in 0..n+1, kept on ``b``."""
+    return _table(b, ("bkinf", "rows"), _build_rows)
+
+
+def _build_rows(b):
     get = b._entries.get
     columns = range(b.shape.n + 2)
-    return [[get((j, i), 0) for i in columns] for j in range(1, b.shape.k + 1)]
+    return tuple(tuple(get((j, i), 0) for i in columns) for j in range(1, b.shape.k + 1))
 
 
 def _turned(row):
@@ -329,9 +353,8 @@ def _peak_table(b, d):
     c[j] <= col, the cut after column col.
     """
     k = b.shape.k
-    rows = _rows(b)
-    ahead = _forward_minima(rows)
-    behind = _forward_minima([_turned(row) for row in reversed(rows)])
+    ahead = _ahead(b)
+    behind = _forward_minima([_turned(row) for row in reversed(_rows(b))])
     return [
         _cut_peaks([
             None if f is None or g is None else f + g

@@ -220,9 +220,9 @@ class _BasePoint:
     form ``value`` returns.  ``chart_image`` is the kind the chart maps send
     it to.
 
-    ``shape`` and ``entries`` are read-only: path tables are memoized per
-    point, so a point must not change after construction.  Equal points
-    hash equal.
+    ``shape`` and ``entries`` are read-only: data derived from the entries
+    are kept on the point (:func:`_table`), so a point must not change
+    after construction.  Equal points hash equal.
 
     The constructor checks every entry and the key set (and, for arrays,
     the row sums).  :meth:`_derived` checks nothing: the library calls it
@@ -395,6 +395,24 @@ class BElement(_IntPoint):
             row_sum = sum(values[j * width:(j + 1) * width])
             if row_sum != 0:
                 raise ValidationError("row %d sums to %s, expected 0" % (j + 1, brief(row_sum)))
+
+
+def _table(point, key, build, *args):
+    """``build(point, *args)``, kept on the point under ``key`` from the first call on.
+
+    ``point._tables`` is the one store of data derived from a point's
+    entries: the path engine's DP tables under its plain names, and, under
+    tuple keys that start with the module's name, the degree probe's
+    rational point and the per-index data of :mod:`.tropical` and
+    :mod:`.bkinf`.  Per-index data are integers or tuples, never lists, so
+    no reader can change them in place, and each holds O(entries) values.
+    Every point starts with an empty store, the images of
+    :meth:`_BasePoint._derived` included.
+    """
+    tables = point._tables
+    if key not in tables:
+        tables[key] = build(point, *args)
+    return tables[key]
 
 
 _KIND_CLASSES = {cls.kind: cls for cls in (XPoint, YPoint, TropPoint, BElement)}

@@ -51,7 +51,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ValidationError, brief
-from .lattice import PATH_CAP, TropPoint, XPoint, YPoint, _check_kind, _is_int
+from .lattice import PATH_CAP, TropPoint, XPoint, YPoint, _check_kind, _is_int, _table
 
 
 def _check_side(side):
@@ -133,12 +133,6 @@ def path_weight(point, path):
 
 # ---------------------------------------------------------------------------
 # dynamic-programming tables, memoized per point
-
-
-def _table(point, name, builder, *args):
-    if name not in point._tables:
-        point._tables[name] = builder(point, *args)
-    return point._tables[name]
 
 
 def _build_steps(point):

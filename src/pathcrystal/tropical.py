@@ -8,13 +8,26 @@ operations lean on the max-plus path engine for their region maxima.  The
 closed forms call nothing in ``geom``; like it, they read the moved rows
 from ``shape.column``.  Only the degree probe below calls ``geom``.
 
-At i >= 1, :func:`trop_eps` and :func:`trop_e` cost O(rows) integer
-operations, where rows is the number of entries the index moves.
-:func:`_dbars` gives every ``trop_dbar`` of the column in one pass from its
-last row b down to its first row a, from a running tail of sums, and :func:`trop_e` takes
-``num_r = max(max(dbar[:r]), d + max(dbar[r:]))`` from one prefix and one
-suffix maximum.  :func:`trop_dbar` is the per-row definition, which the
-tests compare with that pass; the hot paths do not call it.
+Row a+r of a column the action moves changes by ``alpha_r - alpha_(r+1)``.
+At i >= 1 only column i moves, with
+``alpha_r = max(max(dbar[:r]), d + max(dbar[r:]))``: :func:`_dbars` gives
+every ``trop_dbar`` of the column in one pass from its last row b down to
+its first row a, from a running tail of sums, and :func:`_maxima` their
+prefix and suffix maxima.  At i = 0 every column m moves, with
+``alpha_r = max(U(a+r-1, m), d + V(a+r, m))`` over the region sums of the
+max-plus path engine (:func:`_region_pairs`).  :func:`trop_dbar` is the
+per-row definition, which the tests compare with that pass; the hot paths
+do not call it.
+
+A point keeps what does not depend on d, once per index, in the store of
+:func:`.lattice._table`, under keys that start with ``"tropical"``: the
+maxima of each column i >= 1, the region pairs of every column, and
+``trop_wt`` at each index.  Each is an integer or a tuple of at most
+2 * entries integers.  So :func:`trop_eps` at i >= 1 is one lookup, and
+:func:`trop_e` combines the kept data with d in O(rows) integer operations
+at i >= 1 and O(entries) at i = 0, where rows is the number of entries the
+index moves.  Nothing that depends on d is kept.  :func:`probe_point`
+keeps its rational point in the same store.
 
 Every function here rejects a point that is not tropical before it reads
 one.  :func:`trop_e` builds its image unchecked (``TropPoint._derived``):
@@ -37,12 +50,13 @@ logarithms, so their difference stays below log2(P) + 1 <= bits / 4 from
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 from .errors import CrystalFault, ValidationError, brief
-from .lattice import TropPoint, XPoint, _check_kind
-from .paths import _table, epsilon_total, region_sums
-from .semiring import MAXPLUS, RATIONAL
+from .lattice import TropPoint, XPoint, _check_kind, _table
+from .paths import epsilon_total, region_sums
+from .semiring import RATIONAL
 from . import geom
 
 PROBE_MAX_EXPONENT = 8
@@ -79,10 +93,9 @@ def _dbars(x, i, a, b):
     return out[::-1]
 
 
-def trop_wt(x, i):
-    _check_kind(x, TropPoint, "trop_wt")
+def _weight(x, i):
+    """``trop_wt(x, i)``, from the entries."""
     shape = x.shape
-    shape.check_index(i)
     if i == 0:
         return -x.get(1, shape.n) - x.get(shape.k, 1)
     a, b = shape.column(1, i)
@@ -93,42 +106,77 @@ def trop_wt(x, i):
     )
 
 
+def _maxima(x, i):
+    """Prefix and suffix maxima of :func:`_dbars` over column i >= 1."""
+    dbar = _dbars(x, i, *x.shape.column(1, i))
+    return tuple(accumulate(dbar, max)), tuple(accumulate(reversed(dbar), max))[::-1]
+
+
+@cache
+def _column_keys(shape):
+    """The keys (a, m)..(b, m) of each column m in 1..n of the first lattice, once per shape."""
+    columns = []
+    for m in range(1, shape.n + 1):
+        a, b = shape.column(1, m)
+        columns.append(tuple((l, m) for l in range(a, b + 1)))
+    return tuple(columns)
+
+
+def _region_pairs(x):
+    """Per column m in 1..n with rows a..b: ``U(a-1..b-1, m)`` and ``V(a+1..b+1, m)``.
+
+    Each is read once from the region table.  ``V(a, m)`` and ``U(b, m)``
+    are empty: no node of column m lies below row a or above row b.
+    """
+    return tuple(
+        (
+            tuple(region_sums(x, l - 1, m)[0] for l, m in column),
+            tuple(region_sums(x, l + 1, m)[1] for l, m in column),
+        )
+        for column in _column_keys(x.shape)
+    )
+
+
+def trop_wt(x, i):
+    _check_kind(x, TropPoint, "trop_wt")
+    x.shape.check_index(i)
+    return _table(x, ("tropical", "wt", i), _weight, i)
+
+
 def trop_eps(x, i):
     _check_kind(x, TropPoint, "trop_eps")
     shape = x.shape
     shape.check_index(i)
     if i == 0:
         return x.get(1, shape.n) + epsilon_total(x)
-    return max(_dbars(x, i, *shape.column(1, i)))
+    return _table(x, ("tropical", "maxima", i), _maxima, i)[0][-1]
 
 
 def trop_e(x, i, d):
-    """The d-th power of the i-th piecewise-linear action (d may be negative)."""
+    """The d-th power of the i-th piecewise-linear action (d may be negative).
+
+    Each moved column's alphas come from the data of index i the point
+    keeps; see the module docstring.
+    """
     _check_kind(x, TropPoint, "trop_e")
     shape = x.shape
     shape.check_index(i)
     d = x.value(d)
     entries = dict(x._entries)
+    keys = _column_keys(shape)
     if i == 0:
-        for (l, m) in shape.l1_indices:
-            if (l, m) == (1, shape.n):
-                entries[(l, m)] = x.get(l, m) - d
-                continue
-            up_hi, _, _ = region_sums(x, l - 1, m)
-            up_lo, lo_hi, _ = region_sums(x, l, m)
-            _, lo_lo, _ = region_sums(x, l + 1, m)
-            num = MAXPLUS.add(up_hi, MAXPLUS.mul(d, lo_hi))
-            den = MAXPLUS.add(up_lo, MAXPLUS.mul(d, lo_lo))
-            entries[(l, m)] = x.get(l, m) + num - den
+        regions = _table(x, ("tropical", "regions"), _region_pairs)
+        moves = [
+            (column, [above[0], *[max(u, d + v) for u, v in zip(above[1:], below)], d + below[-1]])
+            for column, (above, below) in zip(keys, regions)
+        ]
     else:
-        a, b = shape.column(1, i)
-        dbar = _dbars(x, i, a, b)
-        # num_r = max(max(dbar[:r]), d + max(dbar[r:])); row a+r moves by num_r - num_(r+1)
-        prefix = list(accumulate(dbar, max))
-        suffix = list(accumulate(reversed(dbar), max))[::-1]
-        nums = [d + suffix[0]] + [max(p, d + s) for p, s in zip(prefix, suffix[1:])] + prefix[-1:]
-        for l, num, den in zip(range(a, b + 1), nums, nums[1:]):
-            entries[(l, i)] += num - den
+        prefix, suffix = _table(x, ("tropical", "maxima", i), _maxima, i)
+        inner = [max(p, d + s) for p, s in zip(prefix, suffix[1:])]
+        moves = [(keys[i - 1], [d + suffix[0], *inner, prefix[-1]])]
+    for column, alpha in moves:
+        for key, num, den in zip(column, alpha, alpha[1:]):
+            entries[key] += num - den
     # integer arithmetic on x's entries and the checked d, on the keys copied from x
     return TropPoint._derived(shape, entries)
 
@@ -180,7 +228,7 @@ def probe_point(exponents):
     reads the same rational point and its path tables.
     """
     _check_kind(exponents, TropPoint, "probe_point")
-    return _table(exponents, "probe", _build_probe)
+    return _table(exponents, ("tropical", "probe"), _build_probe)
 
 
 def degree_of(value, bits):

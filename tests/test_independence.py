@@ -70,7 +70,11 @@ def test_import_reader_sees_the_package_imports():
 
 
 @pytest.mark.parametrize(
-    "form", ["trop_dbar", "_dbars", "trop_wt", "trop_eps", "trop_e", "trop_weyl"]
+    "form",
+    [
+        "trop_dbar", "_dbars", "_weight", "_maxima", "_column_keys", "_region_pairs",
+        "trop_wt", "trop_eps", "trop_e", "trop_weyl",
+    ],
 )
 def test_tropical_closed_forms_do_not_read_geom(form):
     tree = ast.parse((PACKAGE / "tropical.py").read_text())

@@ -26,12 +26,12 @@ MUTANTS = {
         "entries[(row + 1, i + 1)] = entries.get((row + 1, i + 1), 0) - step",
         [("iso", "step-intertwine"), ("weyl", "array-closed-form")],
     ),
-    # the first moved row passes one unit from column i to column i+1
+    # the first moved row of each moved column m passes one unit to column m+1
     "trop-e-out-of-column": (
         tropical, "trop_e",
-        "entries[(l, i)] += num - den",
-        "entries[(l, i)] += num - den - (l == a); "
-        "entries[(l, i + 1)] = entries.get((l, i + 1), 0) + (l == a)",
+        "entries[key] += num - den",
+        "first = key == column[0]; entries[key] += num - den - first; "
+        "entries[key[0], key[1] + 1] = entries.get((key[0], key[1] + 1), 0) + first",
         [("iso", "step-intertwine")],
     ),
 }
