@@ -4,7 +4,12 @@ Each suite draws seeded random points and yields its trials as records
 ``(relation, point, params, holds)``; :func:`run_suite` alone calls ``holds()``
 and counts the answers.  A check that raises is a failed trial of its
 relation, with ``error: "<Type>: <message>"`` in its witness; a value that
-several checks read is built by the first of them.  A suite checks its
+several checks read is built by the first of them (:func:`_lazy`), and a
+fault in it fails each reader.  ``axioms`` shares gamma and epsilon at the
+sampled point per trial and the actions at c and at d per parameter draw;
+``weyl`` shares each realization's first reflection at each index.  The
+second route a check compares against (``weyl_s_def``, ``bk_e_steps``) is
+never shared, so no check compares a value with itself.  A suite checks its
 shape's limits before its first record, so a shape past a cap stays bad
 usage.  The acceptance tests run these same functions at the sample sizes
 fixed there; the CLI exposes them at user-chosen sizes.
@@ -158,30 +163,33 @@ def suite_axioms(shape, trials, seed, bound):
     rng = SplitMix64(seed ^ 0xA1F1)
     for t in range(trials):
         x = sample_point(shape, seed + t, bound, kind="x")
+        gx = [_lazy(gamma, x, j) for j in index_set]
+        ex = [_lazy(epsilon, x, i) for i in index_set]
         for i in index_set:
             yield "identity-at-1", x, {"i": i}, lambda: act_e(x, i, Fraction(1)) == x
         for p in range(PARAMS):
             c = sample_rational(rng, bound, avoid_one=(p % 2 == 0))
             d = sample_rational(rng, bound, avoid_one=(p % 2 == 1))
+            xc = [_lazy(act_e, x, i, c) for i in index_set]
+            xd = [_lazy(act_e, x, i, d) for i in index_set]
             for i in index_set:
-                xi = _lazy(act_e, x, i, c)
                 yield "parameter-group-law", x, {"i": i, "c": c, "d": d}, (
-                    lambda: act_e(xi(), i, d) == act_e(x, i, c * d))
+                    lambda: act_e(xc[i](), i, d) == act_e(x, i, c * d))
                 yield "epsilon-scaling", x, {"i": i, "c": c}, (
-                    lambda: epsilon(xi(), i) == epsilon(x, i) / c)
+                    lambda: epsilon(xc[i](), i) == ex[i]() / c)
                 for j in index_set:
                     yield "gamma-scaling", x, {"i": i, "j": j, "c": c}, (
-                        lambda: gamma(xi(), j) == c ** shape.cartan(i, j) * gamma(x, j))
+                        lambda: gamma(xc[i](), j) == c ** shape.cartan(i, j) * gx[j]())
                 for j in range(i + 1, shape.n + 1):
                     if shape.cartan(i, j) == 0:
                         yield "commutation", x, {"i": i, "j": j, "c": c, "d": d}, (
-                            lambda: act_e(act_e(x, j, d), i, c) == act_e(act_e(x, i, c), j, d))
+                            lambda: act_e(xd[j](), i, c) == act_e(xc[i](), j, d))
                         yield "epsilon-invariance", x, {"i": i, "j": j, "c": c}, (
-                            lambda: epsilon(act_e(x, j, c), i) == epsilon(x, i))
+                            lambda: epsilon(xc[j](), i) == ex[i]())
                     else:
                         yield "verma", x, {"i": i, "j": j, "c": c, "d": d}, lambda: (
-                            act_e(act_e(act_e(x, i, d), j, c * d), i, c)
-                            == act_e(act_e(act_e(x, j, c), i, c * d), j, d)
+                            act_e(act_e(xd[i](), j, c * d), i, c)
+                            == act_e(act_e(xc[j](), i, c * d), j, d)
                         )
 
 
@@ -264,22 +272,27 @@ def suite_weyl(shape, trials, seed, bound):
             ("tropical", tropical.trop_weyl, z),
             ("array", bkinf.weyl_s_tilde, b),
         )
+        # each realization's first reflection at each index; never the closed forms' second route
+        first = {
+            label: [_lazy(refl, value, i) for i in range(shape.n + 1)]
+            for label, refl, value in realizations
+        }
         for i in range(shape.n + 1):
             if i:  # at i = 0, weyl_s is weyl_s_def's own route: the action at 1/gamma
                 yield "geometric-closed-form", x, {"i": i}, (
-                    lambda: geom.weyl_s(x, i) == geom.weyl_s_def(x, i))
+                    lambda: first["geometric"][i]() == geom.weyl_s_def(x, i))
             yield "array-closed-form", b, {"i": i}, (
-                lambda: bkinf.weyl_s_tilde(b, i) == bkinf.bk_e_steps(b, i, -bkinf.wt(b, i)))
+                lambda: first["array"][i]() == bkinf.bk_e_steps(b, i, -bkinf.wt(b, i)))
             for label, refl, value in realizations:
-                yield label + "-involution", value, {"i": i}, (
-                    lambda: refl(refl(value, i), i) == value)
+                s = first[label]
+                yield label + "-involution", value, {"i": i}, lambda: refl(s[i](), i) == value
                 for j in range(i + 1, shape.n + 1):
                     if shape.cartan(i, j) == 0:
                         yield label + "-commute", value, {"i": i, "j": j}, (
-                            lambda: refl(refl(value, i), j) == refl(refl(value, j), i))
+                            lambda: refl(s[i](), j) == refl(s[j](), i))
                     else:
                         yield label + "-braid", value, {"i": i, "j": j}, lambda: (
-                            refl(refl(refl(value, i), j), i) == refl(refl(refl(value, j), i), j)
+                            refl(refl(s[i](), j), i) == refl(refl(s[j](), i), j)
                         )
 
 

@@ -847,6 +847,71 @@ def test_intertwine_maps_each_point_once_for_its_transports(monkeypatch):
         assert len(calls) == trials * (1 + n * PARAMS)
 
 
+def counted_calls(monkeypatch, *holders):
+    """{name: calls so far} for each ``(module, name)``, counted through a wrapper."""
+    calls = {}
+    for module, name in holders:
+        def counted(*args, _call=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite,nk,expected", [
+    # a shared operand per (trial, index) for gamma and epsilon at x, and per (draw, index)
+    # for the actions at c and at d (234/160/60 and 501/360/150 when each check built its own)
+    ("axioms", (3, 2), [(geom, "act_e", 184), (geom, "gamma", 84), (geom, "epsilon", 34)]),
+    ("axioms", (5, 3), [(geom, "act_e", 336), (geom, "gamma", 186), (geom, "epsilon", 81)]),
+    # one first reflection per index and realization (89/84/90 when each check built its own);
+    # the closed forms' second routes stay one call per check: n for weyl_s_def, n+1 for bk_e_steps
+    ("weyl", (5, 3), [
+        (geom, "weyl_s", 54), (tropical, "trop_weyl", 54), (bkinf, "weyl_s_tilde", 54),
+        (geom, "weyl_s_def", 5), (bkinf, "bk_e_steps", 6),
+    ]),
+])
+def test_axioms_and_weyl_compute_each_shared_operand_once_per_trial(
+    monkeypatch, suite, nk, expected
+):
+    calls = counted_calls(monkeypatch, *((module, name) for module, name, _ in expected))
+    assert all(c.ok for c in run_suite(suite, make_shape(*nk), 1, 0))
+    assert calls == {name: count for _, name, count in expected}
+
+
+@pytest.mark.parametrize("suite,module,name,expected", [
+    ("axioms", geom, "act_e", {
+        "identity-at-1": (10, 2), "parameter-group-law": (50, 10), "gamma-scaling": (300, 60),
+        "epsilon-scaling": (50, 10), "epsilon-invariance": (90, 0), "commutation": (60, 30),
+        "verma": (40, 20),
+    }),
+    ("weyl", geom, "weyl_s", {
+        "geometric-closed-form": (8, 2), "geometric-involution": (10, 2),
+        "geometric-braid": (8, 4), "geometric-commute": (12, 6), "tropical-involution": (12, 0),
+        "tropical-braid": (12, 0), "tropical-commute": (18, 0), "array-closed-form": (12, 0),
+        "array-involution": (12, 0), "array-braid": (12, 0), "array-commute": (18, 0),
+    }),
+])
+def test_a_shared_operand_that_raises_fails_every_relation_that_reads_it(
+    monkeypatch, suite, module, name, expected
+):
+    # (passes, fails) as when each check made its own call: a kept exception is raised
+    # again for every later reader, and no relation that reads index 1 passes there
+    call = getattr(module, name)
+
+    def broken(x, i, *args):
+        if i == 1:
+            raise TypeError("planted at i = 1")
+        return call(x, i, *args)
+
+    monkeypatch.setattr(module, name, broken)
+    checks = run_suite(suite, make_shape(5, 3), 2, 0)
+    assert {c.name: (c.passes, c.fails) for c in checks} == expected
+    witnesses = [w for c in checks for w in c.witnesses]
+    assert witnesses and all(w["error"] == "TypeError: planted at i = 1" for w in witnesses)
+    assert all(1 in (w["i"], w.get("j")) for w in witnesses)
+
+
 PATH_CAPPED = "shape (24, 12) has binomial(23, 11) = 1352078 full paths, more than 100000"
 DIMENSION_CAPPED = "k-subset module limited to dimension at most 10000, got binomial(17, 8)"
 

@@ -1,12 +1,13 @@
-"""Mutants of the functions that build their images unchecked, and the relations that kill them.
+"""Mutants of library functions, and the relations that kill them.
 
 Each row names a function, one exact line of its source, the line that
 replaces it, and the (suite, relation) pairs that must fail under the
-mutant.  The old line must occur exactly once.  Such an image is no longer
-checked when it is built, so a fault in it must surface as a failed
-relation: the suite runs to the end without an exception, and every kept
-witness replays the failure on its own and passes on the library as
-written.
+mutant.  The old line must occur exactly once.  Most rows mutate a
+function that builds its image unchecked, so a fault in it must surface as
+a failed relation; the closed-form reflection's row shows that a check
+whose operand other relations share still compares two routes.  The suite
+runs to the end without an exception, and every kept witness replays the
+failure on its own and passes on the library as written.
 """
 
 import inspect
@@ -14,7 +15,7 @@ import textwrap
 
 import pytest
 
-from pathcrystal import bkinf, iso, tropical
+from pathcrystal import bkinf, geom, iso, tropical
 from pathcrystal.lattice import make_shape, point_from_json
 from pathcrystal.suites import run_suite
 
@@ -34,6 +35,15 @@ MUTANTS = {
         "entries[key[0], key[1] + 1] = entries.get((key[0], key[1] + 1), 0) + first",
         [("iso", "step-intertwine")],
     ),
+    # the closed-form reflection at i = 2 starts its row factors from the first one squared;
+    # weyl shares each reflection among its relations, and the closed form must still see it
+    "weyl-s-one-index": (
+        geom, "weyl_s",
+        "fvals = list(accumulate(steps, sr.mul, initial=first))",
+        "fvals = list(accumulate(steps, sr.mul, "
+        "initial=sr.mul(first, first) if i == 2 else first))",
+        [("weyl", "geometric-closed-form")],
+    ),
 }
 
 # a relation's check at a witness's point and parameters
@@ -42,6 +52,7 @@ REPLAY = {
         iso.omega(tropical.trop_e(x, w["i"], w["d"]))
         == bkinf.bk_e_steps(iso.omega(x), w["i"], w["d"])
     ),
+    "geometric-closed-form": lambda x, w: geom.weyl_s(x, w["i"]) == geom.weyl_s_def(x, w["i"]),
     "array-closed-form": lambda b, w: (
         bkinf.weyl_s_tilde(b, w["i"]) == bkinf.bk_e_steps(b, w["i"], -bkinf.wt(b, w["i"]))
     ),
